@@ -1,6 +1,10 @@
 """The trainable stack: tokenizer, MLP adapter, small decoder-only LM, the
 single-stage training loop (frozen encoder, trainable extractor/adapter/LM),
 and greedy generation.
+
+Greedy decoding is KV-cached and graph-free: under ``no_grad`` the prompt is
+prefilled once, then each step feeds only the newest token's embedding and
+attends over the cached keys and values.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from segprompt.encoder import EncoderOutput, FeatureGrid, VitConfig, VitEncoder
 from segprompt.extractor import ExtractorConfig, SegTokenExtractor, SegTokenPair, extract_tokens
 from segprompt.nn import (
     AdamW,
+    KvCache,
     LinearLayer,
     LrSchedule,
     MlpBlock,
@@ -28,6 +33,7 @@ from segprompt.nn import (
     cross_entropy,
     init_uniform,
     lr_at,
+    no_grad,
     save_checkpoint,
 )
 from segprompt.nn.layers import LayerNorm
@@ -90,6 +96,8 @@ class LmConfig:
     def __post_init__(self):
         if not self.causal:
             raise ContractError("the decoder LM is always causal")
+        if self.depth < 1:
+            raise ContractError(f"the decoder LM needs at least one block, got {self.depth}")
 
 
 class DecoderLm:
@@ -108,15 +116,20 @@ class DecoderLm:
     def embed(self, ids: Sequence[int]) -> Tensor:
         return self.tok_emb[np.asarray(ids, dtype=np.intp)]
 
-    def forward(self, embeddings: Tensor) -> Tensor:
-        """Embeddings (L, dim) -> logits (L, vocab) under causal masking."""
-        n = embeddings.shape[0]
+    def forward(self, embeddings: Tensor, cache: list[KvCache] | None = None) -> Tensor:
+        """Embeddings (L, dim) -> logits (L, vocab) under causal masking.
+
+        With ``cache`` (one ``KvCache`` per block) the rows continue the
+        cached sequence: they take the next positions and see every cached row.
+        """
+        start = len(cache[0]) if cache else 0
+        n = start + embeddings.shape[0]
         if n > self.cfg.max_seq_len:
             raise ContractError(
                 f"sequence length {n} exceeds max_seq_len {self.cfg.max_seq_len}")
-        x = embeddings + self.pos_emb[:n]
-        for block in self.blocks:
-            x = block(x)
+        x = embeddings + self.pos_emb[start:n]
+        for i, block in enumerate(self.blocks):
+            x = block(x, None if cache is None else cache[i])
         return self.head(self.ln_f(x))
 
     def named_params(self, prefix: str = "lm") -> dict[str, Tensor]:
@@ -171,20 +184,23 @@ def forward_loss(lm: DecoderLm, prompt_embeddings: Tensor, target_ids: Sequence[
 
 def generate(lm: DecoderLm, prompt_embeddings: Tensor, max_new: int,
              eos_id: int = Tokenizer.EOS) -> list[int]:
-    """Greedy decoding until EOS or max_new tokens; deterministic."""
+    """Greedy decoding until EOS, max_new tokens or a full max_seq_len;
+    deterministic. The prompt is prefilled once, then each step feeds only
+    the newest token against the per-block key/value cache."""
+    p_len = prompt_embeddings.shape[0]
+    if p_len > lm.cfg.max_seq_len:
+        raise ContractError(
+            f"prompt ({p_len}) exceeds max_seq_len {lm.cfg.max_seq_len}")
     out: list[int] = []
-    for _ in range(max_new):
-        if out:
-            inputs = concat([prompt_embeddings, lm.embed(out)], axis=0)
-        else:
-            inputs = prompt_embeddings
-        if inputs.shape[0] >= lm.cfg.max_seq_len:
-            break
-        logits = lm.forward(inputs)
-        next_id = int(np.argmax(logits.data[-1]))
-        if next_id == eos_id:
-            break
-        out.append(next_id)
+    cache = [KvCache() for _ in lm.blocks]
+    inputs = prompt_embeddings
+    with no_grad():
+        for _ in range(min(max_new, lm.cfg.max_seq_len - p_len)):
+            next_id = int(np.argmax(lm.forward(inputs, cache).data[-1]))
+            if next_id == eos_id:
+                break
+            out.append(next_id)
+            inputs = lm.embed([next_id])
     return out
 
 
@@ -332,7 +348,8 @@ class ReportModel:
 
     def generate_report(self, study: StudyInput, strategy: Strategy,
                         single_view: bool = False, max_new: int = 48) -> list[int]:
-        emb = self.realize(study, strategy, single_view)
+        with no_grad():
+            emb = self.realize(study, strategy, single_view)
         return generate(self.lm, emb, max_new)
 
 

@@ -102,6 +102,24 @@ class LayerNorm:
         return {f"{prefix}.gamma": self.gamma, f"{prefix}.beta": self.beta}
 
 
+class KvCache:
+    """One attention block's keys and values so far, each (heads, rows, head_dim)."""
+
+    def __init__(self):
+        self.k: Tensor | None = None
+        self.v: Tensor | None = None
+
+    def __len__(self) -> int:
+        return 0 if self.k is None else self.k.shape[1]
+
+    def extend(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        """Append the new rows' keys and values; return all of them."""
+        if self.k is not None:
+            k, v = T.concat([self.k, k], axis=1), T.concat([self.v, v], axis=1)
+        self.k, self.v = k, v
+        return k, v
+
+
 class AttentionBlock:
     """Multi-head self-attention over a (seq, dim) input, optionally causal."""
 
@@ -117,7 +135,9 @@ class AttentionBlock:
         self.wv = LinearLayer(dim, dim, rng)
         self.proj = LinearLayer(dim, dim, rng)
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, cache: KvCache | None = None) -> Tensor:
+        """With ``cache`` the rows of ``x`` follow the cached ones: their keys
+        and values are appended, and they attend over every cached row too."""
         n = x.shape[0]
         h, hd = self.heads, self.head_dim
 
@@ -125,9 +145,13 @@ class AttentionBlock:
             return T.transpose(T.reshape(t, (n, h, hd)), (1, 0, 2))
 
         q, k, v = split(self.wq(x)), split(self.wk(x)), split(self.wv(x))
+        if cache is not None:
+            k, v = cache.extend(k, v)
+        m = k.shape[1]
         scores = T.matmul(q, T.transpose(k, (0, 2, 1))) * (1.0 / math.sqrt(hd))
         if self.causal:
-            mask = np.triu(np.full((n, n), -1e30), k=1)
+            # query row i sits at position m - n + i and sees keys up to it
+            mask = np.triu(np.full((n, m), -1e30), k=m - n + 1)
             scores = scores + mask
         attn = T.softmax(scores, axis=-1)
         ctx = T.matmul(attn, v)
@@ -153,8 +177,8 @@ class TransformerBlock:
         self.ln2 = LayerNorm(dim)
         self.mlp = MlpBlock([dim, mlp_ratio * dim, dim], activation="gelu", rng=rng)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        x = x + self.attn(self.ln1(x))
+    def __call__(self, x: Tensor, cache: KvCache | None = None) -> Tensor:
+        x = x + self.attn(self.ln1(x), cache)
         return x + self.mlp(self.ln2(x))
 
     def named_params(self, prefix: str) -> dict[str, Tensor]:

@@ -2,8 +2,10 @@
 
 A ``Tensor`` wraps an ndarray and records the op graph as it is built.
 ``Tensor.backward()`` on a scalar fills ``.grad`` on every reachable tensor
-with ``requires_grad=True``. Arrays are float64 by default ("test mode");
-training runs switch to float32 via ``set_default_dtype`` / ``precision``.
+with ``requires_grad=True``. Inside ``no_grad()`` no graph is recorded, so
+inference keeps no parents or backward closures alive. Arrays are float64 by
+default ("test mode"); training runs switch to float32 via
+``set_default_dtype`` / ``precision``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from segprompt.errors import ContractError, OracleError
 _DEFAULT_DTYPE = np.float64
 
 _DTYPE_NAMES = {"float32": np.float32, "float64": np.float64}
+
+_GRAD_ENABLED = True
 
 
 def default_dtype():
@@ -44,6 +48,18 @@ def precision(dtype):
         yield
     finally:
         set_default_dtype(prev)
+
+
+@contextmanager
+def no_grad():
+    """Record no graph: tensors made inside need no grad and keep no parents."""
+    global _GRAD_ENABLED
+    prev = _GRAD_ENABLED
+    _GRAD_ENABLED = False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = prev
 
 
 class Tensor:
@@ -163,7 +179,7 @@ def as_tensor(x) -> Tensor:
 
 
 def _make(data: np.ndarray, parents: tuple) -> Tensor:
-    req = any(p.requires_grad for p in parents)
+    req = _GRAD_ENABLED and any(p.requires_grad for p in parents)
     out = Tensor.__new__(Tensor)
     out.data = data if data.dtype == _DEFAULT_DTYPE else data.astype(_DEFAULT_DTYPE)
     out.grad = None
@@ -322,13 +338,13 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(x: Tensor) -> Tensor:
     """GELU, tanh approximation: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3)))."""
     xd = x.data
-    inner = _GELU_C * (xd + 0.044715 * xd ** 3)
+    inner = _GELU_C * (xd + 0.044715 * (xd * xd * xd))
     t = np.tanh(inner)
     out = _make(0.5 * xd * (1.0 + t), (x,))
     if out.requires_grad:
         def bw(g):
-            dinner = _GELU_C * (1.0 + 3 * 0.044715 * xd ** 2)
-            dx = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t ** 2) * dinner
+            dinner = _GELU_C * (1.0 + 3 * 0.044715 * (xd * xd))
+            dx = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * dinner
             x._accumulate(g * dx)
         out._backward = bw
     return out
@@ -345,7 +361,7 @@ def tanh(x: Tensor) -> Tensor:
     t = np.tanh(x.data)
     out = _make(t, (x,))
     if out.requires_grad:
-        out._backward = lambda g: x._accumulate(g * (1.0 - t ** 2))
+        out._backward = lambda g: x._accumulate(g * (1.0 - t * t))
     return out
 
 

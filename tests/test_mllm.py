@@ -19,7 +19,7 @@ from segprompt.mllm import (
     make_adapter,
     train,
 )
-from segprompt.nn import MlpBlock, Tensor, finite_diff_grad, grad_rel_error
+from segprompt.nn import MlpBlock, Tensor, concat, finite_diff_grad, grad_rel_error
 from segprompt.prompting import ImageSlot, SegSlot, Strategy, TextSpan
 from segprompt.prompting import ANNOTATION_ROLES
 from segprompt.synth import SynthSpec, make_study, vocabulary
@@ -217,6 +217,99 @@ class TestGenerate:
         lm.head.bias.data[Tokenizer.EOS] = 10.0
         prompt = Tensor(np.random.default_rng(8).standard_normal((4, 8)))
         assert generate(lm, prompt, max_new=5) == []
+
+    def test_prompt_over_max_seq_len_rejected(self):
+        lm = DecoderLm(LmConfig(vocab_size=9, dim=8, depth=1, heads=2, max_seq_len=8))
+        prompt = Tensor(np.zeros((9, 8)))
+        with pytest.raises(ContractError, match="9.*8"):
+            generate(lm, prompt, max_new=4)
+
+    def test_prompt_at_max_seq_len_leaves_no_room(self):
+        lm = DecoderLm(LmConfig(vocab_size=9, dim=8, depth=1, heads=2, max_seq_len=8))
+        prompt = Tensor(np.random.default_rng(9).standard_normal((8, 8)))
+        assert generate(lm, prompt, max_new=4) == []
+
+
+def full_recompute_generate(lm, prompt, max_new, eos_id=Tokenizer.EOS):
+    """Reference decoder: re-run the LM over the whole prefix for every token.
+    Returns the tokens and the last-row logits of every step."""
+    out, rows = [], []
+    for _ in range(max_new):
+        inputs = concat([prompt, lm.embed(out)], axis=0) if out else prompt
+        if inputs.shape[0] >= lm.cfg.max_seq_len:
+            break
+        last = lm.forward(inputs).data[-1]
+        rows.append(last)
+        next_id = int(np.argmax(last))
+        if next_id == eos_id:
+            break
+        out.append(next_id)
+    return out, rows
+
+
+def recording_forward(lm):
+    """Shadow lm.forward with a wrapper that keeps every call's last-row logits."""
+    rows = []
+    forward = lm.forward
+
+    def recorded(*args, **kwargs):
+        logits = forward(*args, **kwargs)
+        rows.append(logits.data[-1].copy())
+        return logits
+
+    lm.forward = recorded
+    return rows
+
+
+def assert_same_decode(got, got_rows, ref, ref_rows):
+    assert got == ref
+    assert len(got_rows) == len(ref_rows)
+    assert np.max(np.abs(np.array(got_rows) - np.array(ref_rows))) < 1e-10
+
+
+class TestCachedDecoding:
+    """Cached decoding against the full-recompute reference, in float64."""
+
+    def test_random_lms_match_full_recompute(self):
+        decoded = 0
+        for seed in range(20):
+            rng = np.random.default_rng(100 + seed)
+            lm = DecoderLm(LmConfig(vocab_size=17, dim=8, depth=2, heads=2,
+                                    max_seq_len=48), seed=seed)
+            prompt = Tensor(rng.standard_normal((int(rng.integers(7, 12)), 8)))
+            ref, ref_rows = full_recompute_generate(lm, prompt, 16)
+            rows = recording_forward(lm)
+            assert_same_decode(generate(lm, prompt, 16), rows, ref, ref_rows)
+            decoded += len(ref)
+        assert decoded >= 100  # most reports run long, not stop at EOS at once
+
+    def test_max_seq_len_cap_mid_report(self):
+        lm = DecoderLm(LmConfig(vocab_size=17, dim=8, depth=2, heads=2, max_seq_len=16),
+                       seed=3)
+        lm.head.bias.data[Tokenizer.EOS] = -1e3
+        prompt = Tensor(np.random.default_rng(4).standard_normal((9, 8)))
+        ref, ref_rows = full_recompute_generate(lm, prompt, 20)
+        rows = recording_forward(lm)
+        got = generate(lm, prompt, 20)
+        assert len(ref) == 16 - 9
+        assert_same_decode(got, rows, ref, ref_rows)
+
+    def test_lm_without_blocks_rejected(self):
+        with pytest.raises(ContractError, match="block"):
+            LmConfig(vocab_size=9, depth=0)
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_report_model_multi_view(self, strategy):
+        model = ReportModel(tiny_model_config(), vocabulary())
+        for study in tiny_studies(2, seed=11, lateral_prob=1.0, prior_prob=1.0):
+            assert len(study.views()) == 3
+            emb = model.realize(study, strategy)
+            ref, ref_rows = full_recompute_generate(model.lm, emb, 24)
+            rows = recording_forward(model.lm)
+            got = model.generate_report(study, strategy, max_new=24)
+            del model.lm.forward
+            assert_same_decode(got, rows, ref, ref_rows)
+            assert len(got) > 0
 
 
 class TestReportModel:

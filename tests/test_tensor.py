@@ -15,6 +15,7 @@ from segprompt.nn import (
     gelu,
     grad_rel_error,
     layer_norm,
+    no_grad,
     softmax,
 )
 from segprompt.nn import tensor as T
@@ -188,6 +189,80 @@ class TestOps:
             lambda t: float((T.matmul(t, m) * np.array([1.0, -2.0])).sum().data),
             Tensor(v.data))
         assert grad_rel_error(v.grad, num_v) < 1e-6
+
+
+def records_graph() -> bool:
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    return (x * x).requires_grad
+
+
+class TestNoGrad:
+    def test_outputs_record_no_graph(self):
+        rng = np.random.default_rng(0)
+        layer = LinearLayer(4, 3, rng)
+        x = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
+        gamma = Tensor(np.ones(3), requires_grad=True)
+        beta = Tensor(np.zeros(3), requires_grad=True)
+        with no_grad():
+            h = layer(x)
+            outs = [h, gelu(h), T.tanh(h), T.relu(h), softmax(h), -h, h - 1.0,
+                    layer_norm(h, gamma, beta), concat([h, x[:, :3]], axis=0), h[1],
+                    h.sum(), h.mean(axis=0), h.reshape(3, 2),
+                    cross_entropy(h, np.array([0, 2]))]
+        for out in outs:
+            assert not out.requires_grad
+            assert out._parents == ()
+            assert out._backward is None
+        assert layer.weight.requires_grad and x.requires_grad
+
+    def test_grad_mode_restored_on_exit(self):
+        with no_grad():
+            assert not records_graph()
+        assert records_graph()
+
+    def test_grad_mode_restored_after_exception(self):
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("boom")
+        assert records_graph()
+
+    def test_nested(self):
+        with no_grad():
+            with no_grad():
+                assert not records_graph()
+            assert not records_graph()
+        assert records_graph()
+
+    def test_generate_report_leaves_training_untouched(self):
+        from segprompt.encoder import VitConfig
+        from segprompt.extractor import ExtractorConfig
+        from segprompt.mllm import ModelConfig, ReportModel
+        from segprompt.prompting import Strategy
+        from segprompt.synth import SynthSpec, make_study, vocabulary
+
+        cfg = ModelConfig(
+            encoder=VitConfig(image_size=32, patch_size=16, depth=2, dim=12, heads=2,
+                              tap_layers=(1, 2)),
+            extractor=ExtractorConfig(dim=12, tap_layers=(1, 2), spatial_side=8,
+                                      mlp_depth=2),
+            lm_dim=12, lm_depth=1, lm_heads=2, max_seq_len=160)
+        study = make_study(SynthSpec(seed=5, n_studies=1, image_size=32,
+                                     heart_area_threshold=50), 0)
+        used, fresh = ReportModel(cfg, vocabulary()), ReportModel(cfg, vocabulary())
+        assert used.generate_report(study, Strategy.SS, max_new=8)
+        assert all(p.grad is None for p in used.named_params().values())
+        losses = []
+        for model in (used, fresh):
+            loss = model.study_loss(study, Strategy.SS)
+            loss.backward()
+            losses.append(loss.item())
+        assert losses[0] == losses[1]
+        fresh_params = fresh.named_params()
+        for name, p in used.named_params().items():
+            if p.grad is None:
+                assert fresh_params[name].grad is None, name
+            else:
+                assert np.array_equal(p.grad, fresh_params[name].grad), name
 
 
 class TestFiniteDiff:
