@@ -17,7 +17,7 @@ from segprompt import metrics, synth
 from segprompt.encoder import VitConfig
 from segprompt.masks import read_image, read_mask, write_image, StructureId
 from segprompt.mllm import ModelConfig, ReportModel, TrainConfig, train
-from segprompt.nn import load_into, precision
+from segprompt.nn import load_into, no_grad, precision
 from segprompt.prompting import Strategy, build_prompt, prompt_dumps
 from segprompt.som import MarkStyle, render_overlay
 from segprompt.synth import (
@@ -176,8 +176,9 @@ def cmd_extract_tokens(args) -> int:
         size = manifest.get("spec", {}).get("image_size", 64)
         cfg = ModelConfig(encoder=VitConfig(image_size=size), seed=args.seed)
         model = ReportModel(cfg, vocabulary())
-    enc = model.encode_views(study, single_view=args.single_view)
-    pairs = model.seg_pairs(study, enc, Strategy.SS, single_view=args.single_view)
+    with no_grad():
+        enc = model.encode_views(study, single_view=args.single_view)
+        pairs = model.seg_pairs(study, enc, Strategy.SS, single_view=args.single_view)
     payload = {
         view.value: [
             {"structure": p.structure.value,

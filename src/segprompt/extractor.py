@@ -86,17 +86,15 @@ def mask_token(features: dict[int, FeatureGrid], gm: Mask,
 
 def resample_mask(m: Mask, side: int) -> Mask:
     """Resample to side x side: a cell is set iff its source window contains
-    any foreground pixel. Handles non-divisible and smaller-than-side masks."""
+    any foreground pixel. Cell i spans rows [i*h//side, (i+1)*h//side), or
+    just row i*h//side when that is empty (masks smaller than side); columns
+    alike. ``logical_or.reduceat`` is exactly this: on a repeated edge it
+    returns the row at that edge."""
     h, w = m.shape
-    out = np.zeros((side, side), dtype=bool)
-    row_edges = [(i * h) // side for i in range(side + 1)]
-    col_edges = [(j * w) // side for j in range(side + 1)]
-    for i in range(side):
-        r0, r1 = row_edges[i], max(row_edges[i + 1], row_edges[i] + 1)
-        for j in range(side):
-            c0, c1 = col_edges[j], max(col_edges[j + 1], col_edges[j] + 1)
-            out[i, j] = m[r0:r1, c0:c1].any()
-    return out
+    if side < 1 or h < 1 or w < 1:
+        raise ContractError(f"cannot resample a mask of shape {m.shape} to side {side}")
+    rows = np.logical_or.reduceat(m, np.arange(side) * h // side, axis=0)
+    return np.logical_or.reduceat(rows, np.arange(side) * w // side, axis=1)
 
 
 def spatial_token(m: Mask, extractor: SegTokenExtractor) -> Tensor:

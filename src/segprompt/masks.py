@@ -160,11 +160,16 @@ def read_pgm(path: str | Path) -> np.ndarray:
         start = pos
         while pos < len(raw) and not raw[pos:pos + 1].isspace():
             pos += 1
-        fields.append(int(raw[start:pos]))
+        token = raw[start:pos]
+        if not token.isdigit():
+            raise ContractError(f"{path}: malformed PGM header field {token!r}")
+        fields.append(int(token))
     pos += 1  # single whitespace byte after maxval
     w, h, maxval = fields
     if maxval != 255:
         raise ContractError(f"{path}: only 8-bit PGM supported, maxval={maxval}")
+    if len(raw) - pos < h * w:
+        raise ContractError(f"{path}: truncated PGM pixel data, {w}x{h} needs {h * w} bytes")
     data = np.frombuffer(raw, dtype=np.uint8, count=h * w, offset=pos)
     return data.reshape(h, w).copy()
 

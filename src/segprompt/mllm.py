@@ -286,17 +286,13 @@ class ReportModel:
 
     def encode_views(self, study: StudyInput, single_view: bool = False,
                      detached: bool = False) -> dict[View, EncoderOutput]:
-        out: dict[View, EncoderOutput] = {}
-        for view, image, _ in study.views(single_view):
-            enc = self.encoder.encode(image)
-            if detached:
-                enc = EncoderOutput(
-                    taps={k: FeatureGrid(fg.rows, fg.cols, Tensor(fg.features.data.copy()))
-                          for k, fg in enc.taps.items()},
-                    final=FeatureGrid(enc.final.rows, enc.final.cols,
-                                      Tensor(enc.final.features.data.copy())))
-            out[view] = enc
-        return out
+        """Encoder outputs per view; ``detached`` runs the encoder under
+        ``no_grad`` so its features are constants that backward skips."""
+        if detached:
+            with no_grad():
+                return self.encode_views(study, single_view)
+        return {view: self.encoder.encode(image)
+                for view, image, _ in study.views(single_view)}
 
     def seg_pairs(self, study: StudyInput, enc_out: dict[View, EncoderOutput],
                   strategy: Strategy, single_view: bool = False

@@ -5,7 +5,10 @@ import json
 import pytest
 
 from segprompt.cli import run_command
-from segprompt.synth import load_manifest
+from segprompt.encoder import VitConfig
+from segprompt.mllm import ModelConfig, ReportModel
+from segprompt.prompting import Strategy
+from segprompt.synth import load_manifest, load_study, vocabulary
 
 TINY_CONFIG = {
     "train": {"epochs": 1, "base_lr": 1e-3, "batch_size": 2, "max_steps": 2,
@@ -94,6 +97,41 @@ class TestExtractTokens:
         first = payload["current_frontal"][0]
         assert set(first) == {"structure", "mask_token", "spatial_token"}
         assert len(first["mask_token"]) == 64  # default extractor width
+
+    def test_dump_builds_no_graph_and_keeps_values(self, dataset, tmp_path, monkeypatch):
+        dumped = []
+        seg_pairs = ReportModel.seg_pairs
+
+        def spy(self, *args, **kwargs):
+            dumped.append(seg_pairs(self, *args, **kwargs))
+            return dumped[-1]
+
+        monkeypatch.setattr(ReportModel, "seg_pairs", spy)
+        out = tmp_path / "tokens.json"
+        assert run_command(["extract-tokens", "--data", str(dataset), "--study",
+                            "study_00000", "--seed", "3", "--out", str(out)]) == 0
+        monkeypatch.undo()
+        tokens = [t for view_pairs in dumped[0].values() for p in view_pairs
+                  for t in (p.mask_token, p.spatial_token)]
+        assert tokens
+        assert all(not t.requires_grad and t._parents == () for t in tokens)
+
+        # the same tokens computed with the graph recorded
+        _, records = load_manifest(dataset)
+        study = load_study(next(r for r in records if r.study_id == "study_00000"), dataset)
+        model = ReportModel(ModelConfig(encoder=VitConfig(image_size=SYNTH_SPEC["image_size"]),
+                                        seed=3), vocabulary())
+        pairs = model.seg_pairs(study, model.encode_views(study), Strategy.SS)
+        assert all(p.mask_token.requires_grad for view_pairs in pairs.values()
+                   for p in view_pairs)
+        expected = {
+            view.value: [{"structure": p.structure.value,
+                          "mask_token": [float(v) for v in p.mask_token.data],
+                          "spatial_token": [float(v) for v in p.spatial_token.data]}
+                         for p in view_pairs]
+            for view, view_pairs in pairs.items()
+        }
+        assert json.loads(out.read_text()) == expected
 
 
 class TestRenderSom:

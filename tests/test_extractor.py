@@ -1,9 +1,11 @@
 """Segmentation token extraction: pooling, fusion, spatial branch, gating,
 ordering, and gradient checks against finite differences plus an independent
-straight-line oracle."""
+straight-line oracle. The vectorized mask resample is checked bit for bit
+against the Python double loop it replaced."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from segprompt.errors import ContractError
 from segprompt.encoder import FeatureGrid
@@ -153,6 +155,83 @@ class TestSpatialToken:
         # upsampling keeps the footprint
         up = resample_mask(m, 16)
         assert up.sum() >= 1 and up[:2, :2].any()
+
+
+def _resample_mask_loop(m, side):
+    """Reference resample: one Python loop iteration per output cell."""
+    h, w = m.shape
+    out = np.zeros((side, side), dtype=bool)
+    row_edges = [(i * h) // side for i in range(side + 1)]
+    col_edges = [(j * w) // side for j in range(side + 1)]
+    for i in range(side):
+        r0, r1 = row_edges[i], max(row_edges[i + 1], row_edges[i] + 1)
+        for j in range(side):
+            c0, c1 = col_edges[j], max(col_edges[j + 1], col_edges[j] + 1)
+            out[i, j] = m[r0:r1, c0:c1].any()
+    return out
+
+
+def _assert_matches_loop(m, side):
+    got = resample_mask(m, side)
+    want = _resample_mask_loop(m, side)
+    assert got.shape == (side, side) and got.dtype == np.bool_
+    assert np.array_equal(got, want), (m.shape, side)
+
+
+@st.composite
+def masks_and_sides(draw, max_extent=70, max_side=48):
+    h = draw(st.integers(1, max_extent))
+    w = draw(st.integers(1, max_extent))
+    side = draw(st.integers(1, max_side))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    density = draw(st.sampled_from([0.0, 0.005, 0.05, 0.5, 1.0]))
+    return np.random.default_rng(seed).random((h, w)) < density, side
+
+
+class TestResampleMaskOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(masks_and_sides())
+    def test_matches_loop(self, case):
+        _assert_matches_loop(*case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 20), st.integers(1, 20), st.integers(1, 30),
+           st.integers(0, 2 ** 32 - 1))
+    def test_matches_loop_both_axes_smaller(self, h, w, extra, seed):
+        m = np.random.default_rng(seed).random((h, w)) < 0.1
+        _assert_matches_loop(m, max(h, w) + extra)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 30), st.integers(2, 40), st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_matches_loop_one_axis_smaller(self, small, extra, seed, tall):
+        side = small + 1
+        shape = (side + extra, small) if tall else (small, side + extra)
+        m = np.random.default_rng(seed).random(shape) < 0.1
+        _assert_matches_loop(m, side)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+    def test_matches_loop_side_one(self, h, w, seed):
+        m = np.random.default_rng(seed).random((h, w)) < 0.02
+        _assert_matches_loop(m, 1)
+        assert resample_mask(m, 1)[0, 0] == m.any()
+
+    @pytest.mark.parametrize("density", [0.0, 0.002, 0.02, 0.3])
+    def test_traffic_shape_64_to_32(self, density):
+        m = np.random.default_rng(7).random((64, 64)) < density
+        _assert_matches_loop(m, 32)
+
+    @pytest.mark.parametrize("extent", [1, 5, 32])
+    def test_side_equal_to_extent_is_identity(self, extent):
+        m = np.random.default_rng(extent).random((extent, extent)) < 0.3
+        _assert_matches_loop(m, extent)
+        assert np.array_equal(resample_mask(m, extent), m)
+
+    @pytest.mark.parametrize("shape,side", [((0, 4), 4), ((4, 0), 4), ((4, 4), 0),
+                                            ((4, 4), -2)])
+    def test_degenerate_input_rejected(self, shape, side):
+        with pytest.raises(ContractError, match=rf"\({shape[0]}, {shape[1]}\).*side {side}"):
+            resample_mask(np.zeros(shape, dtype=bool), side)
 
 
 class TestExtractTokens:

@@ -223,3 +223,17 @@ class TestPgm:
         path.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
         with pytest.raises(ContractError):
             M.read_pgm(path)
+
+    def test_truncated_pixel_data_names_path(self, tmp_path):
+        path = tmp_path / "short.pgm"
+        path.write_bytes(b"P5\n4 4\n255\n" + bytes(10))
+        with pytest.raises(ContractError, match="short.pgm.*truncated"):
+            M.read_pgm(path)
+
+    @pytest.mark.parametrize("header", [b"P5\n4 4\n", b"P5\n4 x\n255\n", b"P5\n4 -4\n255\n",
+                                        b"P5\n# only a comment"])
+    def test_malformed_header_names_path(self, tmp_path, header):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(header + bytes(16))
+        with pytest.raises(ContractError, match="bad.pgm.*header"):
+            M.read_pgm(path)
