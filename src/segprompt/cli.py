@@ -52,15 +52,7 @@ def _load_train_config(path: str | None) -> tuple[TrainConfig, ModelConfig]:
     if path:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    train_part = dict(data.get("train", {}))
-    if "strategy" in train_part:
-        train_part["strategy"] = Strategy(train_part["strategy"])
-    if "betas" in train_part:
-        train_part["betas"] = tuple(train_part["betas"])
-    for key in ("frozen", "trainable"):
-        if key in train_part:
-            train_part[key] = tuple(train_part[key])
-    tc = TrainConfig(**train_part)
+    tc = TrainConfig.from_dict(data.get("train", {}))
     model_cfg = ModelConfig.from_dict(data["model"]) if "model" in data else ModelConfig()
     return tc, model_cfg
 
@@ -69,12 +61,7 @@ def _load_model(ckpt_dir: str | Path) -> tuple[ReportModel, TrainConfig]:
     ckpt_dir = Path(ckpt_dir)
     with open(ckpt_dir / "train_config.json", encoding="utf-8") as fh:
         echo = json.load(fh)
-    tc_data = dict(echo["train"])
-    tc_data["strategy"] = Strategy(tc_data["strategy"])
-    tc_data["betas"] = tuple(tc_data["betas"])
-    tc_data["frozen"] = tuple(tc_data["frozen"])
-    tc_data["trainable"] = tuple(tc_data["trainable"])
-    tc = TrainConfig(**tc_data)
+    tc = TrainConfig.from_dict(echo["train"])
     with precision(tc.precision):
         model = ReportModel(ModelConfig.from_dict(echo["model"]), echo["vocab"])
         load_into(ckpt_dir / "model.ckpt", model.named_params())

@@ -8,6 +8,7 @@ spatial token (fixed-resolution mask resample, flatten, linear projection).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -63,18 +64,24 @@ class SegTokenExtractor:
 
 
 def mask_pool(fg: FeatureGrid, gm: Mask) -> Tensor:
-    """Mean of the feature vectors over the grid mask's set cells."""
-    if gm.shape != (fg.rows, fg.cols):
+    """Mean of the feature vectors over the grid mask's set cells, as one
+    weight vector @ features. A stack of S grid masks (S, rows, cols) pools
+    to (S, dim) with one (S, cells) weight matrix."""
+    if gm.ndim not in (2, 3) or gm.shape[-2:] != (fg.rows, fg.cols):
         raise ContractError(f"grid mask {gm.shape} != feature grid ({fg.rows}, {fg.cols})")
-    idx = np.nonzero(gm.reshape(-1))[0]
-    if idx.size == 0:
+    sel = gm.reshape(-1, fg.rows * fg.cols)
+    counts = sel.sum(axis=1, keepdims=True)
+    if not counts.all():
         raise ContractError("mask_pool over an empty grid mask; gate on positivity first")
-    return fg.features[idx].mean(axis=0)
+    weights = sel / counts
+    return Tensor(weights if gm.ndim == 3 else weights[0]) @ fg.features
 
 
 def mask_token(features: dict[int, FeatureGrid], gm: Mask,
                extractor: SegTokenExtractor) -> Tensor:
-    """MLP( sum over taps of Linear_tap(mask_pool(features[tap], gm)) )."""
+    """MLP( sum over taps of Linear_tap(mask_pool(features[tap], gm)) ).
+
+    A grid mask gives (dim,); a stack (S, rows, cols) gives (S, dim)."""
     fused: Tensor | None = None
     for tap in extractor.cfg.tap_layers:
         if tap not in features:
@@ -97,26 +104,31 @@ def resample_mask(m: Mask, side: int) -> Mask:
     return np.logical_or.reduceat(rows, np.arange(side) * w // side, axis=1)
 
 
-def spatial_token(m: Mask, extractor: SegTokenExtractor) -> Tensor:
-    """Linear projection of the row-major flattened side x side mask resample."""
-    if not is_positive(m):
+def spatial_token(m: Mask | Sequence[Mask], extractor: SegTokenExtractor) -> Tensor:
+    """Linear projection of the row-major flattened side x side mask resample.
+
+    A mask gives (dim,); a stack of S masks, (S, h, w) or a sequence, gives
+    (S, dim) from one projection, resampling each mask once."""
+    single = isinstance(m, np.ndarray) and m.ndim == 2
+    masks = [m] if single else list(m)
+    if not all(is_positive(x) for x in masks):
         raise ContractError("spatial_token of an empty mask; gate on positivity first")
-    grid = resample_mask(m, extractor.cfg.spatial_side)
-    flat = Tensor(grid.reshape(-1).astype(np.float64))
-    return extractor.spatial(flat)
+    side = extractor.cfg.spatial_side
+    flat = np.stack([resample_mask(x, side).reshape(-1) for x in masks]).astype(np.float64)
+    return extractor.spatial(Tensor(flat[0] if single else flat))
 
 
 def extract_tokens(features: dict[int, FeatureGrid], ms: MaskSet, patch: int,
                    extractor: SegTokenExtractor) -> list[SegTokenPair]:
     """One SegTokenPair per positive structure, in canonical roster order.
-    The mask branch pools over the patch-lattice resample of the mask."""
-    pairs: list[SegTokenPair] = []
-    for structure in positive_structures(ms):
-        m = ms[structure]
-        gm = to_grid(m, patch)
-        pairs.append(SegTokenPair(
-            structure=structure,
-            mask_token=mask_token(features, gm, extractor),
-            spatial_token=spatial_token(m, extractor),
-        ))
-    return pairs
+    The mask branch pools over the patch-lattice resample of the mask. Each
+    branch runs once over the view's stack of positive masks; the pairs hold
+    its rows."""
+    structures = positive_structures(ms)
+    if not structures:
+        return []
+    masks = [ms[s] for s in structures]
+    mask_tokens = mask_token(features, np.stack([to_grid(m, patch) for m in masks]), extractor)
+    spatial_tokens = spatial_token(masks, extractor)
+    return [SegTokenPair(structure=s, mask_token=mask_tokens[i], spatial_token=spatial_tokens[i])
+            for i, s in enumerate(structures)]

@@ -374,6 +374,17 @@ class TrainConfig:
         d["strategy"] = self.strategy.value
         return d
 
+    @classmethod
+    def from_dict(cls, d: dict) -> "TrainConfig":
+        """Inverse of ``to_dict``: JSON lists become tuples, the strategy an enum."""
+        d = dict(d)
+        if "strategy" in d:
+            d["strategy"] = Strategy(d["strategy"])
+        for key in ("betas", "frozen", "trainable"):
+            if key in d:
+                d[key] = tuple(d[key])
+        return cls(**d)
+
 
 @dataclass
 class TrainResult:

@@ -1,6 +1,7 @@
 from segprompt.nn.tensor import (
     Tensor,
     as_tensor,
+    attention,
     concat,
     cross_entropy,
     default_dtype,
@@ -8,6 +9,7 @@ from segprompt.nn.tensor import (
     gelu,
     grad_rel_error,
     layer_norm,
+    linear,
     no_grad,
     precision,
     relu,
@@ -31,9 +33,9 @@ from segprompt.nn.checkpoint import MAGIC, load_checkpoint, load_into, save_chec
 __all__ = [
     "ACTIVATIONS", "AdamW", "AttentionBlock", "KvCache", "LayerNorm",
     "LinearLayer", "LrSchedule", "MAGIC", "MlpBlock", "OptimState", "Tensor",
-    "TransformerBlock", "adamw_step", "as_tensor", "concat", "cross_entropy",
+    "TransformerBlock", "adamw_step", "as_tensor", "attention", "concat", "cross_entropy",
     "default_dtype", "finite_diff_grad", "gelu", "grad_rel_error",
-    "init_uniform", "layer_norm", "load_checkpoint", "load_into", "lr_at",
+    "init_uniform", "layer_norm", "linear", "load_checkpoint", "load_into", "lr_at",
     "no_grad", "precision", "relu", "save_checkpoint", "set_default_dtype",
     "softmax", "tanh",
 ]

@@ -50,7 +50,7 @@ class LinearLayer:
         if x.shape[-1] != self.in_dim:
             raise ContractError(
                 f"linear layer expects trailing dim {self.in_dim}, got {x.shape}")
-        return T.matmul(x, T.transpose(self.weight, (1, 0))) + self.bias
+        return T.linear(x, self.weight, self.bias)
 
     def named_params(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
@@ -147,14 +147,7 @@ class AttentionBlock:
         q, k, v = split(self.wq(x)), split(self.wk(x)), split(self.wv(x))
         if cache is not None:
             k, v = cache.extend(k, v)
-        m = k.shape[1]
-        scores = T.matmul(q, T.transpose(k, (0, 2, 1))) * (1.0 / math.sqrt(hd))
-        if self.causal:
-            # query row i sits at position m - n + i and sees keys up to it
-            mask = np.triu(np.full((n, m), -1e30), k=m - n + 1)
-            scores = scores + mask
-        attn = T.softmax(scores, axis=-1)
-        ctx = T.matmul(attn, v)
+        ctx = T.attention(q, k, v, self.causal)
         merged = T.reshape(T.transpose(ctx, (1, 0, 2)), (n, self.dim))
         return self.proj(merged)
 

@@ -270,6 +270,53 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w.T + b as one node: x (..., in), w (out, in), b (out,)."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    out = _make(x.data @ w.data.T + b.data, (x, w, b))
+    if out.requires_grad:
+        def bw(g):
+            if x.requires_grad or x._parents:
+                x._accumulate(g @ w.data)
+            g2 = g.reshape(-1, g.shape[-1])
+            if w.requires_grad or w._parents:
+                w._accumulate(g2.T @ x.data.reshape(-1, x.shape[-1]))
+            if b.requires_grad or b._parents:
+                b._accumulate(g2.sum(axis=0))
+        out._backward = bw
+    return out
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) -> Tensor:
+    """softmax(q k^T / sqrt(d) + mask) v over (..., rows, d) as one node.
+
+    q has n rows, k and v have m. With ``causal`` query row i sits at
+    position m - n + i and sees keys up to it. Only the attention weights are
+    kept for backward; scores, mask and softmax are not separate nodes.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    s = (q.data @ k.data.swapaxes(-1, -2)) * scale
+    if causal:
+        n, m = s.shape[-2:]
+        s = s + np.triu(np.full((n, m), -1e30, dtype=s.dtype), k=m - n + 1)
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = _make(p @ v.data, (q, k, v))
+    if out.requires_grad:
+        def bw(g):
+            if v.requires_grad or v._parents:
+                v._accumulate(p.swapaxes(-1, -2) @ g)
+            gp = g @ v.data.swapaxes(-1, -2)
+            gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
+            if q.requires_grad or q._parents:
+                q._accumulate(gs @ k.data)
+            if k.requires_grad or k._parents:
+                k._accumulate(gs.swapaxes(-1, -2) @ q.data)
+        out._backward = bw
+    return out
+
+
 def tensor_sum(x: Tensor, axis=None) -> Tensor:
     out = _make(np.asarray(x.data.sum(axis=axis)), (x,))
     if out.requires_grad:

@@ -63,3 +63,74 @@ def test_load_into_checks_names_and_shapes(tmp_path):
         load_into(path, {"w": Tensor(np.zeros(3))})
     with pytest.raises(ContractError):
         load_into(path, {"missing": Tensor(np.zeros(1))})
+
+
+# -- malformed files: each raises ContractError naming the path (and the entry) --
+
+
+def write_raw(path, header: bytes, payload: bytes = b"", header_len: int | None = None):
+    n = len(header) if header_len is None else header_len
+    path.write_bytes(MAGIC + struct.pack("<I", n) + header + payload)
+    return path
+
+
+def entry_header(**entry) -> bytes:
+    return json.dumps([entry]).encode("utf-8")
+
+
+def assert_rejected(path, *words):
+    with pytest.raises(ContractError) as info:
+        load_checkpoint(path)
+    for word in (str(path),) + words:
+        assert word in str(info.value)
+
+
+@pytest.mark.parametrize("size", [0, 8, 11])
+def test_shorter_than_preamble_rejected(tmp_path, size):
+    path = tmp_path / "short.ckpt"
+    path.write_bytes((MAGIC + b"\x00" * 4)[:size])
+    assert_rejected(path, f"{size} bytes")
+
+
+def test_header_length_past_eof_rejected(tmp_path):
+    path = write_raw(tmp_path / "m.ckpt", b"[]", header_len=1000)
+    assert_rejected(path, "header length 1000")
+
+
+@pytest.mark.parametrize("header", [b"\xff\xfe[]", b"[{not json", b""])
+def test_header_not_utf8_json_rejected(tmp_path, header):
+    path = write_raw(tmp_path / "m.ckpt", header)
+    assert_rejected(path, "UTF-8 JSON")
+
+
+@pytest.mark.parametrize("missing", ["name", "shape", "offset"])
+def test_entry_lacking_a_field_rejected(tmp_path, missing):
+    entry = {"name": "w", "shape": [1], "offset": 0}
+    del entry[missing]
+    path = write_raw(tmp_path / "m.ckpt", entry_header(**entry), b"\x00" * 4)
+    assert_rejected(path, "entry 0", "name, shape or offset")
+
+
+def test_negative_offset_rejected(tmp_path):
+    path = write_raw(tmp_path / "m.ckpt", entry_header(name="w", shape=[1], offset=-4),
+                     b"\x00" * 8)
+    assert_rejected(path, "'w'", "offset -4")
+
+
+def test_entry_data_past_eof_rejected(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, {"a": np.ones(2), "w": np.ones((2, 3))})
+    path.write_bytes(path.read_bytes()[:-1])
+    assert_rejected(path, "'w'", "24 bytes")
+    assert load_checkpoint(write_raw(tmp_path / "ok.ckpt", entry_header(
+        name="w", shape=[2], offset=0), b"\x00" * 8))["w"].shape == (2,)
+
+
+def test_load_into_rejects_names_the_params_lack(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, {"w": np.ones(2), "extra.bias": np.zeros(3)})
+    target = {"w": Tensor(np.zeros(2))}
+    with pytest.raises(ContractError, match="extra.bias") as info:
+        load_into(path, target)
+    assert str(path) in str(info.value)
+    assert np.array_equal(target["w"].data, np.zeros(2))

@@ -1,25 +1,31 @@
 """Segmentation token extraction: pooling, fusion, spatial branch, gating,
 ordering, and gradient checks against finite differences plus an independent
 straight-line oracle. The vectorized mask resample is checked bit for bit
-against the Python double loop it replaced."""
+against the Python double loop it replaced, and the one-pass-per-view stacked
+extraction against the per-structure composition it replaced."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from segprompt.errors import ContractError
-from segprompt.encoder import FeatureGrid
+from segprompt.encoder import FeatureGrid, VitConfig
 from segprompt.extractor import (
     ExtractorConfig,
     SegTokenExtractor,
+    SegTokenPair,
     extract_tokens,
     mask_pool,
     mask_token,
     resample_mask,
     spatial_token,
 )
-from segprompt.masks import StructureId
+from segprompt.masks import StructureId, positive_structures, to_grid
+from segprompt import mllm
+from segprompt.mllm import ModelConfig, ReportModel
 from segprompt.nn import Tensor, finite_diff_grad, grad_rel_error
+from segprompt.prompting import Strategy
+from segprompt.synth import SynthSpec, make_study, vocabulary
 
 
 def grid(features: np.ndarray, side: int) -> FeatureGrid:
@@ -268,6 +274,136 @@ class TestExtractTokens:
         ms[StructureId.CVC] = np.zeros((8, 8), dtype=bool)
         pairs = extract_tokens(feats, ms, 2, ext)
         assert [p.structure for p in pairs] == [StructureId.LEFT_LUNG, StructureId.HEART]
+
+
+def per_structure_tokens(features, ms, patch, ext):
+    """The per-structure composition that the stacked extractor replaced, kept as
+    its oracle: features[idx].mean -> tap linear -> sum -> fusion for the mask
+    token, resample -> spatial linear for the spatial token."""
+    pairs = []
+    for s in positive_structures(ms):
+        idx = np.nonzero(to_grid(ms[s], patch).reshape(-1))[0]
+        fused = None
+        for tap in ext.cfg.tap_layers:
+            projected = ext.tap_linears[tap](features[tap].features[idx].mean(axis=0))
+            fused = projected if fused is None else fused + projected
+        flat = resample_mask(ms[s], ext.cfg.spatial_side).reshape(-1).astype(np.float64)
+        pairs.append(SegTokenPair(s, ext.fusion(fused), ext.spatial(Tensor(flat))))
+    return pairs
+
+
+def random_view(rng, structures, extent=16):
+    """A mask set with random blobs for ``structures``, plus one empty mask."""
+    ms = {StructureId.PNEUMOTHORAX: np.zeros((extent, extent), dtype=bool)}
+    for s in structures:
+        m = rng.random((extent, extent)) < 0.15
+        m[rng.integers(extent), rng.integers(extent)] = True
+        ms[s] = m
+    return ms
+
+
+VIEW_STRUCTURES = [
+    [StructureId.HEART],
+    [StructureId.LEFT_LUNG, StructureId.RIGHT_LUNG, StructureId.HEART, StructureId.ETT,
+     StructureId.CVC, StructureId.NGT],
+]
+
+
+class TestStackedOracle:
+    """Stacked extraction (one pass per view) against per_structure_tokens, in
+    float64: tokens within 1e-12, gradients within 1e-10."""
+
+    def _case(self, structures, seed):
+        rng = np.random.default_rng(seed)
+        ext = tiny_extractor(dim=4, taps=(1, 2), side=8, seed=seed)
+        feats = {k: FeatureGrid(4, 4, Tensor(rng.standard_normal((16, 4)), requires_grad=True))
+                 for k in (1, 2)}
+        return ext, feats, random_view(rng, structures), rng
+
+    def _loss_and_grads(self, fn, ext, feats, ms, weights):
+        tensors = {**ext.named_params(), **{f"features{k}": fg.features
+                                             for k, fg in feats.items()}}
+        for t in tensors.values():
+            t.zero_grad()
+        pairs = fn(feats, ms, 4, ext)
+        loss = None
+        for p, (wm, ws) in zip(pairs, weights):
+            term = (p.mask_token * wm).sum() + (p.spatial_token * ws).sum()
+            loss = term if loss is None else loss + term
+        loss.backward()
+        return pairs, {name: t.grad for name, t in tensors.items()}
+
+    @pytest.mark.parametrize("structures", VIEW_STRUCTURES, ids=["one", "many"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tokens_and_grads_match_per_structure(self, structures, seed):
+        ext, feats, ms, rng = self._case(structures, seed)
+        weights = [(rng.standard_normal(4), rng.standard_normal(4)) for _ in structures]
+        got, got_grads = self._loss_and_grads(extract_tokens, ext, feats, ms, weights)
+        want, want_grads = self._loss_and_grads(per_structure_tokens, ext, feats, ms, weights)
+        assert [p.structure for p in got] == [p.structure for p in want]
+        for g, w in zip(got, want):
+            assert g.mask_token.shape == g.spatial_token.shape == (4,)
+            assert np.max(np.abs(g.mask_token.data - w.mask_token.data)) < 1e-12
+            assert np.max(np.abs(g.spatial_token.data - w.spatial_token.data)) < 1e-12
+        for name, grad in want_grads.items():
+            assert grad_rel_error(got_grads[name], grad) < 1e-10, name
+
+    def test_stacked_branches_equal_their_rows(self):
+        ext, feats, ms, _ = self._case(VIEW_STRUCTURES[1], 4)
+        masks = [ms[s] for s in positive_structures(ms)]
+        grids = np.stack([to_grid(m, 4) for m in masks])
+        stacked_mask = mask_token(feats, grids, ext).data
+        stacked_spatial = spatial_token(np.stack(masks), ext).data
+        assert stacked_mask.shape == stacked_spatial.shape == (len(masks), 4)
+        for i, m in enumerate(masks):
+            assert np.max(np.abs(stacked_mask[i] - mask_token(feats, grids[i], ext).data)) < 1e-12
+            assert np.max(np.abs(stacked_spatial[i] - spatial_token(m, ext).data)) < 1e-12
+
+    def test_stack_with_an_empty_mask_rejected(self):
+        ext, feats, ms, _ = self._case(VIEW_STRUCTURES[0], 5)
+        masks = np.stack([ms[StructureId.HEART], ms[StructureId.PNEUMOTHORAX]])
+        with pytest.raises(ContractError):
+            spatial_token(masks, ext)
+        with pytest.raises(ContractError):
+            mask_pool(feats[1], np.stack([to_grid(m, 4) for m in masks]))
+
+    @pytest.mark.parametrize("strategy", [Strategy.SS, Strategy.CS, Strategy.DC])
+    def test_realize_with_bridge_matches_per_structure(self, strategy, monkeypatch):
+        """The whole realized prompt and every trainable gradient, with a bridge
+        because the extractor (12) is narrower than the LM (16)."""
+        cfg = ModelConfig(
+            encoder=VitConfig(image_size=32, patch_size=8, depth=2, dim=12, heads=2,
+                              tap_layers=(1, 2)),
+            extractor=ExtractorConfig(dim=12, tap_layers=(1, 2), spatial_side=8),
+            lm_dim=16, lm_depth=1, lm_heads=2, max_seq_len=200)
+        model = ReportModel(cfg, vocabulary())
+        assert model.bridge is not None
+        params = {n: p for n, p in model.named_params().items() if not n.startswith("enc")}
+        spec = SynthSpec(seed=11, n_studies=2, image_size=32, lateral_prob=1.0,
+                         prior_prob=1.0)
+        studies = [make_study(spec, i) for i in range(2)]
+
+        def run(extract):
+            monkeypatch.setattr(mllm, "extract_tokens", extract)
+            out = []
+            for study in studies:
+                for p in params.values():
+                    p.zero_grad()
+                emb = model.realize(study, strategy)
+                weight = np.random.default_rng(emb.shape[0]).standard_normal(emb.shape)
+                (emb * weight).sum().backward()
+                out.append((emb.data, {n: p.grad for n, p in params.items()}))
+            return out
+
+        got, want = run(extract_tokens), run(per_structure_tokens)
+        for (g_emb, g_grads), (w_emb, w_grads) in zip(got, want):
+            assert g_emb.shape == w_emb.shape
+            assert np.max(np.abs(g_emb - w_emb)) < 1e-12
+            for name, grad in w_grads.items():
+                if grad is None:
+                    assert g_grads[name] is None, name
+                else:
+                    assert grad_rel_error(g_grads[name], grad) < 1e-10, name
 
 
 class TestGradients:

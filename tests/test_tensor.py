@@ -6,6 +6,7 @@ import pytest
 
 from segprompt.errors import ContractError, OracleError
 from segprompt.nn import (
+    AttentionBlock,
     LinearLayer,
     MlpBlock,
     Tensor,
@@ -189,6 +190,148 @@ class TestOps:
             lambda t: float((T.matmul(t, m) * np.array([1.0, -2.0])).sum().data),
             Tensor(v.data))
         assert grad_rel_error(v.grad, num_v) < 1e-6
+
+
+# -- fused primitives against the composed chain they replace -------------------
+
+
+def composed_linear(x, w, b):
+    return T.matmul(x, T.transpose(w, (1, 0))) + b
+
+
+def composed_attention(q, k, v, causal):
+    nd = q.ndim
+    kt = T.transpose(k, (*range(nd - 2), nd - 1, nd - 2))
+    scores = T.matmul(q, kt) * (1.0 / np.sqrt(q.shape[-1]))
+    if causal:
+        n, m = q.shape[-2], k.shape[-2]
+        scores = scores + np.triu(np.full((n, m), -1e30), k=m - n + 1)
+    return T.matmul(softmax(scores, axis=-1), v)
+
+
+def leaves(rng, *shapes):
+    return [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+
+
+def grads_of(fn, arrays, weight):
+    """Output and input gradients of sum(fn(*inputs) * weight), fresh leaves."""
+    ts = [Tensor(a, requires_grad=True) for a in arrays]
+    out = fn(*ts)
+    (out * weight).sum().backward()
+    return out.data, [t.grad for t in ts]
+
+
+def assert_matches_composed(fused, composed, arrays, seed):
+    weight = np.random.default_rng(seed + 1000).standard_normal(
+        composed(*[Tensor(a) for a in arrays]).shape)
+    got, got_grads = grads_of(fused, arrays, weight)
+    want, want_grads = grads_of(composed, arrays, weight)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < 1e-12
+    for i, (g, w) in enumerate(zip(got_grads, want_grads)):
+        assert grad_rel_error(g, w) < 1e-10, i
+
+
+LINEAR_X_SHAPES = [(5,), (3, 5), (2, 3, 5)]
+# (query rows, key rows, causal): square causal, the KV-cache offset, non-causal
+ATTENTION_CASES = [(4, 4, True), (2, 5, True), (1, 6, True), (3, 5, False)]
+
+
+class TestFusedPrimitives:
+    @pytest.mark.parametrize("x_shape", LINEAR_X_SHAPES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_linear_matches_composed(self, x_shape, seed):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.standard_normal(x_shape), rng.standard_normal((4, 5)),
+                  rng.standard_normal(4)]
+        assert_matches_composed(T.linear, composed_linear, arrays, seed)
+
+    @pytest.mark.parametrize("n,m,causal", ATTENTION_CASES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_attention_matches_composed(self, n, m, causal, seed):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.standard_normal((2, n, 3)), rng.standard_normal((2, m, 3)),
+                  rng.standard_normal((2, m, 3))]
+        assert_matches_composed(
+            lambda q, k, v: T.attention(q, k, v, causal),
+            lambda q, k, v: composed_attention(q, k, v, causal), arrays, seed)
+
+    def test_causal_offset_rows_see_keys_up_to_their_position(self):
+        rng = np.random.default_rng(5)
+        q, k, v = (Tensor(rng.standard_normal((1, r, 2))) for r in (2, 5, 5))
+        out = T.attention(q, k, v, causal=True).data[0]
+        # with n=2 rows after 3 cached ones, row 0 sits at position 3, row 1 at 4
+        first = T.attention(q[:, :1], k[:, :4], v[:, :4]).data[0, 0]
+        last = T.attention(q[:, 1:], k, v).data[0, 0]
+        assert np.allclose(out, [first, last], atol=1e-15)
+        # a square causal call: row 0 sees only key 0
+        assert np.allclose(T.attention(k, k, v, causal=True).data[0, 0], v.data[0, 0])
+
+    def test_causal_mask_keeps_float32(self):
+        with T.precision("float32"):
+            q = Tensor(np.ones((1, 3, 2)), requires_grad=True)
+            out = T.attention(q, q, q, causal=True)
+            out.sum().backward()
+        assert out.data.dtype == np.float32 and q.grad.dtype == np.float32
+
+    @pytest.mark.parametrize("x_shape", LINEAR_X_SHAPES)
+    def test_linear_matches_finite_diff(self, x_shape):
+        rng = np.random.default_rng(11)
+        x, w, b = leaves(rng, x_shape, (3, 5), (3,))
+        weight = rng.standard_normal(x_shape[:-1] + (3,))
+        (T.linear(x, w, b) * weight).sum().backward()
+        for i, t in enumerate((x, w, b)):
+            def f(probe, i=i):
+                args = [Tensor(a.data) for a in (x, w, b)]
+                args[i] = probe
+                return float((T.linear(*args) * weight).sum().data)
+            assert grad_rel_error(t.grad, finite_diff_grad(f, Tensor(t.data))) < 1e-6, i
+
+    @pytest.mark.parametrize("n,m,causal", ATTENTION_CASES)
+    def test_attention_matches_finite_diff(self, n, m, causal):
+        rng = np.random.default_rng(12)
+        q, k, v = leaves(rng, (2, n, 3), (2, m, 3), (2, m, 3))
+        weight = rng.standard_normal((2, n, 3))
+        (T.attention(q, k, v, causal) * weight).sum().backward()
+        for i, t in enumerate((q, k, v)):
+            def f(probe, i=i):
+                args = [Tensor(a.data) for a in (q, k, v)]
+                args[i] = probe
+                return float((T.attention(*args, causal) * weight).sum().data)
+            assert grad_rel_error(t.grad, finite_diff_grad(f, Tensor(t.data))) < 1e-6, i
+
+    @pytest.mark.parametrize("causal", [True, False])
+    def test_attention_block_params_match_composed(self, causal):
+        """Every parameter gradient of a block, fused vs composed; wk's bias has a
+        true-zero gradient (softmax ignores a per-row shift), held by the floor."""
+        rng = np.random.default_rng(21)
+        block = AttentionBlock(8, 2, rng, causal=causal)
+        params = block.named_params("attn")
+        x = rng.standard_normal((5, 8))
+        weight = rng.standard_normal((5, 8))
+
+        def composed_block(xt):
+            def lin(layer, t):
+                return composed_linear(t, layer.weight, layer.bias)
+
+            def split(t):
+                return T.transpose(T.reshape(t, (5, 2, 4)), (1, 0, 2))
+            ctx = composed_attention(split(lin(block.wq, xt)), split(lin(block.wk, xt)),
+                                     split(lin(block.wv, xt)), causal)
+            return lin(block.proj, T.reshape(T.transpose(ctx, (1, 0, 2)), (5, 8)))
+
+        grads = {}
+        for fn in (block, composed_block):
+            for p in params.values():
+                p.zero_grad()
+            out = fn(Tensor(x))
+            (out * weight).sum().backward()
+            grads[fn] = (out.data, {name: p.grad for name, p in params.items()})
+        (got, got_g), (want, want_g) = grads[block], grads[composed_block]
+        assert np.max(np.abs(got - want)) < 1e-12
+        assert np.max(np.abs(want_g["attn.wk.bias"])) < 1e-12
+        for name in params:
+            assert grad_rel_error(got_g[name], want_g[name]) < 1e-10, name
 
 
 def records_graph() -> bool:
