@@ -98,4 +98,4 @@ def load_into(path: str | Path, params: dict[str, Tensor]) -> None:
         if arr.shape != p.data.shape:
             raise ContractError(
                 f"{path}: checkpoint shape {arr.shape} != expected {p.data.shape} for {name}")
-        p.data = arr.astype(p.data.dtype)
+        p.data = arr.astype(p.data.dtype, copy=False)

@@ -103,19 +103,19 @@ class LayerNorm:
 
 
 class KvCache:
-    """One attention block's keys and values so far, each (heads, rows, head_dim)."""
+    """One attention block's keys and values so far, each (rows, heads*head_dim)."""
 
     def __init__(self):
         self.k: Tensor | None = None
         self.v: Tensor | None = None
 
     def __len__(self) -> int:
-        return 0 if self.k is None else self.k.shape[1]
+        return 0 if self.k is None else self.k.shape[0]
 
     def extend(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
         """Append the new rows' keys and values; return all of them."""
         if self.k is not None:
-            k, v = T.concat([self.k, k], axis=1), T.concat([self.v, v], axis=1)
+            k, v = T.concat([self.k, k]), T.concat([self.v, v])
         self.k, self.v = k, v
         return k, v
 
@@ -126,9 +126,7 @@ class AttentionBlock:
     def __init__(self, dim: int, heads: int, rng: np.random.Generator, causal: bool = False):
         if dim % heads != 0:
             raise ContractError(f"heads ({heads}) must divide dim ({dim})")
-        self.dim = dim
         self.heads = heads
-        self.head_dim = dim // heads
         self.causal = causal
         self.wq = LinearLayer(dim, dim, rng)
         self.wk = LinearLayer(dim, dim, rng)
@@ -138,18 +136,10 @@ class AttentionBlock:
     def __call__(self, x: Tensor, cache: KvCache | None = None) -> Tensor:
         """With ``cache`` the rows of ``x`` follow the cached ones: their keys
         and values are appended, and they attend over every cached row too."""
-        n = x.shape[0]
-        h, hd = self.heads, self.head_dim
-
-        def split(t: Tensor) -> Tensor:
-            return T.transpose(T.reshape(t, (n, h, hd)), (1, 0, 2))
-
-        q, k, v = split(self.wq(x)), split(self.wk(x)), split(self.wv(x))
+        k, v = self.wk(x), self.wv(x)
         if cache is not None:
             k, v = cache.extend(k, v)
-        ctx = T.attention(q, k, v, self.causal)
-        merged = T.reshape(T.transpose(ctx, (1, 0, 2)), (n, self.dim))
-        return self.proj(merged)
+        return self.proj(T.attention(self.wq(x), k, v, self.causal, self.heads))
 
     def named_params(self, prefix: str) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}

@@ -287,32 +287,39 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) -> Tensor:
-    """softmax(q k^T / sqrt(d) + mask) v over (..., rows, d) as one node.
+def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """(..., rows, heads*d) -> (..., heads, rows, d), a view."""
+    return a.reshape(*a.shape[:-1], heads, -1).swapaxes(-2, -3)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False, heads: int = 1) -> Tensor:
+    """softmax(q k^T / sqrt(d) + mask) v per head over (..., rows, heads*d) as one node.
 
     q has n rows, k and v have m. With ``causal`` query row i sits at
     position m - n + i and sees keys up to it. Only the attention weights are
-    kept for backward; scores, mask and softmax are not separate nodes.
+    kept for backward; head split and merge, scores, mask and softmax are not separate nodes.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    scale = 1.0 / math.sqrt(q.shape[-1])
-    s = (q.data @ k.data.swapaxes(-1, -2)) * scale
-    if causal:
-        n, m = s.shape[-2:]
+    qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
+    scale = 1.0 / math.sqrt(qh.shape[-1])
+    s = (qh @ kh.swapaxes(-1, -2)) * scale
+    n, m = s.shape[-2:]
+    if causal and n > 1:
         s = s + np.triu(np.full((n, m), -1e30, dtype=s.dtype), k=m - n + 1)
     e = np.exp(s - s.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
-    out = _make(p @ v.data, (q, k, v))
+    out = _make((p @ vh).swapaxes(-2, -3).reshape(q.shape), (q, k, v))
     if out.requires_grad:
         def bw(g):
+            gh = _split_heads(g, heads)
             if v.requires_grad or v._parents:
-                v._accumulate(p.swapaxes(-1, -2) @ g)
-            gp = g @ v.data.swapaxes(-1, -2)
+                v._accumulate((p.swapaxes(-1, -2) @ gh).swapaxes(-2, -3).reshape(v.shape))
+            gp = gh @ vh.swapaxes(-1, -2)
             gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
             if q.requires_grad or q._parents:
-                q._accumulate(gs @ k.data)
+                q._accumulate((gs @ kh).swapaxes(-2, -3).reshape(q.shape))
             if k.requires_grad or k._parents:
-                k._accumulate(gs.swapaxes(-1, -2) @ q.data)
+                k._accumulate((gs.swapaxes(-1, -2) @ qh).swapaxes(-2, -3).reshape(k.shape))
         out._backward = bw
     return out
 
@@ -343,7 +350,7 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
+    inv = sorted(range(len(axes)), key=lambda i: axes[i] % len(axes))
     out = _make(x.data.transpose(axes), (x,))
     if out.requires_grad:
         out._backward = lambda g: x._accumulate(g.transpose(inv))
@@ -351,12 +358,16 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
 
 
 def take(x: Tensor, idx) -> Tensor:
-    """Indexing/gather (slices or integer arrays); backward scatter-adds."""
+    """Indexing/gather. Backward assigns g for int and slice indexes, which cannot
+    repeat, and scatter-adds it for integer arrays, which can."""
     out = _make(np.asarray(x.data[idx]), (x,))
     if out.requires_grad:
         def bw(g):
             gx = np.zeros_like(x.data)
-            np.add.at(gx, idx, g)
+            if all(isinstance(i, (int, np.integer, slice)) for i in np.index_exp[idx]):
+                gx[idx] = g
+            else:
+                np.add.at(gx, idx, g)
             x._accumulate(gx)
         out._backward = bw
     return out
@@ -426,15 +437,14 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the trailing axis to zero mean / unit variance, then affine."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    """Normalize the trailing axis to zero mean / unit variance, then affine.
+    The statistics are numpy's mean/var reductions written out: same bits, less overhead."""
+    d = x.shape[-1]
+    xc = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + eps)
+    xhat = xc * inv
     out = _make(xhat * gamma.data + beta.data, (x, gamma, beta))
     if out.requires_grad:
-        d = x.shape[-1]
-
         def bw(g):
             if gamma.requires_grad or gamma._parents:
                 gamma._accumulate((g * xhat).sum(axis=tuple(range(g.ndim - 1))))
@@ -442,8 +452,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
                 beta._accumulate(g.sum(axis=tuple(range(g.ndim - 1))))
             if x.requires_grad or x._parents:
                 gy = g * gamma.data
-                term = gy - gy.mean(axis=-1, keepdims=True) \
-                    - xhat * (gy * xhat).mean(axis=-1, keepdims=True)
+                term = gy - gy.sum(axis=-1, keepdims=True) / d \
+                    - xhat * ((gy * xhat).sum(axis=-1, keepdims=True) / d)
                 x._accumulate(term * inv)
         out._backward = bw
     return out

@@ -65,6 +65,21 @@ def test_load_into_checks_names_and_shapes(tmp_path):
         load_into(path, {"missing": Tensor(np.zeros(1))})
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_load_into_gives_each_load_its_own_writable_arrays(tmp_path, dtype):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"w": np.arange(4.0)})
+    first, second = {"w": Tensor(np.zeros(4))}, {"w": Tensor(np.zeros(4))}
+    first["w"].data = first["w"].data.astype(dtype)
+    load_into(path, first)
+    load_into(path, second)
+    assert first["w"].data.dtype == dtype
+    assert first["w"].data.flags.writeable and second["w"].data.flags.writeable
+    assert not np.shares_memory(first["w"].data, second["w"].data)
+    first["w"].data[:] = -1.0
+    assert np.array_equal(second["w"].data, np.arange(4.0))
+
+
 # -- malformed files: each raises ContractError naming the path (and the entry) --
 
 

@@ -125,6 +125,18 @@ class TestBackward:
         assert np.isfinite(x.grad).all()
 
 
+def mean_var_layer_norm(x, gamma, beta, g, eps=1e-5):
+    """layer_norm's output and x, gamma, beta gradients for upstream g, with
+    the statistics from numpy's mean and var."""
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + eps)
+    xhat = (x - x.mean(axis=-1, keepdims=True)) * inv
+    gy = g * gamma
+    gx = (gy - gy.mean(axis=-1, keepdims=True)
+          - xhat * (gy * xhat).mean(axis=-1, keepdims=True)) * inv
+    lead = tuple(range(x.ndim - 1))
+    return xhat * gamma + beta, gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+
+
 class TestOps:
     @pytest.mark.parametrize("seed", range(5))
     def test_softmax_gradient(self, seed):
@@ -167,6 +179,45 @@ class TestOps:
         out.backward()
         assert np.array_equal(table.grad, [[0, 0], [2, 2], [0, 0], [1, 1]])
 
+    @pytest.mark.parametrize("idx", [slice(1, 3), 2, np.int64(3), (1, slice(0, 2)),
+                                     (slice(None), 1), (2, 1), np.array([1, 1, 3])])
+    def test_take_gradient_equals_scatter_add(self, idx):
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        out = x[idx]
+        w = rng.standard_normal(out.shape)
+        (out * w).sum().backward()
+        want = np.zeros((4, 3))
+        np.add.at(want, idx, w)
+        assert np.array_equal(x.grad, want)
+
+    @pytest.mark.parametrize("axes", [(2, 0, 3, 1), (1, 3, 0, 2), (-1, 0, -2, 1)])
+    def test_transpose_gradient_undoes_the_permutation(self, axes):
+        # none of these permutations is its own inverse
+        assert list(np.argsort(np.mod(axes, 4))) != list(np.mod(axes, 4))
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.standard_normal((2, 3, 4, 5)), requires_grad=True)
+        out = T.transpose(x, axes)
+        w = rng.standard_normal(out.shape)
+        (out * w).sum().backward()
+        assert np.array_equal(x.grad, np.transpose(w, np.argsort(np.mod(axes, 4))))
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("shape", [(1, 7), (5, 7), (2, 3, 7), (1, 64)])
+    def test_layer_norm_bit_equals_mean_var_formulation(self, dtype, shape):
+        rng = np.random.default_rng(10)
+        with T.precision(dtype):
+            x, gamma, beta = (Tensor(rng.standard_normal(s) * 3 + 1, requires_grad=True)
+                              for s in (shape, shape[-1:], shape[-1:]))
+            w = Tensor(rng.standard_normal(shape))
+            out = layer_norm(x, gamma, beta)
+            (out * w).sum().backward()
+        want = mean_var_layer_norm(x.data, gamma.data, beta.data, w.data)
+        got = (out.data, x.grad, gamma.grad, beta.grad)
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert a.dtype == b.dtype == np.dtype(dtype), i
+            assert np.array_equal(a, b), i
+
     def test_cross_entropy_uniform_logits(self):
         logits = Tensor(np.zeros((3, 7)), requires_grad=True)
         loss = cross_entropy(logits, np.array([0, 3, 6]))
@@ -207,6 +258,15 @@ def composed_attention(q, k, v, causal):
         n, m = q.shape[-2], k.shape[-2]
         scores = scores + np.triu(np.full((n, m), -1e30), k=m - n + 1)
     return T.matmul(softmax(scores, axis=-1), v)
+
+
+def per_head_attention(q, k, v, causal, heads):
+    """Multi-head attention on (rows, heads*d) inputs as graph nodes: split each
+    input into heads, attend per head, merge the heads back."""
+    def split(t):
+        return T.transpose(T.reshape(t, (t.shape[0], heads, -1)), (1, 0, 2))
+    ctx = composed_attention(split(q), split(k), split(v), causal)
+    return T.reshape(T.transpose(ctx, (1, 0, 2)), q.shape)
 
 
 def leaves(rng, *shapes):
@@ -255,6 +315,17 @@ class TestFusedPrimitives:
         assert_matches_composed(
             lambda q, k, v: T.attention(q, k, v, causal),
             lambda q, k, v: composed_attention(q, k, v, causal), arrays, seed)
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("n,m,causal", ATTENTION_CASES)
+    @pytest.mark.parametrize("seed", range(2))
+    def test_multi_head_attention_matches_per_head_split(self, heads, n, m, causal, seed):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.standard_normal((n, 8)), rng.standard_normal((m, 8)),
+                  rng.standard_normal((m, 8))]
+        assert_matches_composed(
+            lambda q, k, v: T.attention(q, k, v, causal, heads),
+            lambda q, k, v: per_head_attention(q, k, v, causal, heads), arrays, seed)
 
     def test_causal_offset_rows_see_keys_up_to_their_position(self):
         rng = np.random.default_rng(5)
@@ -313,12 +384,9 @@ class TestFusedPrimitives:
         def composed_block(xt):
             def lin(layer, t):
                 return composed_linear(t, layer.weight, layer.bias)
-
-            def split(t):
-                return T.transpose(T.reshape(t, (5, 2, 4)), (1, 0, 2))
-            ctx = composed_attention(split(lin(block.wq, xt)), split(lin(block.wk, xt)),
-                                     split(lin(block.wv, xt)), causal)
-            return lin(block.proj, T.reshape(T.transpose(ctx, (1, 0, 2)), (5, 8)))
+            ctx = per_head_attention(lin(block.wq, xt), lin(block.wk, xt),
+                                     lin(block.wv, xt), causal, 2)
+            return lin(block.proj, ctx)
 
         grads = {}
         for fn in (block, composed_block):
