@@ -15,6 +15,7 @@ import numpy as np
 
 from segprompt import metrics, synth
 from segprompt.encoder import VitConfig
+from segprompt.errors import ContractError
 from segprompt.masks import read_image, read_mask, write_image, StructureId
 from segprompt.mllm import ModelConfig, ReportModel, TrainConfig, train
 from segprompt.nn import load_into, no_grad, precision
@@ -34,12 +35,21 @@ def log(message: str) -> None:
     print(f"[segprompt] {message}", file=sys.stderr)
 
 
-def _load_synth_spec(path: str | None, seed: int | None, count: int | None) -> SynthSpec:
+def _read_config(path: str | Path | None, parse):
+    """``parse`` the JSON object in ``path`` (``{}`` without a path); a
+    ContractError it raises names the file."""
     data = {}
     if path:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    spec = SynthSpec.from_dict(data)
+    try:
+        return parse(data)
+    except ContractError as exc:
+        raise ContractError(f"{path}: {exc}") from exc
+
+
+def _load_synth_spec(path: str | None, seed: int | None, count: int | None) -> SynthSpec:
+    spec = _read_config(path, SynthSpec.from_dict)
     if seed is not None:
         spec.seed = seed
     if count is not None:
@@ -48,22 +58,18 @@ def _load_synth_spec(path: str | None, seed: int | None, count: int | None) -> S
 
 
 def _load_train_config(path: str | None) -> tuple[TrainConfig, ModelConfig]:
-    data = {}
-    if path:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    tc = TrainConfig.from_dict(data.get("train", {}))
-    model_cfg = ModelConfig.from_dict(data["model"]) if "model" in data else ModelConfig()
-    return tc, model_cfg
+    return _read_config(path, lambda d: (TrainConfig.from_dict(d.get("train", {})),
+                                         ModelConfig.from_dict(d.get("model", {}))))
 
 
 def _load_model(ckpt_dir: str | Path) -> tuple[ReportModel, TrainConfig]:
     ckpt_dir = Path(ckpt_dir)
-    with open(ckpt_dir / "train_config.json", encoding="utf-8") as fh:
-        echo = json.load(fh)
-    tc = TrainConfig.from_dict(echo["train"])
+    tc, model_cfg, vocab = _read_config(
+        ckpt_dir / "train_config.json",
+        lambda d: (TrainConfig.from_dict(d["train"]), ModelConfig.from_dict(d["model"]),
+                   d["vocab"]))
     with precision(tc.precision):
-        model = ReportModel(ModelConfig.from_dict(echo["model"]), echo["vocab"])
+        model = ReportModel(model_cfg, vocab)
         load_into(ckpt_dir / "model.ckpt", model.named_params())
     return model, tc
 

@@ -68,18 +68,6 @@ class EncoderOutput:
     final: FeatureGrid
 
 
-class FrozenParams:
-    """Marks a parameter-name set whose gradients the optimizer discards."""
-
-    def __init__(self, names: tuple[str, ...]):
-        self.names = names
-
-
-def set_frozen(params: dict[str, Tensor]) -> FrozenParams:
-    """Freeze parameters: forward is unchanged, gradients are discarded."""
-    return FrozenParams(tuple(params))
-
-
 class VitEncoder:
     def __init__(self, cfg: VitConfig, seed: int = 0):
         self.cfg = cfg

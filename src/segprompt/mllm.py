@@ -1,6 +1,7 @@
-"""The trainable stack: tokenizer, MLP adapter, small decoder-only LM, the
-single-stage training loop (frozen encoder, trainable extractor/adapter/LM),
-and greedy generation.
+"""Tokenizer, MLP adapter, small decoder-only LM, the single-stage training
+loop, and greedy generation. ``train`` freezes by one rule: a component in
+``TrainConfig.frozen`` gets ``requires_grad=False``, so its outputs are
+constants that backward skips, and AdamW receives only the other components.
 
 Greedy decoding is KV-cached and graph-free: under ``no_grad`` the prompt is
 prefilled once, then each step feeds only the newest token's embedding and
@@ -18,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from segprompt.errors import ContractError
+from segprompt.errors import ContractError, check_keys
 from segprompt.encoder import EncoderOutput, FeatureGrid, VitConfig, VitEncoder
 from segprompt.extractor import ExtractorConfig, SegTokenExtractor, SegTokenPair, extract_tokens
 from segprompt.nn import (
@@ -218,28 +219,19 @@ class ModelConfig:
     seed: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "encoder": asdict(self.encoder),
-            "extractor": asdict(self.extractor),
-            "lm_dim": self.lm_dim, "lm_depth": self.lm_depth,
-            "lm_heads": self.lm_heads, "max_seq_len": self.max_seq_len,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        enc = dict(d.get("encoder", {}))
-        ext = dict(d.get("extractor", {}))
-        for sub in (enc, ext):
+        check_keys(d, cls)
+        d = dict(d)
+        for key, sub_cls in (("encoder", VitConfig), ("extractor", ExtractorConfig)):
+            sub = dict(d.get(key, {}))
+            check_keys(sub, sub_cls)
             if "tap_layers" in sub:
                 sub["tap_layers"] = tuple(sub["tap_layers"])
-        scalars = {k: d[k] for k in ("lm_dim", "lm_depth", "lm_heads", "max_seq_len",
-                                     "seed") if k in d}
-        return cls(encoder=VitConfig(**enc), extractor=ExtractorConfig(**ext), **scalars)
-
-
-COMPONENT_PREFIXES = {"encoder": "enc", "extractor": "seg", "adapter": "adapter",
-                      "bridge": "bridge", "lm": "lm"}
+            d[key] = sub_cls(**sub)
+        return cls(**d)
 
 
 class ReportModel:
@@ -263,20 +255,20 @@ class ReportModel:
                                      depth=cfg.lm_depth, heads=cfg.lm_heads,
                                      max_seq_len=cfg.max_seq_len), seed=cfg.seed + 3)
 
-    def components(self) -> tuple[str, ...]:
-        names = ["encoder", "extractor", "adapter", "lm"]
+    def component_params(self) -> dict[str, dict[str, Tensor]]:
+        """Named parameters per component, in checkpoint order; ``bridge``
+        only when the extractor and LM widths differ."""
+        out = {"encoder": self.encoder.named_params("enc"),
+               "extractor": self.extractor.named_params("seg"),
+               "adapter": self.adapter.named_params("adapter")}
         if self.bridge is not None:
-            names.insert(3, "bridge")
-        return tuple(names)
+            out["bridge"] = self.bridge.named_params("bridge")
+        out["lm"] = self.lm.named_params("lm")
+        return out
 
     def named_params(self) -> dict[str, Tensor]:
-        out = self.encoder.named_params("enc")
-        out.update(self.extractor.named_params("seg"))
-        out.update(self.adapter.named_params("adapter"))
-        if self.bridge is not None:
-            out.update(self.bridge.named_params("bridge"))
-        out.update(self.lm.named_params("lm"))
-        return out
+        return {name: p for params in self.component_params().values()
+                for name, p in params.items()}
 
     # -- realization ------------------------------------------------------------
 
@@ -284,13 +276,8 @@ class ReportModel:
         ids = self.tokenizer.encode(text)
         return self.lm.embed(ids) if ids else None
 
-    def encode_views(self, study: StudyInput, single_view: bool = False,
-                     detached: bool = False) -> dict[View, EncoderOutput]:
-        """Encoder outputs per view; ``detached`` runs the encoder under
-        ``no_grad`` so its features are constants that backward skips."""
-        if detached:
-            with no_grad():
-                return self.encode_views(study, single_view)
+    def encode_views(self, study: StudyInput,
+                     single_view: bool = False) -> dict[View, EncoderOutput]:
         return {view: self.encoder.encode(image)
                 for view, image, _ in study.views(single_view)}
 
@@ -352,6 +339,9 @@ class ReportModel:
 # -- training --------------------------------------------------------------------
 
 
+COMPONENTS = ("encoder", "extractor", "adapter", "bridge", "lm")
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 3
@@ -366,8 +356,13 @@ class TrainConfig:
     eps: float = 1e-8
     max_steps: int | None = None
     precision: str = "float32"
-    frozen: tuple[str, ...] = ("encoder",)
-    trainable: tuple[str, ...] = ("extractor", "adapter", "bridge", "lm")
+    frozen: tuple[str, ...] = ("encoder",)  # every other component trains
+
+    def __post_init__(self):
+        unknown = sorted(set(self.frozen) - set(COMPONENTS))
+        if unknown:
+            raise ContractError(
+                f"unknown frozen component(s) {unknown}; expected names from {COMPONENTS}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -376,14 +371,26 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        """Inverse of ``to_dict``: JSON lists become tuples, the strategy an enum."""
+        """Inverse of ``to_dict``: JSON lists become tuples, the strategy an enum.
+        An older echo's ``trainable`` list is dropped if it and ``frozen`` split
+        the components (``bridge`` may be missing: few models have one)."""
         d = dict(d)
+        legacy = d.pop("trainable", None)
+        check_keys(d, cls)
         if "strategy" in d:
             d["strategy"] = Strategy(d["strategy"])
-        for key in ("betas", "frozen", "trainable"):
+        for key in ("betas", "frozen"):
             if key in d:
                 d[key] = tuple(d[key])
-        return cls(**d)
+        tc = cls(**d)
+        if legacy is not None:
+            frozen, live = set(tc.frozen), set(legacy)
+            covered = frozen | live
+            if frozen & live or not set(COMPONENTS) - {"bridge"} <= covered <= set(COMPONENTS):
+                raise ContractError(
+                    f"legacy 'trainable' {sorted(live)} and frozen {sorted(frozen)} must "
+                    f"split the components {COMPONENTS}")
+        return tc
 
 
 @dataclass
@@ -395,35 +402,29 @@ class TrainResult:
 
 def train(model: ReportModel, dataset: list[StudyInput], tc: TrainConfig,
           out_dir: str | Path | None = None) -> TrainResult:
-    """Single-stage training: only the configured trainable components are
-    updated; gradients for frozen components are discarded by the optimizer.
+    """Single-stage training. Every parameter of a component in ``tc.frozen``
+    gets ``requires_grad=False`` and every other one ``True``; AdamW updates
+    only the latter, and backward computes no gradient for the former.
     Writes checkpoint, loss curve CSV and config JSON when out_dir is given.
     """
     if not dataset:
         raise ContractError("empty training dataset")
-    present = set(model.components())
-    frozen, trainable = set(tc.frozen) & present, set(tc.trainable) & present
-    if frozen & trainable:
-        raise ContractError(f"frozen and trainable overlap: {sorted(frozen & trainable)}")
-    if frozen | trainable != present:
-        raise ContractError(
-            f"frozen+trainable must cover components {sorted(present)}")
-
-    params = model.named_params()
-    frozen_prefixes = tuple(COMPONENT_PREFIXES[c] for c in sorted(frozen))
-    opt = AdamW(params, betas=tc.betas, eps=tc.eps, weight_decay=tc.weight_decay,
-                frozen_prefixes=frozen_prefixes)
+    for component, params in model.component_params().items():
+        for p in params.values():
+            p.requires_grad = component not in tc.frozen
+    opt = AdamW({name: p for name, p in model.named_params().items() if p.requires_grad},
+                betas=tc.betas, eps=tc.eps, weight_decay=tc.weight_decay)
 
     n = len(dataset)
     steps_per_epoch = math.ceil(n / tc.batch_size)
     total_steps = tc.max_steps if tc.max_steps is not None else tc.epochs * steps_per_epoch
     schedule = LrSchedule(tc.base_lr, total_steps, tc.warmup_ratio)
 
-    encoder_frozen = "encoder" in frozen
+    encoder_frozen = "encoder" in tc.frozen
     enc_cache: list[dict[View, EncoderOutput]] = []
     prompts = [model.prompt_for(s, tc.strategy, tc.single_view) for s in dataset]
     if encoder_frozen:
-        enc_cache = [model.encode_views(s, tc.single_view, detached=True) for s in dataset]
+        enc_cache = [model.encode_views(s, tc.single_view) for s in dataset]
 
     rng = np.random.default_rng(tc.seed)
     order: list[int] = []

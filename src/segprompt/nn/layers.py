@@ -27,8 +27,7 @@ def init_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) 
 class LinearLayer:
     """y = x @ W.T + b with weight (out_dim, in_dim)."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None = None,
-                 trainable: bool = True):
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None = None):
         self.in_dim = in_dim
         self.out_dim = out_dim
         if rng is None:
@@ -37,8 +36,8 @@ class LinearLayer:
         else:
             w = init_uniform(rng, (out_dim, in_dim), in_dim)
             b = init_uniform(rng, (out_dim,), in_dim)
-        self.weight = Tensor(w, requires_grad=trainable)
-        self.bias = Tensor(b, requires_grad=trainable)
+        self.weight = Tensor(w, requires_grad=True)
+        self.bias = Tensor(b, requires_grad=True)
 
     @classmethod
     def identity(cls, dim: int) -> "LinearLayer":

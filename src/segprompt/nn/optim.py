@@ -49,25 +49,17 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
 
 
 class AdamW:
-    """Convenience wrapper over named parameters with a frozen-name filter.
-
-    Gradients produced for frozen parameters are discarded: the parameters are
-    never updated and their moments never accumulate.
-    """
+    """AdamW over the named parameters it is given. Frozen parameters are
+    left out by the caller: they are never updated and keep no moments."""
 
     def __init__(self, params: dict[str, Tensor], betas=(0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0, frozen_prefixes: tuple[str, ...] = ()):
+                 weight_decay: float = 0.0):
         self.params = params
-        self.frozen_prefixes = tuple(frozen_prefixes)
         self.state = OptimState(betas=betas, eps=eps, weight_decay=weight_decay)
-        self._live = {name: p for name, p in params.items() if not self._is_frozen(name)}
-
-    def _is_frozen(self, name: str) -> bool:
-        return any(name == pre or name.startswith(pre + ".") for pre in self.frozen_prefixes)
 
     def step(self, lr: float) -> None:
-        grads = {name: p.grad for name, p in self._live.items() if p.grad is not None}
-        adamw_step(self._live, grads, self.state, lr)
+        grads = {name: p.grad for name, p in self.params.items() if p.grad is not None}
+        adamw_step(self.params, grads, self.state, lr)
 
     def zero_grad(self) -> None:
         for p in self.params.values():

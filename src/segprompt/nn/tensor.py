@@ -33,7 +33,7 @@ def set_default_dtype(dtype) -> None:
     """Set the dtype used for all newly created tensors ('float32'/'float64')."""
     global _DEFAULT_DTYPE
     if isinstance(dtype, str):
-        dtype = _DTYPE_NAMES[dtype]
+        dtype = _DTYPE_NAMES.get(dtype, dtype)
     if dtype not in (np.float32, np.float64):
         raise ContractError(f"unsupported dtype {dtype!r}")
     _DEFAULT_DTYPE = dtype

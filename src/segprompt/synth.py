@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from segprompt.errors import ContractError
+from segprompt.errors import ContractError, check_keys
 from segprompt.masks import (
     STRUCTURE_NAMES,
     STRUCTURE_ORDER,
@@ -97,6 +97,7 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthSpec":
+        check_keys(d, cls)
         return cls(**d)
 
 

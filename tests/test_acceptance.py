@@ -38,7 +38,7 @@ from segprompt.mllm import (
     make_adapter,
     train,
 )
-from segprompt.nn import Tensor, finite_diff_grad, grad_rel_error, precision
+from segprompt.nn import Tensor, finite_diff_grad, grad_rel_error, no_grad, precision
 from segprompt.prompting import Strategy, StudyInput, build_prompt, prompt_dumps
 from segprompt.som import MarkStyle, overlay_footprint, render_overlay
 from segprompt.synth import (
@@ -159,7 +159,8 @@ def test_criterion_1_gradient_suite():
             spec = SynthSpec(seed=seed, n_studies=1, image_size=32,
                              lateral_prob=0.0, prior_prob=0.0)
             study = make_study(spec, 0)
-            enc = model.encode_views(study, single_view=True, detached=True)
+            with no_grad():
+                enc = model.encode_views(study, single_view=True)
             stack_params = {n: p for n, p in model.named_params().items()
                             if not n.startswith("enc.")}
             _check_param_grads(
@@ -179,7 +180,8 @@ def test_criterion_2_token_accounting():
                          prior_prob=0.4, heart_area_threshold=50)
         for i in range(spec.n_studies):
             study = make_study(spec, i)
-            enc = model.encode_views(study, detached=True)
+            with no_grad():
+                enc = model.encode_views(study)
             ns_len = model.realize(study, Strategy.NS, enc_out=enc).shape[0]
             ss_len = model.realize(study, Strategy.SS, enc_out=enc).shape[0]
             positives = sum(int(m.any()) for _, _, ms in study.views()

@@ -1,6 +1,7 @@
 """CLI wiring: every subcommand end to end on a tiny dataset."""
 
 import json
+import shutil
 
 import pytest
 
@@ -61,6 +62,40 @@ class TestUsage:
     def test_missing_data_is_runtime_error(self, tmp_path):
         assert run_command(["build-prompt", "--data", str(tmp_path / "nope"),
                             "--study", "study_00000"]) == 1
+
+
+class TestConfigErrors:
+    """A config with a key no dataclass field matches exits 1, and the message
+    names the file and the key instead of a TypeError or a silent default."""
+
+    @pytest.mark.parametrize("command,content,key", [
+        ("gen-data", {"seedz": 1}, "seedz"),
+        ("train", {"train": {"epochz": 1}}, "epochz"),
+        ("train", {"model": {"lm_dimm": 8}}, "lm_dimm"),
+        ("train", {"model": {"encoder": {"dimm": 8}}}, "dimm"),
+        ("train", {"model": {"extractor": {"spatial": 8}}}, "spatial"),
+        ("train", {"train": {"frozen": ["encoderr"]}}, "encoderr"),
+        ("train", {"train": {"frozen": ["encoder"], "trainable": ["lm"]}}, "trainable"),
+    ])
+    def test_bad_key_names_file_and_key(self, dataset, tmp_path, capsys, command,
+                                        content, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(content))
+        out = str(tmp_path / "out")
+        if command == "gen-data":
+            argv = ["gen-data", "--spec", str(path), "--out", out]
+        else:
+            argv = ["train", "--data", str(dataset), "--config", str(path), "--out", out]
+        assert run_command(argv) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and key in err, err
+
+    def test_unsupported_precision(self, dataset, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"train": {"precision": "float16"}}))
+        assert run_command(["train", "--data", str(dataset), "--config", str(path),
+                            "--out", str(tmp_path / "out")]) == 1
+        assert "unsupported dtype 'float16'" in capsys.readouterr().err
 
 
 class TestGenData:
@@ -185,6 +220,27 @@ class TestTrainGenerateEval:
         assert code == 0
         out = capsys.readouterr().out
         assert isinstance(out, str)
+
+    def test_echo_with_legacy_trainable_loads(self, dataset, checkpoint, tmp_path, capsys):
+        """An echo that lists ``trainable`` beside ``frozen`` loads as before;
+        an unknown key in it names the echo file."""
+        argv = ["generate", "--data", str(dataset), "--study", "study_00000",
+                "--max-new", "6", "--ckpt"]
+        assert run_command(argv + [str(checkpoint)]) == 0
+        expected = capsys.readouterr().out
+        legacy = tmp_path / "legacy"
+        shutil.copytree(checkpoint, legacy)
+        echo_path = legacy / "train_config.json"
+        echo = json.loads(echo_path.read_text())
+        echo["train"]["trainable"] = ["extractor", "adapter", "bridge", "lm"]
+        echo_path.write_text(json.dumps(echo))
+        assert run_command(argv + [str(legacy)]) == 0
+        assert capsys.readouterr().out == expected
+        echo["train"]["epochz"] = 1
+        echo_path.write_text(json.dumps(echo))
+        assert run_command(argv + [str(legacy)]) == 1
+        err = capsys.readouterr().err
+        assert str(echo_path) in err and "epochz" in err
 
     def test_eval_report(self, dataset, checkpoint, tmp_path):
         report_path = tmp_path / "report.json"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from segprompt.errors import ContractError
-from segprompt.encoder import VitConfig, VitEncoder, set_frozen
+from segprompt.encoder import VitConfig, VitEncoder
 from segprompt.nn import AdamW
 
 
@@ -89,11 +89,18 @@ class TestEncode:
         assert np.array_equal(out_ab[1], out_ba[0])
 
 
+def freeze(params: dict) -> None:
+    """The freezing rule: a frozen parameter does not require grad."""
+    for p in params.values():
+        p.requires_grad = False
+
+
 class TestFreezing:
-    def _step(self, enc, frozen_prefixes):
+    def _step(self, enc):
+        """One AdamW step over the parameters that require grad."""
         rng = np.random.default_rng(7)
         params = enc.named_params("enc")
-        opt = AdamW(params, weight_decay=0.0, frozen_prefixes=frozen_prefixes)
+        opt = AdamW({k: p for k, p in params.items() if p.requires_grad}, weight_decay=0.0)
         out = enc.encode(rng.random((32, 32)))
         (out.final.features * out.final.features).sum().backward()
         opt.step(lr=1e-2)
@@ -102,16 +109,17 @@ class TestFreezing:
     def test_frozen_step_leaves_params_bit_identical(self):
         enc = VitEncoder(toy_config(), seed=4)
         before = {k: v.data.copy() for k, v in enc.named_params("enc").items()}
-        handle = set_frozen(enc.named_params("enc"))
-        params = self._step(enc, ("enc",))
-        assert set(handle.names) == set(params)
+        freeze(enc.named_params("enc"))
+        params = self._step(enc)
+        assert {k for k, p in params.items() if not p.requires_grad} == set(params)
         for k, v in params.items():
             assert np.array_equal(v.data, before[k]), k
+            assert v.grad is None, k
 
     def test_unfrozen_step_changes_params(self):
         enc = VitEncoder(toy_config(), seed=4)
         before = {k: v.data.copy() for k, v in enc.named_params("enc").items()}
-        params = self._step(enc, ())
+        params = self._step(enc)
         assert any(not np.array_equal(v.data, before[k]) for k, v in params.items())
 
     def test_frozen_forward_matches_unfrozen(self):
@@ -119,17 +127,19 @@ class TestFreezing:
         img = rand_image(rng)
         enc_a = VitEncoder(toy_config(), seed=6)
         enc_b = VitEncoder(toy_config(), seed=6)
-        set_frozen(enc_b.named_params("enc"))
+        freeze(enc_b.named_params("enc"))
         assert np.array_equal(enc_a.encode(img).final.features.data,
                               enc_b.encode(img).final.features.data)
 
     def test_gradient_flows_through_activations_when_frozen(self):
-        # frozen weights still produce a differentiable activation path
+        # frozen blocks still pass the gradient back to pos_embed
         enc = VitEncoder(toy_config(), seed=8)
+        freeze({k: p for k, p in enc.named_params("enc").items() if k != "enc.pos_embed"})
         out = enc.encode(np.zeros((32, 32)))
         (out.final.features * out.final.features).sum().backward()
         assert enc.pos_embed.grad is not None
         assert np.isfinite(enc.pos_embed.grad).all()
+        assert all(b.attn.wq.weight.grad is None for b in enc.blocks)
 
 
 def test_weights_roundtrip_through_checkpoint(tmp_path):

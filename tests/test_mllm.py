@@ -1,6 +1,7 @@
 """Tokenizer, adapter, LM loss/generation, and the training loop contracts."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -22,7 +23,17 @@ from segprompt.mllm import (
     make_adapter,
     train,
 )
-from segprompt.nn import MlpBlock, Tensor, concat, finite_diff_grad, grad_rel_error
+from segprompt.nn import (
+    AdamW,
+    LrSchedule,
+    MlpBlock,
+    Tensor,
+    concat,
+    finite_diff_grad,
+    grad_rel_error,
+    lr_at,
+    no_grad,
+)
 from segprompt.prompting import ImageSlot, SegSlot, Strategy, TextSpan
 from segprompt.prompting import ANNOTATION_ROLES
 from segprompt.synth import SynthSpec, make_study, vocabulary
@@ -321,7 +332,7 @@ class TestReportModel:
         assert same.bridge is None
         wide = ReportModel(tiny_model_config(lm_dim=16), vocabulary())
         assert wide.bridge is not None
-        assert "bridge" in wide.components()
+        assert "bridge" in wide.component_params()
 
     def test_ns_vs_ss_diff_confined_to_seg_blocks(self):
         model = ReportModel(tiny_model_config(), vocabulary())
@@ -377,7 +388,8 @@ class TestGraphSize:
         model = ReportModel(tiny_model_config(), vocabulary())
         study = tiny_studies(1, seed=11, lateral_prob=1.0, prior_prob=1.0)[0]
         assert [len(positive_structures(ms)) for _, _, ms in study.views()] == [7, 7, 5]
-        enc = model.encode_views(study, detached=True)
+        with no_grad():
+            enc = model.encode_views(study)
         assert graph_size(model.study_loss(study, strategy, enc_out=enc)) <= bound
 
 
@@ -410,13 +422,11 @@ class TestTrain:
 
     def test_config_validation(self):
         model = ReportModel(tiny_model_config(), vocabulary())
-        studies = tiny_studies(1)
         with pytest.raises(ContractError):
-            train(model, studies, TrainConfig(frozen=("encoder", "lm"),
-                                              trainable=("extractor", "adapter", "lm")))
+            TrainConfig.from_dict({"frozen": ["encoder", "lm"],
+                                   "trainable": ["extractor", "adapter", "lm"]})
         with pytest.raises(ContractError):
-            train(model, studies, TrainConfig(frozen=(),
-                                              trainable=("extractor", "adapter", "lm")))
+            TrainConfig.from_dict({"frozen": [], "trainable": ["extractor", "adapter", "lm"]})
         with pytest.raises(ContractError):
             train(model, [], TrainConfig())
 
@@ -424,11 +434,14 @@ class TestTrain:
         for tc in (TrainConfig(),
                    TrainConfig(epochs=2, strategy=Strategy.CS, single_view=True,
                                betas=(0.8, 0.95), max_steps=7, precision="float64",
-                               frozen=("encoder", "lm"),
-                               trainable=("extractor", "adapter", "bridge"))):
+                               frozen=("encoder", "lm"))):
             assert TrainConfig.from_dict(tc.to_dict()) == tc
             assert TrainConfig.from_dict(json.loads(json.dumps(tc.to_dict()))) == tc
         assert TrainConfig.from_dict({"strategy": "NS"}) == TrainConfig(strategy=Strategy.NS)
+
+    def test_model_config_dict_roundtrip(self):
+        for cfg in (ModelConfig(), tiny_model_config(lm_dim=16, seed=3)):
+            assert ModelConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_artifacts_written(self, tmp_path):
         model = ReportModel(tiny_model_config(), vocabulary())
@@ -444,3 +457,90 @@ class TestTrain:
         assert echo["train"]["strategy"] == "NS"
         assert echo["model"]["lm_dim"] == 12
         assert echo["vocab"][:4] == ["<pad>", "<bos>", "<eos>", "<unk>"]
+
+
+def reference_train(model: ReportModel, dataset, tc: TrainConfig) -> list[float]:
+    """The freezing path ``train`` replaced: every parameter requires grad,
+    backward runs over the whole graph (encoder included, every step), and
+    AdamW steps only the components outside ``tc.frozen``, so the frozen
+    ones' gradients are computed and then thrown away."""
+    parts = model.component_params()
+    for params in parts.values():
+        for p in params.values():
+            p.requires_grad = True
+    opt = AdamW({name: p for component, params in parts.items() if component not in tc.frozen
+                 for name, p in params.items()},
+                betas=tc.betas, eps=tc.eps, weight_decay=tc.weight_decay)
+    n = len(dataset)
+    total = tc.max_steps if tc.max_steps is not None else tc.epochs * math.ceil(n / tc.batch_size)
+    schedule = LrSchedule(tc.base_lr, total, tc.warmup_ratio)
+    rng = np.random.default_rng(tc.seed)
+    order: list[int] = []
+    curve = []
+    for step in range(total):
+        batch = []
+        while len(batch) < min(tc.batch_size, n):
+            if not order:
+                order = list(rng.permutation(n))
+            batch.append(order.pop(0))
+        loss = concat([model.study_loss(dataset[i], tc.strategy, tc.single_view).reshape(1)
+                       for i in batch], axis=0).mean()
+        loss.backward()
+        opt.step(lr_at(schedule, step))
+        for p in model.named_params().values():
+            p.grad = None
+        curve.append(loss.item())
+    return curve
+
+
+class TestFreezingRule:
+    """``train`` freezes by ``requires_grad=False`` alone; the full-graph path
+    with the frozen gradients discarded is the oracle."""
+
+    @pytest.mark.parametrize("frozen", [(), ("encoder",), ("encoder", "lm"),
+                                        ("extractor", "adapter")])
+    def test_matches_full_graph_reference(self, frozen):
+        studies = tiny_studies(3, seed=11, lateral_prob=1.0, prior_prob=0.0)
+        tc = TrainConfig(base_lr=1e-2, batch_size=2, max_steps=3, strategy=Strategy.SS,
+                         precision="float64", frozen=frozen)
+        model = ReportModel(tiny_model_config(lm_dim=16), vocabulary())
+        ref = ReportModel(tiny_model_config(lm_dim=16), vocabulary())
+        before = {k: v.data.copy() for k, v in model.named_params().items()}
+        result = train(model, studies, tc)
+        assert [loss for _, _, loss in result.curve] == reference_train(ref, studies, tc)
+        got, want = model.named_params(), ref.named_params()
+        assert list(got) == list(want)
+        for name in got:
+            assert np.array_equal(got[name].data, want[name].data), name
+        for component, params in model.component_params().items():
+            moved = any(not np.array_equal(p.data, before[k]) for k, p in params.items())
+            assert moved == (component not in frozen), component
+
+    def test_frozen_params_get_no_grad(self):
+        model = ReportModel(tiny_model_config(), vocabulary())
+        studies = tiny_studies(2)
+        tc = TrainConfig(base_lr=0.0, batch_size=2, max_steps=1, strategy=Strategy.SS,
+                         single_view=True, frozen=("encoder", "lm"))
+        train(model, studies, tc)
+        model.study_loss(studies[0], Strategy.SS, single_view=True).backward()
+        for component, params in model.component_params().items():
+            for name, p in params.items():
+                assert p.requires_grad is (component not in tc.frozen), name
+                assert (p.grad is None) is (component in tc.frozen), name
+
+    def test_legacy_trainable_echo_loads(self):
+        parent_echo = {"frozen": ["encoder"], "trainable": ["extractor", "adapter", "bridge", "lm"],
+                       "strategy": "SS", "betas": [0.9, 0.999]}
+        assert TrainConfig.from_dict(parent_echo) == TrainConfig()
+        no_bridge = {"frozen": ["encoder", "lm"], "trainable": ["extractor", "adapter"]}
+        assert TrainConfig.from_dict(no_bridge) == TrainConfig(frozen=("encoder", "lm"))
+        assert "trainable" not in TrainConfig().to_dict()
+        with pytest.raises(ContractError, match="trainable"):
+            TrainConfig.from_dict({"frozen": ["encoder"], "trainable": ["adapter", "lm", "bogus",
+                                                                       "extractor"]})
+
+    def test_misspelt_frozen_name_rejected(self):
+        with pytest.raises(ContractError, match="encoderr"):
+            TrainConfig(frozen=("encoderr",))
+        with pytest.raises(ContractError, match="encoderr"):
+            TrainConfig.from_dict({"frozen": ["encoderr"]})

@@ -402,6 +402,13 @@ class TestFusedPrimitives:
             assert grad_rel_error(got_g[name], want_g[name]) < 1e-10, name
 
 
+@pytest.mark.parametrize("dtype", ["float16", "int64", np.float16])
+def test_unsupported_default_dtype_rejected(dtype):
+    with pytest.raises(ContractError, match="unsupported dtype"):
+        T.set_default_dtype(dtype)
+    assert T.default_dtype() is np.float64
+
+
 def records_graph() -> bool:
     x = Tensor([1.0, 2.0], requires_grad=True)
     return (x * x).requires_grad
