@@ -5,6 +5,7 @@ train, generate, eval.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import shutil
 import sys
@@ -57,9 +58,16 @@ def _load_synth_spec(path: str | None, seed: int | None, count: int | None) -> S
     return spec
 
 
+def _parse_train_config(d: dict) -> tuple[TrainConfig, ModelConfig]:
+    unknown = sorted(set(d) - {"train", "model"})
+    if unknown:
+        raise ContractError(f"unknown top-level key(s): {', '.join(map(repr, unknown))}; "
+                            "expected 'train' and 'model'")
+    return TrainConfig.from_dict(d.get("train", {})), ModelConfig.from_dict(d.get("model", {}))
+
+
 def _load_train_config(path: str | None) -> tuple[TrainConfig, ModelConfig]:
-    return _read_config(path, lambda d: (TrainConfig.from_dict(d.get("train", {})),
-                                         ModelConfig.from_dict(d.get("model", {}))))
+    return _read_config(path, _parse_train_config)
 
 
 def _load_model(ckpt_dir: str | Path) -> tuple[ReportModel, TrainConfig]:
@@ -246,9 +254,8 @@ def cmd_eval(args) -> int:
     label_pairs = np.stack([np.stack(pred_labels), np.stack(gt_labels)], axis=1)
 
     def f1_stat(which: int):
-        def stat(rows: np.ndarray) -> float:
-            return metrics.macro_micro_f1(rows[:, 0], rows[:, 1])[which]
-        return stat
+        # rows: a (samples, n, 2, findings) stack of predicted and true labels
+        return lambda rows: metrics.macro_micro_f1(rows[..., 0, :], rows[..., 1, :])[which]
 
     report = {
         "n": len(pairs),
@@ -340,10 +347,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first command, then reused: parse_args keeps no state between
+# calls, and each call fills a fresh namespace.
+_parser = functools.cache(build_parser)
+
+
 def run_command(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

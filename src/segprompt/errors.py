@@ -1,6 +1,6 @@
-"""Shared exception types, and the unknown-key check for config dicts."""
+"""Shared exception types, and the key checks for dicts read into dataclasses."""
 
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 
 class ContractError(ValueError):
@@ -16,3 +16,12 @@ def check_keys(d: dict, cls) -> None:
     unknown = sorted(set(d) - {f.name for f in fields(cls)})
     if unknown:
         raise ContractError(f"unknown {cls.__name__} key(s): {', '.join(map(repr, unknown))}")
+
+
+def check_required(d: dict, cls) -> None:
+    """Reject ``d`` when it lacks a field of the dataclass ``cls`` that has no
+    default."""
+    missing = [f.name for f in fields(cls) if f.name not in d
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ContractError(f"missing {cls.__name__} key(s): {', '.join(map(repr, missing))}")

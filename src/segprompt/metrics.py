@@ -95,24 +95,29 @@ def aggregate_positive(scores: Sequence[float | None]) -> float | None:
 # -- multi-label F1 -----------------------------------------------------------
 
 
-def _f1(tp: int, fp: int, fn: int) -> float:
+def _f1(tp: np.ndarray, fp: np.ndarray, fn: np.ndarray) -> np.ndarray:
     denom = 2 * tp + fp + fn
-    return 2.0 * tp / denom if denom else 0.0
+    return np.where(denom > 0, 2.0 * tp / np.maximum(denom, 1), 0.0)
 
 
-def macro_micro_f1(preds: Sequence[np.ndarray], gts: Sequence[np.ndarray]
-                   ) -> tuple[float, float]:
+def macro_micro_f1(preds: Sequence[np.ndarray] | np.ndarray, gts: Sequence[np.ndarray] | np.ndarray
+                   ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Per-finding F1 averaged (macro) and pooled-count F1 (micro) over
-    binary label vectors; zero-denominator findings score 0."""
+    binary label vectors; zero-denominator findings score 0.
+
+    The tables are (studies, findings), and any leading axes batch them: a
+    (S, n, F) stack gives two (S,) arrays, a single (n, F) table two floats."""
     p = np.asarray(preds, dtype=bool)
     g = np.asarray(gts, dtype=bool)
-    if p.shape != g.shape or p.ndim != 2:
+    if p.shape != g.shape or p.ndim < 2:
         raise ContractError(f"label tables must match, got {p.shape} vs {g.shape}")
-    tp = (p & g).sum(axis=0)
-    fp = (p & ~g).sum(axis=0)
-    fn = (~p & g).sum(axis=0)
-    macro = float(np.mean([_f1(*counts) for counts in zip(tp, fp, fn)]))
-    micro = _f1(int(tp.sum()), int(fp.sum()), int(fn.sum()))
+    tp = (p & g).sum(axis=-2)
+    fp = (p & ~g).sum(axis=-2)
+    fn = (~p & g).sum(axis=-2)
+    macro = _f1(tp, fp, fn).mean(axis=-1)
+    micro = _f1(tp.sum(axis=-1), fp.sum(axis=-1), fn.sum(axis=-1))
+    if p.ndim == 2:
+        return float(macro), float(micro)
     return macro, micro
 
 
@@ -194,10 +199,6 @@ class BootstrapSpec:
             raise ContractError(f"unknown statistic {self.statistic!r}")
 
 
-def _stat_fn(name: str) -> Callable[[np.ndarray], float]:
-    return {"median": np.median, "mean": np.mean}[name]
-
-
 def bootstrap_ci(scores: Sequence[float], spec: BootstrapSpec = BootstrapSpec(),
                  seed: int = 0) -> tuple[float, float, float]:
     """(statistic on the full sample, low percentile, high percentile) from
@@ -205,26 +206,33 @@ def bootstrap_ci(scores: Sequence[float], spec: BootstrapSpec = BootstrapSpec(),
     arr = np.asarray(scores, dtype=np.float64)
     if arr.size == 0:
         raise ContractError("bootstrap over an empty score list")
-    stat = _stat_fn(spec.statistic)
-    return bootstrap_ci_fn(arr, lambda resample: float(stat(resample)), spec, seed)
+    stat = {"median": np.median, "mean": np.mean}[spec.statistic]
+    return bootstrap_ci_fn(arr, lambda resamples: stat(resamples, axis=1), spec, seed)
 
 
-def bootstrap_ci_fn(items: np.ndarray, statistic_fn: Callable[[np.ndarray], float],
+def bootstrap_ci_fn(items: np.ndarray,
+                    statistic_fn: Callable[[np.ndarray], np.ndarray],
                     spec: BootstrapSpec = BootstrapSpec(), seed: int = 0
                     ) -> tuple[float, float, float]:
-    """Generic percentile bootstrap: resample rows of ``items``."""
+    """Generic percentile bootstrap: resample rows of ``items``.
+
+    All ``spec.samples`` resamples come from one (samples, n) index matrix,
+    which draws the same indexes as one ``size=n`` draw per resample.
+    ``statistic_fn`` maps a (samples, n, ...) stack of resamples to the
+    (samples,) statistics; the center is its value on ``items[None]``."""
     n = len(items)
     if n == 0:
         raise ContractError("bootstrap over an empty item list")
     rng = np.random.default_rng(seed)
-    stats = np.empty(spec.samples)
-    for k in range(spec.samples):
-        idx = rng.integers(0, n, size=n)
-        stats[k] = statistic_fn(items[idx])
-    center = statistic_fn(items)
+    idx = rng.integers(0, n, size=(spec.samples, n))
+    stats = np.asarray(statistic_fn(items[idx]), dtype=np.float64)
+    center = np.asarray(statistic_fn(items[None]), dtype=np.float64)
+    if stats.shape != (spec.samples,) or center.shape != (1,):
+        raise ContractError(f"bootstrap statistic must return one value per resample, "
+                            f"got shape {stats.shape} for {spec.samples} resamples")
     tail = (100.0 - spec.interval) / 2.0
     low, high = np.percentile(stats, [tail, 100.0 - tail])
-    return float(center), float(low), float(high)
+    return float(center[0]), float(low), float(high)
 
 
 def metric_conventions() -> dict:

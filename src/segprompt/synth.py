@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from segprompt.errors import ContractError, check_keys
+from segprompt.errors import ContractError, check_keys, check_required
 from segprompt.masks import (
     STRUCTURE_NAMES,
     STRUCTURE_ORDER,
@@ -439,10 +439,25 @@ def generate_dataset(spec: SynthSpec, out_dir: str | Path) -> list[StudyRecord]:
 
 
 def load_manifest(data_dir: str | Path) -> tuple[dict, list[StudyRecord]]:
-    with open(Path(data_dir) / "manifest.json", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    records = [StudyRecord(**entry) for entry in manifest["studies"]]
-    return manifest, records
+    """The manifest and its study records; a malformed manifest raises a
+    ContractError naming the file and the entry."""
+    path = Path(data_dir) / "manifest.json"
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ContractError(f"{path}: not valid JSON ({exc})") from exc
+    studies = manifest.get("studies") if isinstance(manifest, dict) else None
+    if not isinstance(studies, list):
+        raise ContractError(f"{path}: 'studies' must be a list of study entries")
+    for index, entry in enumerate(studies):
+        try:
+            if not isinstance(entry, dict):
+                raise ContractError(f"expected an object, got {type(entry).__name__}")
+            check_keys(entry, StudyRecord)
+            check_required(entry, StudyRecord)
+        except ContractError as exc:
+            raise ContractError(f"{path}: studies[{index}]: {exc}") from exc
+    return manifest, [StudyRecord(**entry) for entry in studies]
 
 
 def load_study(record: StudyRecord, root: str | Path) -> StudyInput:

@@ -5,6 +5,7 @@ import shutil
 
 import pytest
 
+from segprompt import cli
 from segprompt.cli import run_command
 from segprompt.encoder import VitConfig
 from segprompt.mllm import ModelConfig, ReportModel
@@ -90,12 +91,68 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert str(path) in err and key in err, err
 
+    def test_unknown_top_level_keys(self, dataset, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"trian": {"epochs": 1}, "modle": {"lm_dim": 8}}))
+        assert run_command(["train", "--data", str(dataset), "--config", str(path),
+                            "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "'trian'" in err and "'modle'" in err, err
+        assert not (tmp_path / "out").exists()
+
+    def test_malformed_manifest(self, dataset, checkpoint, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        del manifest["studies"][0]["split"]
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        assert run_command(["eval", "--data", str(data), "--ckpt", str(checkpoint),
+                            "--report", str(tmp_path / "report.json")]) == 1
+        err = capsys.readouterr().err
+        assert str(data / "manifest.json") in err and "studies[0]" in err, err
+        assert "'split'" in err
+
     def test_unsupported_precision(self, dataset, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"train": {"precision": "float16"}}))
         assert run_command(["train", "--data", str(dataset), "--config", str(path),
                             "--out", str(tmp_path / "out")]) == 1
         assert "unsupported dtype 'float16'" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    def test_commands_share_no_argument_values(self, dataset, tmp_path, monkeypatch):
+        """The argparse tree is built once per process; a flag given to one
+        command does not reach the next one."""
+        run_command(["build-prompt"])  # exit 2, but the parser now exists
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+        seen = []
+        build_prompt = cli.build_prompt
+        seg_pairs = ReportModel.seg_pairs
+
+        def prompt_spy(study, strategy, single_view):
+            seen.append(("build-prompt", strategy, single_view))
+            return build_prompt(study, strategy, single_view=single_view)
+
+        def pairs_spy(self, study, enc, strategy, single_view=False):
+            seen.append(("extract-tokens", self.cfg.seed, single_view))
+            return seg_pairs(self, study, enc, strategy, single_view=single_view)
+
+        monkeypatch.setattr(cli, "build_prompt", prompt_spy)
+        monkeypatch.setattr(ReportModel, "seg_pairs", pairs_spy)
+        study = ["--data", str(dataset), "--study", "study_00000", "--out",
+                 str(tmp_path / "dump.json")]
+        for argv in (["extract-tokens", "--single-view", "--seed", "3"],
+                     ["build-prompt", "--strategy", "NS"],
+                     ["build-prompt", "--single-view"],
+                     ["build-prompt"],
+                     ["extract-tokens"]):
+            assert run_command(argv + study) == 0
+        assert seen == [("extract-tokens", 3, True),
+                        ("build-prompt", Strategy.NS, False),
+                        ("build-prompt", Strategy.SS, True),
+                        ("build-prompt", Strategy.SS, False),
+                        ("extract-tokens", 0, False)]
 
 
 class TestGenData:
@@ -254,3 +311,36 @@ class TestTrainGenerateEval:
             entry = report["metrics"][key]
             assert set(entry) == {"median", "ci_low", "ci_high"}
         assert report["conventions"]["bleu"]["smoothing"] == "none"
+
+
+PIN_SPEC = dict(SYNTH_SPEC, seed=3, n_studies=6)
+PIN_CONFIG = {"train": dict(TINY_CONFIG["train"], base_lr=0.0, max_steps=1),
+              "model": TINY_CONFIG["model"]}
+# The eval report's metrics block as written before the bootstrap was
+# vectorized (seed-3 six-study dataset, one lr-0 step, train split).
+PINNED_EVAL_METRICS = {
+    "bleu4": {"ci_high": 0.0, "ci_low": 0.0, "median": 0.0},
+    "macro_f1_mr": {"ci_high": 0.36190909090909085, "ci_low": 0.16,
+                    "median": 0.28181818181818186},
+    "micro_f1_mr": {"ci_high": 0.6666666666666666, "ci_low": 0.2857142857142857,
+                    "median": 0.4827586206896552},
+    "rouge_l": {"ci_high": 8.747348237597912, "ci_low": 3.105906313645621,
+                "median": 6.702604426853169},
+}
+
+
+def test_eval_report_metrics_pinned(tmp_path):
+    """End to end, decoding through the bootstraps, the metrics block is
+    exactly what it was."""
+    (tmp_path / "spec.json").write_text(json.dumps(PIN_SPEC))
+    (tmp_path / "train.json").write_text(json.dumps(PIN_CONFIG))
+    data, run, report = tmp_path / "data", tmp_path / "run", tmp_path / "report.json"
+    assert run_command(["gen-data", "--spec", str(tmp_path / "spec.json"),
+                        "--out", str(data)]) == 0
+    assert run_command(["train", "--data", str(data), "--config",
+                        str(tmp_path / "train.json"), "--out", str(run)]) == 0
+    assert run_command(["eval", "--data", str(data), "--ckpt", str(run), "--report",
+                        str(report), "--split", "train", "--max-new", "8"]) == 0
+    payload = json.loads(report.read_text())
+    assert payload["n"] == 6
+    assert payload["metrics"] == PINNED_EVAL_METRICS

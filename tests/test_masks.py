@@ -1,8 +1,11 @@
 """Mask operations: positivity, grid resampling, contours, centroids,
 components, and PGM round trips."""
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from segprompt.errors import ContractError
 from segprompt import masks as M
@@ -127,6 +130,96 @@ class TestCentroid:
             rows, cols = np.nonzero(m)
             assert rows.min() <= r <= rows.max()
             assert cols.min() <= c <= cols.max()
+
+
+def _components_bfs(m):
+    """The pixel-by-pixel BFS labeler connected_components replaced: the
+    oracle for its output and order."""
+    h, w = m.shape
+    labels = np.full((h, w), -1, dtype=np.int32)
+    comps = []
+    for r0, c0 in zip(*np.nonzero(m)):
+        if labels[r0, c0] != -1:
+            continue
+        idx = len(comps)
+        comp = np.zeros((h, w), dtype=bool)
+        queue = deque([(int(r0), int(c0))])
+        labels[r0, c0] = idx
+        comp[r0, c0] = True
+        while queue:
+            r, c = queue.popleft()
+            for dr in (-1, 0, 1):
+                for dc in (-1, 0, 1):
+                    rr, cc = r + dr, c + dc
+                    if 0 <= rr < h and 0 <= cc < w and m[rr, cc] and labels[rr, cc] == -1:
+                        labels[rr, cc] = idx
+                        comp[rr, cc] = True
+                        queue.append((rr, cc))
+        pixels = list(zip(*np.nonzero(comp)))
+        comps.append((int(comp.sum()), min(pixels), comp))
+    comps.sort(key=lambda item: (-item[0], item[1]))
+    return [comp for _, _, comp in comps]
+
+
+def _assert_components_match_bfs(m):
+    got = M.connected_components(m)
+    want = _components_bfs(m)
+    assert len(got) == len(want), m.shape
+    for k, (a, b) in enumerate(zip(got, want)):
+        assert a.shape == m.shape and a.dtype == np.bool_
+        assert np.array_equal(a, b), (m.shape, k)
+
+
+class TestConnectedComponentsOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 64), st.integers(1, 64), st.floats(0.05, 0.7),
+           st.integers(0, 2 ** 32 - 1))
+    def test_random_masks_match_bfs(self, h, w, density, seed):
+        _assert_components_match_bfs(np.random.default_rng(seed).random((h, w)) < density)
+
+    @pytest.mark.parametrize("rows", [
+        ["#.#", ".#.", "#.#"],             # an X: diagonal links only
+        ["#...", ".#..", "..#.", "...#"],  # one diagonal line
+        ["...#", "..#.", ".#..", "#..."],  # the anti-diagonal
+        ["#.#.#", ".....", "#.#.#"],       # six singletons, all size ties
+        ["##..##", "......", "##..##"],    # four 2-pixel ties
+        [".#", "#."],
+        ["#"],
+        ["."],
+        ["#.##.#"],
+        ["#", ".", "#", "#"],
+        ["###", "..#", "###", "#..", "###"],  # a snake: runs joined end to end
+        ["#.#.#", "#####"],                   # a comb: many runs join one
+    ])
+    def test_fixed_masks_match_bfs(self, rows):
+        _assert_components_match_bfs(mask_from(rows))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (64, 64)])
+    def test_empty_and_full(self, shape):
+        assert M.connected_components(np.zeros(shape, dtype=bool)) == []
+        comps = M.connected_components(np.ones(shape, dtype=bool))
+        assert len(comps) == 1 and comps[0].all()
+
+    @pytest.mark.parametrize("pixel", [(0, 0), (5, 7), (63, 63), (0, 63)])
+    def test_single_pixel(self, pixel):
+        m = np.zeros((64, 64), dtype=bool)
+        m[pixel] = True
+        comps = M.connected_components(m)
+        assert len(comps) == 1 and np.array_equal(comps[0], m)
+
+    def test_size_ties_follow_first_pixel(self):
+        # The lower-left blob starts at (2, 0), before the one at (2, 3) in
+        # raster order but after the two-pixel one at (0, 4).
+        m = mask_from([
+            "....##",
+            "......",
+            "##.##.",
+            "##.##.",
+        ])
+        comps = M.connected_components(m)
+        assert [int(c.sum()) for c in comps] == [4, 4, 2]
+        assert comps[0][2, 0] and comps[1][2, 3] and comps[2][0, 4]
+        _assert_components_match_bfs(m)
 
 
 class TestConnectedComponents:

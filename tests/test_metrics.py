@@ -3,6 +3,7 @@ and a frozen bootstrap run."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from segprompt.errors import ContractError
 from segprompt.metrics import (
@@ -253,7 +254,7 @@ class TestBootstrap:
     def test_generic_statistic(self):
         items = np.arange(10, dtype=float).reshape(10, 1)
         center, low, high = bootstrap_ci_fn(
-            items, lambda rows: float(rows.mean()), BootstrapSpec(samples=200), seed=0)
+            items, lambda rows: rows.mean(axis=(1, 2)), BootstrapSpec(samples=200), seed=0)
         assert center == pytest.approx(4.5)
         assert low <= center <= high
 
@@ -262,6 +263,122 @@ class TestBootstrap:
             BootstrapSpec(samples=0)
         with pytest.raises(ContractError):
             bootstrap_ci([], BootstrapSpec())
+
+
+def _bootstrap_loop(items, statistic_fn, spec, seed):
+    """The per-resample loop bootstrap_ci_fn replaced, with a statistic of one
+    resample: the oracle for its (center, low, high)."""
+    n = len(items)
+    rng = np.random.default_rng(seed)
+    stats = np.empty(spec.samples)
+    for k in range(spec.samples):
+        idx = rng.integers(0, n, size=n)
+        stats[k] = statistic_fn(items[idx])
+    center = statistic_fn(items)
+    tail = (100.0 - spec.interval) / 2.0
+    low, high = np.percentile(stats, [tail, 100.0 - tail])
+    return float(center), float(low), float(high)
+
+
+def _f1_loop(tp, fp, fn):
+    denom = 2 * tp + fp + fn
+    return 2.0 * tp / denom if denom else 0.0
+
+
+def _macro_micro_f1_loop(p, g):
+    """Per-finding Python-int F1 of one (n, findings) table, as before
+    macro_micro_f1 took a batch axis."""
+    tp = (p & g).sum(axis=0)
+    fp = (p & ~g).sum(axis=0)
+    fn = (~p & g).sum(axis=0)
+    macro = float(np.mean([_f1_loop(*counts) for counts in zip(tp, fp, fn)]))
+    micro = _f1_loop(int(tp.sum()), int(fp.sum()), int(fn.sum()))
+    return macro, micro
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@st.composite
+def score_lists(draw):
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "levels", "equal"]))
+    if kind == "uniform":
+        return rng.random(n) * 100.0
+    if kind == "levels":  # many ties, as BLEU and F1 scores have
+        return rng.integers(0, 4, size=n) / 3.0
+    return np.full(n, draw(st.sampled_from([0.0, 0.42, 37.5])))
+
+
+@st.composite
+def label_tables(draw):
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["random", "zeros", "ones", "pred_zeros", "gt_ones"]))
+    pred = rng.random((n, 5)) < draw(st.sampled_from([0.1, 0.5, 0.9]))
+    gt = rng.random((n, 5)) < 0.4
+    if kind == "zeros":
+        pred[:] = gt[:] = False
+    elif kind == "ones":
+        pred[:] = gt[:] = True
+    elif kind == "pred_zeros":
+        pred[:] = False
+    elif kind == "gt_ones":
+        gt[:] = True
+    return np.stack([pred, gt], axis=1)
+
+
+bootstrap_specs = st.builds(BootstrapSpec, samples=st.sampled_from([1, 2, 37, 500]),
+                            statistic=st.sampled_from(["median", "mean"]),
+                            interval=st.sampled_from([95.0, 50.0]))
+
+
+class TestBootstrapOracle:
+    """The one-matrix bootstrap gives the per-resample loop's bits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(score_lists(), bootstrap_specs, st.integers(0, 2 ** 32 - 1))
+    def test_scores_match_loop(self, scores, spec, seed):
+        stat = {"median": np.median, "mean": np.mean}[spec.statistic]
+        want = _bootstrap_loop(scores, lambda r: float(stat(r)), spec, seed)
+        assert _bits(bootstrap_ci(scores.tolist(), spec, seed=seed)) == _bits(want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(label_tables(), bootstrap_specs, st.integers(0, 2 ** 32 - 1), st.sampled_from([0, 1]))
+    def test_f1_tables_match_loop(self, pairs, spec, seed, which):
+        got = bootstrap_ci_fn(
+            pairs, lambda rows: macro_micro_f1(rows[..., 0, :], rows[..., 1, :])[which],
+            spec, seed=seed)
+        want = _bootstrap_loop(
+            pairs, lambda rows: _macro_micro_f1_loop(rows[:, 0], rows[:, 1])[which], spec, seed)
+        assert _bits(got) == _bits(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(label_tables(), st.integers(1, 40))
+    def test_batched_f1_matches_each_table(self, pairs, batch):
+        stack = np.stack([np.roll(pairs, k, axis=0) for k in range(batch)])
+        macro, micro = macro_micro_f1(stack[:, :, 0], stack[:, :, 1])
+        assert macro.shape == micro.shape == (batch,)
+        for k in range(batch):
+            want = _macro_micro_f1_loop(stack[k, :, 0], stack[k, :, 1])
+            assert _bits((macro[k], micro[k])) == _bits(want)
+            got = macro_micro_f1(stack[k, :, 0], stack[k, :, 1])
+            assert type(got[0]) is float and _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("n", [1, 5, 7, 40, 300])
+    def test_index_matrix_draws_the_loop_indexes(self, n):
+        rng = np.random.default_rng(11)
+        matrix = rng.integers(0, n, size=(500, n))
+        rng = np.random.default_rng(11)
+        rows = np.stack([rng.integers(0, n, size=n) for _ in range(500)])
+        assert np.array_equal(matrix, rows)
+
+    def test_statistic_must_keep_resample_axis(self):
+        with pytest.raises(ContractError, match="one value per resample"):
+            bootstrap_ci_fn(np.arange(4.0), lambda rows: float(rows.mean()),
+                            BootstrapSpec(samples=10))
 
 
 def test_conventions_surface_choices():

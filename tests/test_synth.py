@@ -2,10 +2,14 @@
 and manifest round trips."""
 
 import hashlib
+import json
+import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from segprompt.errors import ContractError
 from segprompt.masks import StructureId, read_image
 from segprompt.metrics import MR_FINDINGS
 from segprompt.mllm import Tokenizer
@@ -179,6 +183,31 @@ class TestManifest:
                     assert (tmp_path / rel).exists()
         img = read_image(tmp_path / records[0].views["current_frontal"]["image"])
         assert img.shape == (32, 32)
+
+    @pytest.mark.parametrize("edit,names", [
+        (lambda m: m["studies"][1].pop("split"), ["studies[1]", "missing", "'split'"]),
+        (lambda m: [m["studies"][2].pop(k) for k in ("views", "context")],
+         ["studies[2]", "missing", "'views'", "'context'"]),
+        (lambda m: m["studies"][0].update(splt="train"), ["studies[0]", "unknown", "'splt'"]),
+        (lambda m: m["studies"].__setitem__(3, ["study_00003"]), ["studies[3]", "list"]),
+        (lambda m: m.pop("studies"), ["'studies'", "list"]),
+        (lambda m: m.update(studies={"study_00000": {}}), ["'studies'", "list"]),
+    ])
+    def test_malformed_manifest_names_file_and_entry(self, tmp_path, edit, names):
+        generate_dataset(SynthSpec(seed=11, n_studies=4, image_size=32), tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ContractError, match=re.escape(str(path))) as info:
+            load_manifest(tmp_path)
+        for name in names:
+            assert name in str(info.value)
+
+    def test_manifest_not_json(self, tmp_path):
+        (tmp_path / "manifest.json").write_text('{"studies": [')
+        with pytest.raises(ContractError, match="manifest.json: not valid JSON"):
+            load_manifest(tmp_path)
 
     def test_threaded_generation_identical(self, tmp_path, monkeypatch):
         spec = SynthSpec(seed=13, n_studies=6, image_size=32)
