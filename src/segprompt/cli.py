@@ -77,7 +77,7 @@ def _load_model(ckpt_dir: str | Path) -> tuple[ReportModel, TrainConfig]:
         lambda d: (TrainConfig.from_dict(d["train"]), ModelConfig.from_dict(d["model"]),
                    d["vocab"]))
     with precision(tc.precision):
-        model = ReportModel(model_cfg, vocab)
+        model = ReportModel(model_cfg, vocab, init=False)
         load_into(ckpt_dir / "model.ckpt", model.named_params())
     return model, tc
 
@@ -238,18 +238,23 @@ def cmd_eval(args) -> int:
     if not pairs:
         log(f"no studies in split {args.split!r}")
         return 1
+    tok = model.tokenizer
     bleu_scores, rouge_scores = [], []
     pred_labels, gt_labels = [], []
+    studies = []
     with precision(tc.precision):
-        for record, study in pairs:
-            ids = model.generate_report(study, tc.strategy, tc.single_view,
-                                        max_new=args.max_new)
-            hyp = model.tokenizer.decode(ids)
-            ref = model.tokenizer.decode(model.tokenizer.encode(record.target_findings))
+        reports = model.generate_reports([study for _, study in pairs], tc.strategy,
+                                         tc.single_view, max_new=args.max_new)
+        for (record, _), ids in zip(pairs, reports):
+            hyp = tok.decode(ids)
+            ref_ids = tok.encode(record.target_findings)
+            ref = tok.decode(ref_ids)
             bleu_scores.append(metrics.bleu(hyp, ref, n=4))
             rouge_scores.append(metrics.rouge_l(hyp, ref))
             pred_labels.append(findings_to_labels(" ".join(hyp)))
             gt_labels.append(findings_to_labels(record.target_findings))
+            studies.append({"id": record.study_id, "hypothesis": tok.detokenize(ids),
+                            "reference": tok.detokenize(ref_ids)})
     spec = metrics.BootstrapSpec()
     label_pairs = np.stack([np.stack(pred_labels), np.stack(gt_labels)], axis=1)
 
@@ -263,6 +268,7 @@ def cmd_eval(args) -> int:
         "strategy": tc.strategy.value,
         "metrics": {},
         "conventions": metrics.metric_conventions(),
+        "studies": studies,
     }
     for name, values in (("bleu4", bleu_scores), ("rouge_l", rouge_scores)):
         center, low, high = metrics.bootstrap_ci(values, spec, seed=args.seed)

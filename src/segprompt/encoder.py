@@ -69,9 +69,10 @@ class EncoderOutput:
 
 
 class VitEncoder:
-    def __init__(self, cfg: VitConfig, seed: int = 0):
+    def __init__(self, cfg: VitConfig, seed: int | None = 0):
+        """``seed=None`` draws nothing: zero weights for a checkpoint to fill."""
         self.cfg = cfg
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         in_dim = cfg.patch_size ** 2
         self.patch_embed = LinearLayer(in_dim, cfg.dim, rng)
         self.pos_embed = Tensor(init_uniform(rng, (cfg.n_patches, cfg.dim), cfg.dim),

@@ -43,9 +43,10 @@ class SegTokenPair:
 class SegTokenExtractor:
     """Trainable weights: one linear per tap, a fusion MLP, a spatial linear."""
 
-    def __init__(self, cfg: ExtractorConfig, seed: int = 0, identity: bool = False):
+    def __init__(self, cfg: ExtractorConfig, seed: int | None = 0, identity: bool = False):
+        """``seed=None`` draws nothing: zero weights for a checkpoint to fill."""
         self.cfg = cfg
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         if identity:
             self.tap_linears = {k: LinearLayer.identity(cfg.dim) for k in cfg.tap_layers}
             self.fusion = MlpBlock.identity(cfg.dim, cfg.mlp_depth)

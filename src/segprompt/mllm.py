@@ -102,9 +102,10 @@ class LmConfig:
 
 
 class DecoderLm:
-    def __init__(self, cfg: LmConfig, seed: int = 0):
+    def __init__(self, cfg: LmConfig, seed: int | None = 0):
+        """``seed=None`` draws nothing: zero weights for a checkpoint to fill."""
         self.cfg = cfg
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         self.tok_emb = Tensor(init_uniform(rng, (cfg.vocab_size, cfg.dim), cfg.dim),
                               requires_grad=True)
         self.pos_emb = Tensor(init_uniform(rng, (cfg.max_seq_len, cfg.dim), cfg.dim),
@@ -117,20 +118,29 @@ class DecoderLm:
     def embed(self, ids: Sequence[int]) -> Tensor:
         return self.tok_emb[np.asarray(ids, dtype=np.intp)]
 
-    def forward(self, embeddings: Tensor, cache: list[KvCache] | None = None) -> Tensor:
+    def forward(self, embeddings: Tensor, cache: list[KvCache] | None = None,
+                rows: int | Sequence[int] = 0) -> Tensor:
         """Embeddings (L, dim) -> logits (L, vocab) under causal masking.
 
-        With ``cache`` (one ``KvCache`` per block) the rows continue the
-        cached sequence: they take the next positions and see every cached row.
+        With ``cache`` (one ``KvCache`` per block) the rows continue cached
+        sequences and see every cached row. (L, dim) embeddings continue
+        sequence ``rows`` at its next L positions; (B, 1, dim) embeddings add
+        one row to each of the B sequences ``rows``, each at its own next
+        position, and give (B, 1, vocab) logits.
         """
-        start = len(cache[0]) if cache else 0
-        n = start + embeddings.shape[0]
+        if embeddings.ndim == 2:
+            start = int(cache[0].lens[rows]) if cache else 0
+            n = start + embeddings.shape[0]
+            pos = slice(start, n)
+        else:
+            pos = cache[0].lens[rows][:, None]
+            n = int(pos.max()) + 1
         if n > self.cfg.max_seq_len:
             raise ContractError(
                 f"sequence length {n} exceeds max_seq_len {self.cfg.max_seq_len}")
-        x = embeddings + self.pos_emb[start:n]
+        x = embeddings + self.pos_emb[pos]
         for i, block in enumerate(self.blocks):
-            x = block(x, None if cache is None else cache[i])
+            x = block(x, None if cache is None else cache[i], rows)
         return self.head(self.ln_f(x))
 
     def named_params(self, prefix: str = "lm") -> dict[str, Tensor]:
@@ -142,7 +152,7 @@ class DecoderLm:
         return out
 
 
-def make_adapter(enc_dim: int, lm_dim: int, rng: np.random.Generator) -> MlpBlock:
+def make_adapter(enc_dim: int, lm_dim: int, rng: np.random.Generator | None) -> MlpBlock:
     """The 4-linear-layer MLP adapter from encoder width to LM width."""
     return MlpBlock([enc_dim, lm_dim, lm_dim, lm_dim, lm_dim], activation="gelu", rng=rng)
 
@@ -183,26 +193,67 @@ def forward_loss(lm: DecoderLm, prompt_embeddings: Tensor, target_ids: Sequence[
     return cross_entropy(logits[p_len - 1:p_len - 1 + t_len], targets)
 
 
-def generate(lm: DecoderLm, prompt_embeddings: Tensor, max_new: int,
-             eos_id: int = Tokenizer.EOS) -> list[int]:
+# Sequences one ``generate`` call decodes in lockstep. A prompt waits for a
+# free row; a row frees when its sequence ends (EOS or its cap).
+DECODE_ROWS = 16
+
+
+def generate(lm: DecoderLm, prompts: Tensor | Sequence[Tensor], max_new: int,
+             eos_id: int = Tokenizer.EOS) -> list[int] | list[list[int]]:
     """Greedy decoding until EOS, max_new tokens or a full max_seq_len;
-    deterministic. The prompt is prefilled once, then each step feeds only
-    the newest token against the per-block key/value cache."""
-    p_len = prompt_embeddings.shape[0]
-    if p_len > lm.cfg.max_seq_len:
-        raise ContractError(
-            f"prompt ({p_len}) exceeds max_seq_len {lm.cfg.max_seq_len}")
-    out: list[int] = []
-    cache = [KvCache() for _ in lm.blocks]
-    inputs = prompt_embeddings
+    deterministic. One (L, dim) prompt gives its token ids; a sequence of
+    prompts gives one id list per prompt, each bit-identical to decoding
+    that prompt alone.
+
+    Each prompt is prefilled on its own into a row of the per-block
+    key/value buffers. Then every live row steps together: one (B, 1, dim)
+    input through the row-wise layers, attention per row over its own cache
+    (see ``AttentionBlock``). A single live row steps as a (1, dim) input,
+    with no gather. Rows leave when they end and waiting prompts take them
+    (iteration-level scheduling).
+    """
+    single = isinstance(prompts, Tensor)
+    batch = [prompts] if single else list(prompts)
+    cap = []
+    for prompt in batch:
+        p_len = prompt.shape[0]
+        if p_len > lm.cfg.max_seq_len:
+            raise ContractError(
+                f"prompt ({p_len}) exceeds max_seq_len {lm.cfg.max_seq_len}")
+        cap.append(min(max_new, lm.cfg.max_seq_len - p_len))
+    out: list[list[int]] = [[] for _ in batch]
+    n_rows = min(len(batch), DECODE_ROWS)
+    cache = [KvCache(n_rows, lm.cfg.max_seq_len, lm.cfg.dim) for _ in lm.blocks]
+    free = list(range(n_rows - 1, -1, -1))
+    waiting = [i for i in range(len(batch) - 1, -1, -1) if cap[i] > 0]
+    live: list[tuple[int, int]] = []  # (buffer row, prompt index)
+
+    def advance(seqs: list[tuple[int, int]], logits: np.ndarray) -> None:
+        """Append each sequence's argmax; keep it live until EOS or its cap."""
+        for (row, i), next_id in zip(seqs, np.argmax(logits, axis=-1).tolist()):
+            if next_id != eos_id:
+                out[i].append(next_id)
+                if len(out[i]) < cap[i]:
+                    live.append((row, i))
+                    continue
+            free.append(row)
+
     with no_grad():
-        for _ in range(min(max_new, lm.cfg.max_seq_len - p_len)):
-            next_id = int(np.argmax(lm.forward(inputs, cache).data[-1]))
-            if next_id == eos_id:
-                break
-            out.append(next_id)
-            inputs = lm.embed([next_id])
-    return out
+        while waiting or live:
+            while waiting and free:
+                row, i = free.pop(), waiting.pop()
+                for c in cache:
+                    c.lens[row] = 0
+                advance([(row, i)], lm.forward(batch[i], cache, row).data[-1:])
+            seqs, live = live, []
+            if len(seqs) == 1:
+                row, i = seqs[0]
+                advance(seqs, lm.forward(lm.embed(out[i][-1:]), cache, row).data)
+            elif seqs:
+                ids = lm.embed([out[i][-1] for _, i in seqs])
+                x = Tensor(ids.data[:, None, :])
+                advance(seqs, lm.forward(x, cache, [row for row, _ in seqs]).data[:, 0])
+    return out[0] if single else out
 
 
 # -- the assembled model --------------------------------------------------------
@@ -237,23 +288,28 @@ class ModelConfig:
 class ReportModel:
     """Encoder + segmentation tokens extractor + adapter + decoder LM."""
 
-    def __init__(self, cfg: ModelConfig, vocab_words: Iterable[str]):
+    def __init__(self, cfg: ModelConfig, vocab_words: Iterable[str], init: bool = True):
+        """``init=False`` draws no random init (zero weights): for a model that
+        a checkpoint fills, which ``load_into`` checks name by name."""
         if cfg.extractor.tap_layers != cfg.encoder.tap_layers:
             raise ContractError("extractor taps must match encoder taps")
         if cfg.extractor.dim != cfg.encoder.dim:
             raise ContractError("extractor width must match encoder feature width")
         self.cfg = cfg
         self.tokenizer = Tokenizer(vocab_words)
-        self.encoder = VitEncoder(cfg.encoder, seed=cfg.seed)
-        self.extractor = SegTokenExtractor(cfg.extractor, seed=cfg.seed + 1)
-        rng = np.random.default_rng(cfg.seed + 2)
+        def seed(offset: int) -> int | None:
+            return cfg.seed + offset if init else None
+
+        self.encoder = VitEncoder(cfg.encoder, seed=seed(0))
+        self.extractor = SegTokenExtractor(cfg.extractor, seed=seed(1))
+        rng = np.random.default_rng(seed(2)) if init else None
         self.adapter = make_adapter(cfg.encoder.dim, cfg.lm_dim, rng)
         self.bridge: LinearLayer | None = None
         if cfg.extractor.dim != cfg.lm_dim:
             self.bridge = LinearLayer(cfg.extractor.dim, cfg.lm_dim, rng)
         self.lm = DecoderLm(LmConfig(vocab_size=len(self.tokenizer), dim=cfg.lm_dim,
                                      depth=cfg.lm_depth, heads=cfg.lm_heads,
-                                     max_seq_len=cfg.max_seq_len), seed=cfg.seed + 3)
+                                     max_seq_len=cfg.max_seq_len), seed=seed(3))
 
     def component_params(self) -> dict[str, dict[str, Tensor]]:
         """Named parameters per component, in checkpoint order; ``bridge``
@@ -334,6 +390,13 @@ class ReportModel:
         with no_grad():
             emb = self.realize(study, strategy, single_view)
         return generate(self.lm, emb, max_new)
+
+    def generate_reports(self, studies: Sequence[StudyInput], strategy: Strategy,
+                         single_view: bool = False, max_new: int = 48) -> list[list[int]]:
+        """``generate_report`` for each study, decoded in lockstep: the same ids."""
+        with no_grad():
+            prompts = [self.realize(study, strategy, single_view) for study in studies]
+        return generate(self.lm, prompts, max_new)
 
 
 # -- training --------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -18,8 +19,12 @@ ACTIVATIONS = {
 }
 
 
-def init_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    """Scaled uniform init, +-1/sqrt(fan_in)."""
+def init_uniform(rng: np.random.Generator | None, shape: tuple[int, ...],
+                 fan_in: int) -> np.ndarray:
+    """Scaled uniform init, +-1/sqrt(fan_in). Without ``rng`` nothing is drawn:
+    zeros of the default dtype, for a model whose weights a checkpoint fills."""
+    if rng is None:
+        return np.zeros(shape, dtype=T.default_dtype())
     bound = 1.0 / math.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
@@ -30,14 +35,8 @@ class LinearLayer:
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None = None):
         self.in_dim = in_dim
         self.out_dim = out_dim
-        if rng is None:
-            w = np.zeros((out_dim, in_dim))
-            b = np.zeros(out_dim)
-        else:
-            w = init_uniform(rng, (out_dim, in_dim), in_dim)
-            b = init_uniform(rng, (out_dim,), in_dim)
-        self.weight = Tensor(w, requires_grad=True)
-        self.bias = Tensor(b, requires_grad=True)
+        self.weight = Tensor(init_uniform(rng, (out_dim, in_dim), in_dim), requires_grad=True)
+        self.bias = Tensor(init_uniform(rng, (out_dim,), in_dim), requires_grad=True)
 
     @classmethod
     def identity(cls, dim: int) -> "LinearLayer":
@@ -102,27 +101,38 @@ class LayerNorm:
 
 
 class KvCache:
-    """One attention block's keys and values so far, each (rows, heads*head_dim)."""
+    """One attention block's keys and values for up to ``rows`` sequences.
 
-    def __init__(self):
-        self.k: Tensor | None = None
-        self.v: Tensor | None = None
+    K and V each live in one preallocated ``(rows, max_len, width)`` buffer;
+    every sequence has its own length. ``extend`` copies only the new rows
+    into place and returns ``[:n]`` views, so a report copies each row once.
+    Inference only: the stored values carry no graph.
+    """
 
-    def __len__(self) -> int:
-        return 0 if self.k is None else self.k.shape[0]
+    def __init__(self, rows: int, max_len: int, width: int):
+        dtype = T.default_dtype()
+        self.k = np.empty((rows, max_len, width), dtype=dtype)
+        self.v = np.empty((rows, max_len, width), dtype=dtype)
+        self.lens = np.zeros(rows, dtype=np.intp)
 
-    def extend(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-        """Append the new rows' keys and values; return all of them."""
-        if self.k is not None:
-            k, v = T.concat([self.k, k]), T.concat([self.v, v])
-        self.k, self.v = k, v
-        return k, v
+    def extend(self, row: int, k: np.ndarray, v: np.ndarray) -> tuple[Tensor, Tensor]:
+        """Append ``row``'s new keys and values (n, width); return all of its rows."""
+        start = int(self.lens[row])
+        end = start + k.shape[0]
+        if end > self.k.shape[1]:
+            raise ContractError(
+                f"KV cache row {row}: {end} rows exceed max_seq_len {self.k.shape[1]}")
+        self.k[row, start:end] = k
+        self.v[row, start:end] = v
+        self.lens[row] = end
+        return Tensor(self.k[row, :end]), Tensor(self.v[row, :end])
 
 
 class AttentionBlock:
     """Multi-head self-attention over a (seq, dim) input, optionally causal."""
 
-    def __init__(self, dim: int, heads: int, rng: np.random.Generator, causal: bool = False):
+    def __init__(self, dim: int, heads: int, rng: np.random.Generator | None,
+                 causal: bool = False):
         if dim % heads != 0:
             raise ContractError(f"heads ({heads}) must divide dim ({dim})")
         self.heads = heads
@@ -132,13 +142,25 @@ class AttentionBlock:
         self.wv = LinearLayer(dim, dim, rng)
         self.proj = LinearLayer(dim, dim, rng)
 
-    def __call__(self, x: Tensor, cache: KvCache | None = None) -> Tensor:
-        """With ``cache`` the rows of ``x`` follow the cached ones: their keys
-        and values are appended, and they attend over every cached row too."""
-        k, v = self.wk(x), self.wv(x)
-        if cache is not None:
-            k, v = cache.extend(k, v)
-        return self.proj(T.attention(self.wq(x), k, v, self.causal, self.heads))
+    def __call__(self, x: Tensor, cache: KvCache | None = None,
+                 rows: int | Sequence[int] = 0) -> Tensor:
+        """With ``cache`` the rows of ``x`` continue cached sequences: their
+        keys and values are appended, and they attend over every cached row
+        too. A (n, dim) ``x`` continues sequence ``rows``; a (B, 1, dim) ``x``
+        adds one row to each of the B sequences ``rows``. Only the row-wise
+        projections see the whole batch: each sequence attends on its own
+        over its own cache, with no padding or key mask, so its bits do not
+        depend on the batch it runs in."""
+        q, k, v = self.wq(x), self.wk(x), self.wv(x)
+        if cache is not None and x.ndim == 2:
+            k, v = cache.extend(rows, k.data, v.data)
+        elif cache is not None:
+            out = np.empty_like(q.data)
+            for b, row in enumerate(rows):
+                kb, vb = cache.extend(row, k.data[b], v.data[b])
+                out[b] = T.attention(q.data[b], kb, vb, self.causal, self.heads).data
+            return self.proj(Tensor(out))
+        return self.proj(T.attention(q, k, v, self.causal, self.heads))
 
     def named_params(self, prefix: str) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -152,15 +174,16 @@ class AttentionBlock:
 class TransformerBlock:
     """Pre-norm block: x + attn(ln(x)), then x + mlp(ln(x))."""
 
-    def __init__(self, dim: int, heads: int, rng: np.random.Generator,
+    def __init__(self, dim: int, heads: int, rng: np.random.Generator | None,
                  causal: bool = False, mlp_ratio: int = 4):
         self.ln1 = LayerNorm(dim)
         self.attn = AttentionBlock(dim, heads, rng, causal=causal)
         self.ln2 = LayerNorm(dim)
         self.mlp = MlpBlock([dim, mlp_ratio * dim, dim], activation="gelu", rng=rng)
 
-    def __call__(self, x: Tensor, cache: KvCache | None = None) -> Tensor:
-        x = x + self.attn(self.ln1(x), cache)
+    def __call__(self, x: Tensor, cache: KvCache | None = None,
+                 rows: int | Sequence[int] = 0) -> Tensor:
+        x = x + self.attn(self.ln1(x), cache, rows)
         return x + self.mlp(self.ln2(x))
 
     def named_params(self, prefix: str) -> dict[str, Tensor]:

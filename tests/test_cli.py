@@ -313,6 +313,31 @@ class TestTrainGenerateEval:
         assert report["conventions"]["bleu"]["smoothing"] == "none"
 
 
+    def test_eval_report_lists_each_study_as_generate_decodes_it(
+            self, dataset, checkpoint, tmp_path, capsys):
+        """The split decodes in lockstep; each study's hypothesis is what the
+        one-study ``generate`` command prints for it."""
+        report_path = tmp_path / "report.json"
+        assert run_command(["eval", "--data", str(dataset), "--ckpt", str(checkpoint),
+                            "--report", str(report_path), "--split", "train",
+                            "--max-new", "8"]) == 0
+        report = json.loads(report_path.read_text())
+        _, records = load_manifest(dataset)
+        train = [r for r in records if r.split == "train"]
+        assert report["n"] == len(train) > 1
+        assert [s["id"] for s in report["studies"]] == [r.study_id for r in train]
+        assert set(report["metrics"]) == {"bleu4", "rouge_l", "macro_f1_mr", "micro_f1_mr"}
+        tok = cli._load_model(checkpoint)[0].tokenizer
+        capsys.readouterr()
+        for record, entry in zip(train, report["studies"]):
+            assert set(entry) == {"id", "hypothesis", "reference"}
+            assert entry["reference"] == tok.detokenize(tok.encode(record.target_findings))
+            assert run_command(["generate", "--data", str(dataset), "--ckpt",
+                                str(checkpoint), "--study", record.study_id,
+                                "--max-new", "8"]) == 0
+            assert capsys.readouterr().out == entry["hypothesis"] + "\n"
+
+
 PIN_SPEC = dict(SYNTH_SPEC, seed=3, n_studies=6)
 PIN_CONFIG = {"train": dict(TINY_CONFIG["train"], base_lr=0.0, max_steps=1),
               "model": TINY_CONFIG["model"]}

@@ -1,5 +1,6 @@
 """Tokenizer, adapter, LM loss/generation, and the training loop contracts."""
 
+import hashlib
 import json
 import math
 
@@ -10,6 +11,7 @@ from segprompt.errors import ContractError
 from segprompt.encoder import FeatureGrid, VitConfig
 from segprompt.extractor import ExtractorConfig
 from segprompt.masks import positive_structures
+from segprompt import mllm
 from segprompt.mllm import (
     DecoderLm,
     LmConfig,
@@ -25,14 +27,18 @@ from segprompt.mllm import (
 )
 from segprompt.nn import (
     AdamW,
+    KvCache,
     LrSchedule,
     MlpBlock,
     Tensor,
     concat,
     finite_diff_grad,
     grad_rel_error,
+    load_into,
     lr_at,
     no_grad,
+    precision,
+    save_checkpoint,
 )
 from segprompt.prompting import ImageSlot, SegSlot, Strategy, TextSpan
 from segprompt.prompting import ANNOTATION_ROLES
@@ -324,6 +330,273 @@ class TestCachedDecoding:
             del model.lm.forward
             assert_same_decode(got, rows, ref, ref_rows)
             assert len(got) > 0
+
+
+class TestKvCache:
+    def test_writes_in_place_copying_only_new_rows(self):
+        cache = KvCache(rows=3, max_len=10, width=4)
+        k_buf, v_buf = cache.k, cache.v
+        cache.k[:] = np.nan
+        cache.v[:] = np.nan
+        rng = np.random.default_rng(0)
+        views = []
+        for n_new in (4, 1, 1, 2):
+            start = int(cache.lens[1])
+            k, v = rng.standard_normal((2, n_new, 4))
+            before_k, before_v = cache.k.copy(), cache.v.copy()
+            kv, vv = cache.extend(1, k, v)
+            assert cache.k is k_buf and cache.v is v_buf
+            assert np.shares_memory(kv.data, k_buf) and np.shares_memory(vv.data, v_buf)
+            assert kv.shape == vv.shape == (start + n_new, 4)
+            np.testing.assert_array_equal(kv.data[start:], k)
+            np.testing.assert_array_equal(vv.data[start:], v)
+            changed = np.ones(k_buf.shape, dtype=bool)
+            changed[1, start:start + n_new] = False
+            np.testing.assert_array_equal(k_buf[changed], before_k[changed])
+            np.testing.assert_array_equal(v_buf[changed], before_v[changed])
+            views.append(kv)
+        # earlier views see the same rows the later steps left alone
+        np.testing.assert_array_equal(views[0].data, views[-1].data[:4])
+
+    def test_per_row_lengths_are_independent(self):
+        cache = KvCache(rows=3, max_len=8, width=2)
+        k0, v0 = cache.extend(0, np.ones((3, 2)), np.ones((3, 2)))
+        k2, v2 = cache.extend(2, np.full((5, 2), 2.0), np.full((5, 2), 3.0))
+        k0b, _ = cache.extend(0, np.zeros((1, 2)), np.zeros((1, 2)))
+        assert cache.lens.tolist() == [4, 0, 5]
+        assert k0b.shape == (4, 2) and k2.shape == v2.shape == (5, 2)
+        np.testing.assert_array_equal(k0b.data[:3], 1.0)
+        np.testing.assert_array_equal(k2.data, 2.0)
+        np.testing.assert_array_equal(v2.data, 3.0)
+
+    def test_write_past_max_seq_len_names_both_lengths(self):
+        cache = KvCache(rows=2, max_len=6, width=2)
+        cache.extend(1, np.zeros((5, 2)), np.zeros((5, 2)))
+        with pytest.raises(ContractError, match=r"row 1: 7 rows exceed max_seq_len 6"):
+            cache.extend(1, np.zeros((2, 2)), np.zeros((2, 2)))
+        assert cache.lens.tolist() == [0, 5]
+
+    def test_buffer_takes_the_default_dtype(self):
+        with precision("float32"):
+            assert KvCache(1, 4, 2).k.dtype == np.float32
+        assert KvCache(1, 4, 2).v.dtype == np.float64
+
+    def test_batched_step_past_max_seq_len_rejected(self):
+        lm = DecoderLm(LmConfig(vocab_size=9, dim=8, depth=1, heads=2, max_seq_len=6))
+        cache = [KvCache(2, 6, 8)]
+        with no_grad():
+            lm.forward(Tensor(np.zeros((6, 8))), cache, 0)
+            lm.forward(Tensor(np.zeros((2, 8))), cache, 1)
+            with pytest.raises(ContractError, match="7 exceeds max_seq_len 6"):
+                lm.forward(Tensor(np.zeros((2, 1, 8))), cache, [0, 1])
+
+
+def lockstep_recorder(lm, prompts, max_new):
+    """Shadow lm.forward for a ``generate(lm, prompts, ...)`` call: keep each
+    prompt's last-row logits per step, and the ndim of every input. A buffer
+    row belongs to the prompt whose prefill last started in it; prompts with
+    room to decode are admitted in order."""
+    rows = [[] for _ in prompts]
+    ndims = []
+    admitted = iter([i for i, p in enumerate(prompts)
+                     if max_new > 0 and p.shape[0] < lm.cfg.max_seq_len])
+    owner = {}
+    forward = lm.forward
+
+    def recorded(embeddings, cache=None, buffer_rows=0):
+        ndims.append(embeddings.ndim)
+        if embeddings.ndim == 2 and cache[0].lens[buffer_rows] == 0:
+            owner[buffer_rows] = next(admitted)
+        logits = forward(embeddings, cache, buffer_rows)
+        if embeddings.ndim == 2:
+            rows[owner[buffer_rows]].append(logits.data[-1].copy())
+        else:
+            for b, row in enumerate(buffer_rows):
+                rows[owner[row]].append(logits.data[b, -1].copy())
+        return logits
+
+    lm.forward = recorded
+    return rows, ndims
+
+
+def decode_alone(lm, prompts, max_new):
+    """The per-study reference: each prompt decoded by its own call."""
+    out, out_rows = [], []
+    for prompt in prompts:
+        rows = recording_forward(lm)
+        out.append(generate(lm, prompt, max_new))
+        out_rows.append(rows)
+        del lm.forward
+    return out, out_rows
+
+
+def assert_bit_identical(got, got_rows, ref, ref_rows):
+    assert got == ref
+    for g, r in zip(got_rows, ref_rows):
+        assert len(g) == len(r)
+        for a, b in zip(g, r):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+class TestLockstepDecoding:
+    """Lockstep decoding of several prompts against decoding each alone:
+    tokens and every step's logits bit for bit, in float32 and float64."""
+
+    @staticmethod
+    def lm_and_prompts(seed, batch, max_seq_len=40):
+        rng = np.random.default_rng(200 + seed)
+        lm = DecoderLm(LmConfig(vocab_size=17, dim=8, depth=2, heads=2,
+                                max_seq_len=max_seq_len), seed=seed)
+        prompts = [Tensor(rng.standard_normal((int(rng.integers(3, 25)), 8)))
+                   for _ in range(batch)]
+        return lm, prompts
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("batch", [1, 2, 5])
+    def test_random_lms_unequal_prompts(self, dtype, batch):
+        decoded = 0
+        with precision(dtype):
+            for seed in range(6):
+                lm, prompts = self.lm_and_prompts(seed, batch)
+                assert batch == 1 or len({p.shape[0] for p in prompts}) > 1
+                ref, ref_rows = decode_alone(lm, prompts, 16)
+                rows, ndims = lockstep_recorder(lm, prompts, 16)
+                got = generate(lm, prompts, 16)
+                assert_bit_identical(got, rows, ref, ref_rows)
+                if batch == 1:
+                    assert set(ndims) == {2}  # one row steps with no gather
+                decoded += sum(map(len, ref))
+        assert decoded >= 40 * batch
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_one_row_hits_max_seq_len(self, dtype):
+        with precision(dtype):
+            lm, _ = self.lm_and_prompts(1, 0, max_seq_len=24)
+            lm.head.bias.data[Tokenizer.EOS] = -1e3
+            rng = np.random.default_rng(5)
+            prompts = [Tensor(rng.standard_normal((n, 8))) for n in (20, 6, 11, 24, 9)]
+            ref, ref_rows = decode_alone(lm, prompts, 12)
+            rows, _ = lockstep_recorder(lm, prompts, 12)
+            got = generate(lm, prompts, 12)
+            assert_bit_identical(got, rows, ref, ref_rows)
+            assert len(got[0]) == 24 - 20  # capped by max_seq_len, not by max_new
+            assert got[3] == [] and rows[3] == []  # a full prompt leaves no room
+            assert [len(got[i]) for i in (1, 2, 4)] == [12, 12, 12]
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_one_row_stops_at_eos_early(self, dtype):
+        """The first seed where one row emits EOS while another runs to the
+        cap: the batch shrinks mid-report and the rest stay bit-identical."""
+        with precision(dtype):
+            for seed in range(20):
+                lm, prompts = self.lm_and_prompts(seed, 5)
+                ref, ref_rows = decode_alone(lm, prompts, 16)
+                lens = [len(ids) for ids in ref]
+                if min(lens) < 16 and max(lens) == 16:
+                    break
+            else:
+                pytest.fail("no seed gave both an early EOS and a full report")
+            rows, ndims = lockstep_recorder(lm, prompts, 16)
+            got = generate(lm, prompts, 16)
+            assert_bit_identical(got, rows, ref, ref_rows)
+            early = lens.index(min(lens))
+            assert len(rows[early]) == lens[early] + 1  # the step that emitted EOS
+            assert 3 in ndims
+
+    def test_rows_are_reused_past_decode_rows(self, monkeypatch):
+        monkeypatch.setattr(mllm, "DECODE_ROWS", 2)
+        lm, prompts = self.lm_and_prompts(4, 5)
+        ref, ref_rows = decode_alone(lm, prompts, 10)
+        rows, ndims = lockstep_recorder(lm, prompts, 10)
+        got = generate(lm, prompts, 10)
+        assert_bit_identical(got, rows, ref, ref_rows)
+        assert 3 in ndims
+
+    def test_empty_batch_and_zero_budget(self):
+        lm, prompts = self.lm_and_prompts(0, 3)
+        assert generate(lm, [], 8) == []
+        assert generate(lm, prompts, 0) == [[], [], []]
+
+    def test_any_prompt_over_max_seq_len_rejected(self):
+        lm, prompts = self.lm_and_prompts(0, 2, max_seq_len=24)
+        with pytest.raises(ContractError, match="30.*24"):
+            generate(lm, prompts + [Tensor(np.zeros((30, 8)))], 4)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_report_model_multi_view(self, dtype, strategy):
+        with precision(dtype):
+            model = ReportModel(tiny_model_config(), vocabulary())
+            studies = tiny_studies(3, seed=11, lateral_prob=0.5, prior_prob=0.5)
+            assert len({len(s.views()) for s in studies}) > 1
+            with no_grad():
+                prompts = [model.realize(s, strategy) for s in studies]
+            ref, ref_rows = [], []
+            for study in studies:
+                rows = recording_forward(model.lm)
+                ref.append(model.generate_report(study, strategy, max_new=24))
+                ref_rows.append(rows)
+                del model.lm.forward
+            rows, _ = lockstep_recorder(model.lm, prompts, 24)
+            got = model.generate_reports(studies, strategy, max_new=24)
+            assert_bit_identical(got, rows, ref, ref_rows)
+            assert all(len(ids) > 0 for ids in got)
+
+
+def param_digest(model) -> str:
+    h = hashlib.sha256()
+    for name, p in model.named_params().items():
+        h.update(name.encode())
+        h.update(p.data.tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestLoadOnceConstruction:
+    # sha256 of the seeded init's names and bytes, recorded before the
+    # no-draw path existed: seeded construction draws in the same order.
+    @pytest.mark.parametrize("dtype,lm_dim,digest", [
+        ("float64", 12, "949caf7aed4cf765"), ("float64", 16, "1eaf969c1d6b3614"),
+        ("float32", 12, "81beedb7676efbd0"), ("float32", 16, "9d536775a49bff07")])
+    def test_seeded_init_unchanged(self, dtype, lm_dim, digest):
+        with precision(dtype):
+            assert param_digest(ReportModel(tiny_model_config(lm_dim=lm_dim),
+                                            vocabulary())) == digest
+
+    @pytest.mark.parametrize("lm_dim", [12, 16])
+    def test_no_init_allocates_the_same_params_undrawn(self, lm_dim):
+        seeded = ReportModel(tiny_model_config(lm_dim=lm_dim), vocabulary()).named_params()
+        with precision("float32"):
+            blank = ReportModel(tiny_model_config(lm_dim=lm_dim), vocabulary(),
+                                init=False).named_params()
+        assert list(blank) == list(seeded)
+        for name, p in blank.items():
+            assert p.data.shape == seeded[name].shape and p.data.dtype == np.float32
+            want = 1.0 if name.endswith(".gamma") else 0.0
+            assert np.all(p.data == want), name
+
+    def test_checkpoint_fills_a_no_init_model(self, tmp_path):
+        """Loading into a no-init model gives what loading into a seeded
+        one gave: the same parameters and the same reports."""
+        save_checkpoint(tmp_path / "model.ckpt",
+                        ReportModel(tiny_model_config(seed=4), vocabulary()).named_params())
+        seeded = ReportModel(tiny_model_config(), vocabulary())
+        blank = ReportModel(tiny_model_config(), vocabulary(), init=False)
+        for model in (seeded, blank):
+            load_into(tmp_path / "model.ckpt", model.named_params())
+        for name, p in blank.named_params().items():
+            np.testing.assert_array_equal(p.data, seeded.named_params()[name].data)
+        study = tiny_studies(1)[0]
+        assert (blank.generate_report(study, Strategy.SS, max_new=8)
+                == seeded.generate_report(study, Strategy.SS, max_new=8))
+
+    def test_checkpoint_missing_an_entry_rejected(self, tmp_path):
+        params = ReportModel(tiny_model_config(), vocabulary()).named_params()
+        dropped = "lm.block0.attn.wv.bias"
+        del params[dropped]
+        save_checkpoint(tmp_path / "model.ckpt", params)
+        blank = ReportModel(tiny_model_config(), vocabulary(), init=False)
+        with pytest.raises(ContractError, match=f"missing.*{dropped}"):
+            load_into(tmp_path / "model.ckpt", blank.named_params())
 
 
 class TestReportModel:
