@@ -226,8 +226,8 @@ def cmd_generate(args) -> int:
     record = _find_record(args.data, args.study)
     study = load_study(record, args.data)
     with precision(tc.precision):
-        ids = model.generate_report(study, tc.strategy, tc.single_view,
-                                    max_new=args.max_new)
+        [ids] = model.generate_reports([study], tc.strategy, tc.single_view,
+                                       max_new=args.max_new)
     print(model.tokenizer.detokenize(ids))
     return 0
 

@@ -3,9 +3,9 @@ loop, and greedy generation. ``train`` freezes by one rule: a component in
 ``TrainConfig.frozen`` gets ``requires_grad=False``, so its outputs are
 constants that backward skips, and AdamW receives only the other components.
 
-Greedy decoding is KV-cached and graph-free: under ``no_grad`` the prompt is
-prefilled once, then each step feeds only the newest token's embedding and
-attends over the cached keys and values.
+Greedy decoding is KV-cached and graph-free: under ``no_grad`` each prompt
+is prefilled once, then each step feeds only the newest token's embedding of
+every live sequence and attends over that sequence's cached keys and values.
 """
 
 from __future__ import annotations
@@ -119,22 +119,25 @@ class DecoderLm:
         return self.tok_emb[np.asarray(ids, dtype=np.intp)]
 
     def forward(self, embeddings: Tensor, cache: list[KvCache] | None = None,
-                rows: int | Sequence[int] = 0) -> Tensor:
+                rows: Sequence[int] = ()) -> Tensor:
         """Embeddings (L, dim) -> logits (L, vocab) under causal masking.
 
-        With ``cache`` (one ``KvCache`` per block) the rows continue cached
-        sequences and see every cached row. (L, dim) embeddings continue
-        sequence ``rows`` at its next L positions; (B, 1, dim) embeddings add
-        one row to each of the B sequences ``rows``, each at its own next
-        position, and give (B, 1, vocab) logits.
+        With ``cache`` (one ``KvCache`` per block) the input is (B, n, dim):
+        n new rows for each of the B cached sequences ``rows``, each at its
+        own next n positions and seeing every cached row of its sequence.
+        The logits are (B, n, vocab).
         """
-        if embeddings.ndim == 2:
-            start = int(cache[0].lens[rows]) if cache else 0
-            n = start + embeddings.shape[0]
-            pos = slice(start, n)
+        if cache is None:
+            n = embeddings.shape[0]
+            pos = slice(0, n)
         else:
-            pos = cache[0].lens[rows][:, None]
-            n = int(pos.max()) + 1
+            if embeddings.ndim != 3 or len(rows) != embeddings.shape[0]:
+                raise ContractError(
+                    f"a cached forward takes (B, n, dim) embeddings and B buffer rows; "
+                    f"got shape {embeddings.shape} and rows {list(rows)}")
+            start = cache[0].lens[rows]
+            n = max(start.tolist()) + embeddings.shape[1]
+            pos = start[:, None] + np.arange(embeddings.shape[1])
         if n > self.cfg.max_seq_len:
             raise ContractError(
                 f"sequence length {n} exceeds max_seq_len {self.cfg.max_seq_len}")
@@ -198,38 +201,36 @@ def forward_loss(lm: DecoderLm, prompt_embeddings: Tensor, target_ids: Sequence[
 DECODE_ROWS = 16
 
 
-def generate(lm: DecoderLm, prompts: Tensor | Sequence[Tensor], max_new: int,
-             eos_id: int = Tokenizer.EOS) -> list[int] | list[list[int]]:
-    """Greedy decoding until EOS, max_new tokens or a full max_seq_len;
-    deterministic. One (L, dim) prompt gives its token ids; a sequence of
-    prompts gives one id list per prompt, each bit-identical to decoding
-    that prompt alone.
+def generate(lm: DecoderLm, prompts: Sequence[Tensor], max_new: int,
+             eos_id: int = Tokenizer.EOS) -> list[list[int]]:
+    """Greedy decoding of each (L, dim) prompt until EOS, max_new tokens or a
+    full max_seq_len; deterministic. One id list per prompt, each
+    bit-identical to decoding that prompt alone.
 
-    Each prompt is prefilled on its own into a row of the per-block
-    key/value buffers. Then every live row steps together: one (B, 1, dim)
-    input through the row-wise layers, attention per row over its own cache
-    (see ``AttentionBlock``). A single live row steps as a (1, dim) input,
-    with no gather. Rows leave when they end and waiting prompts take them
-    (iteration-level scheduling).
+    Each prompt is prefilled on its own, as a (1, L, dim) input, into a row
+    of the per-block key/value buffers. Then every live row steps together
+    as one (B, 1, dim) input: the row-wise layers see the batch, attention
+    runs per row over its own cache (see ``AttentionBlock``). Rows leave when
+    they end and waiting prompts take them (iteration-level scheduling).
     """
-    single = isinstance(prompts, Tensor)
-    batch = [prompts] if single else list(prompts)
     cap = []
-    for prompt in batch:
+    for prompt in prompts:
         p_len = prompt.shape[0]
         if p_len > lm.cfg.max_seq_len:
             raise ContractError(
                 f"prompt ({p_len}) exceeds max_seq_len {lm.cfg.max_seq_len}")
         cap.append(min(max_new, lm.cfg.max_seq_len - p_len))
-    out: list[list[int]] = [[] for _ in batch]
-    n_rows = min(len(batch), DECODE_ROWS)
+    out: list[list[int]] = [[] for _ in prompts]
+    n_rows = min(len(prompts), DECODE_ROWS)
     cache = [KvCache(n_rows, lm.cfg.max_seq_len, lm.cfg.dim) for _ in lm.blocks]
     free = list(range(n_rows - 1, -1, -1))
-    waiting = [i for i in range(len(batch) - 1, -1, -1) if cap[i] > 0]
+    waiting = [i for i in range(len(prompts) - 1, -1, -1) if cap[i] > 0]
     live: list[tuple[int, int]] = []  # (buffer row, prompt index)
 
-    def advance(seqs: list[tuple[int, int]], logits: np.ndarray) -> None:
-        """Append each sequence's argmax; keep it live until EOS or its cap."""
+    def advance(seqs: list[tuple[int, int]], x: Tensor) -> None:
+        """Run ``x`` (B, n, dim) on the sequences ``seqs``; append each one's
+        argmax at its last row and keep it live until EOS or its cap."""
+        logits = lm.forward(x, cache, [row for row, _ in seqs]).data[:, -1]
         for (row, i), next_id in zip(seqs, np.argmax(logits, axis=-1).tolist()):
             if next_id != eos_id:
                 out[i].append(next_id)
@@ -244,16 +245,11 @@ def generate(lm: DecoderLm, prompts: Tensor | Sequence[Tensor], max_new: int,
                 row, i = free.pop(), waiting.pop()
                 for c in cache:
                     c.lens[row] = 0
-                advance([(row, i)], lm.forward(batch[i], cache, row).data[-1:])
+                advance([(row, i)], prompts[i][None])
             seqs, live = live, []
-            if len(seqs) == 1:
-                row, i = seqs[0]
-                advance(seqs, lm.forward(lm.embed(out[i][-1:]), cache, row).data)
-            elif seqs:
-                ids = lm.embed([out[i][-1] for _, i in seqs])
-                x = Tensor(ids.data[:, None, :])
-                advance(seqs, lm.forward(x, cache, [row for row, _ in seqs]).data[:, 0])
-    return out[0] if single else out
+            if seqs:
+                advance(seqs, lm.embed([out[i][-1:] for _, i in seqs]))
+    return out
 
 
 # -- the assembled model --------------------------------------------------------
@@ -385,15 +381,10 @@ class ReportModel:
         targets = self.target_ids(study) + [Tokenizer.EOS]
         return forward_loss(self.lm, emb, targets)
 
-    def generate_report(self, study: StudyInput, strategy: Strategy,
-                        single_view: bool = False, max_new: int = 48) -> list[int]:
-        with no_grad():
-            emb = self.realize(study, strategy, single_view)
-        return generate(self.lm, emb, max_new)
-
     def generate_reports(self, studies: Sequence[StudyInput], strategy: Strategy,
                          single_view: bool = False, max_new: int = 48) -> list[list[int]]:
-        """``generate_report`` for each study, decoded in lockstep: the same ids."""
+        """Greedy report ids for each study, decoded in lockstep; a study's ids
+        do not depend on the others decoded with it."""
         with no_grad():
             prompts = [self.realize(study, strategy, single_view) for study in studies]
         return generate(self.lm, prompts, max_new)

@@ -143,24 +143,21 @@ class AttentionBlock:
         self.proj = LinearLayer(dim, dim, rng)
 
     def __call__(self, x: Tensor, cache: KvCache | None = None,
-                 rows: int | Sequence[int] = 0) -> Tensor:
-        """With ``cache`` the rows of ``x`` continue cached sequences: their
-        keys and values are appended, and they attend over every cached row
-        too. A (n, dim) ``x`` continues sequence ``rows``; a (B, 1, dim) ``x``
-        adds one row to each of the B sequences ``rows``. Only the row-wise
-        projections see the whole batch: each sequence attends on its own
-        over its own cache, with no padding or key mask, so its bits do not
-        depend on the batch it runs in."""
+                 rows: Sequence[int] = ()) -> Tensor:
+        """With ``cache`` a (B, n, dim) ``x`` adds n rows to each of the B
+        cached sequences ``rows``: their keys and values are appended, and
+        they attend over every cached row of their sequence too. Only the
+        row-wise projections see the whole batch: each sequence attends on
+        its own over its own cache, with no padding or key mask, so its bits
+        do not depend on the batch it runs in."""
         q, k, v = self.wq(x), self.wk(x), self.wv(x)
-        if cache is not None and x.ndim == 2:
-            k, v = cache.extend(rows, k.data, v.data)
-        elif cache is not None:
-            out = np.empty_like(q.data)
-            for b, row in enumerate(rows):
-                kb, vb = cache.extend(row, k.data[b], v.data[b])
-                out[b] = T.attention(q.data[b], kb, vb, self.causal, self.heads).data
-            return self.proj(Tensor(out))
-        return self.proj(T.attention(q, k, v, self.causal, self.heads))
+        if cache is None:
+            return self.proj(T.attention(q, k, v, self.causal, self.heads))
+        out = np.empty_like(q.data)
+        for b, row in enumerate(rows):
+            kb, vb = cache.extend(row, k.data[b], v.data[b])
+            out[b] = T.attention(q.data[b], kb, vb, self.causal, self.heads).data
+        return self.proj(Tensor(out))
 
     def named_params(self, prefix: str) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -182,7 +179,7 @@ class TransformerBlock:
         self.mlp = MlpBlock([dim, mlp_ratio * dim, dim], activation="gelu", rng=rng)
 
     def __call__(self, x: Tensor, cache: KvCache | None = None,
-                 rows: int | Sequence[int] = 0) -> Tensor:
+                 rows: Sequence[int] = ()) -> Tensor:
         x = x + self.attn(self.ln1(x), cache, rows)
         return x + self.mlp(self.ln2(x))
 

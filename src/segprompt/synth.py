@@ -11,8 +11,6 @@ its finding sentence depend on the mask alone.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -387,28 +385,18 @@ class StudyRecord:
     target_findings: str
 
 
-def _worker_count() -> int:
-    return max(1, int(os.environ.get("SEGPROMPT_THREADS", "1")))
-
-
 def generate_dataset(spec: SynthSpec, out_dir: str | Path) -> list[StudyRecord]:
     """Write images/masks as PGM plus manifest.json; byte-identical reruns."""
     root = Path(out_dir)
     (root / "images").mkdir(parents=True, exist_ok=True)
     (root / "masks").mkdir(parents=True, exist_ok=True)
 
-    def build(index: int) -> StudyRecord:
+    records = []
+    for index in range(spec.n_studies):
         study = make_study(spec, index)
         sid = study.study_id
         views: dict[str, dict] = {}
-        view_data = [(View.CURRENT_FRONTAL, study.frontal_image, study.frontal_masks)]
-        if study.lateral_image is not None:
-            view_data.append((View.CURRENT_LATERAL, study.lateral_image,
-                              study.lateral_masks or {}))
-        if study.prior_image is not None:
-            view_data.append((View.PRIOR_FRONTAL, study.prior_image,
-                              study.prior_masks or {}))
-        for view, image, masks in view_data:
+        for view, image, masks in study.views():
             img_rel = f"images/{sid}_{view.value}.pgm"
             write_image(root / img_rel, image)
             mask_rels = {}
@@ -417,19 +405,11 @@ def generate_dataset(spec: SynthSpec, out_dir: str | Path) -> list[StudyRecord]:
                 write_mask(root / rel, m)
                 mask_rels[structure.value] = rel
             views[view.value] = {"image": img_rel, "masks": mask_rels}
-        return StudyRecord(
+        records.append(StudyRecord(
             study_id=sid, split=split_of(index), views=views,
             context={"indication": study.indication, "technique": study.technique,
                      "comparison": study.comparison, "prior_report": study.prior_report},
-            target_findings=study.target_findings)
-
-    workers = _worker_count()
-    indices = range(spec.n_studies)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(build, indices))
-    else:
-        records = [build(i) for i in indices]
+            target_findings=study.target_findings))
 
     manifest = {"spec": asdict(spec), "studies": [asdict(r) for r in records]}
     with open(root / "manifest.json", "w", encoding="utf-8") as fh:

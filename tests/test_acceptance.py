@@ -252,11 +252,10 @@ def mechanism_runs():
                                  strategy=strategy, single_view=True)
                 train(model, train_set, tc)
                 results["checksums"].append((before, param_checksum(enc_params)))
-                preds = []
-                for s in test_set:
-                    ids = model.generate_report(s, strategy, single_view=True,
-                                                max_new=40)
-                    preds.append(findings_to_labels(model.tokenizer.detokenize(ids)))
+                reports = model.generate_reports(test_set, strategy, single_view=True,
+                                                 max_new=40)
+                preds = [findings_to_labels(model.tokenizer.detokenize(ids))
+                         for ids in reports]
             micros.append(macro_micro_f1(preds, gt)[1])
         results["micro"][strategy.value] = micros
     results["elapsed"] = time.monotonic() - start
@@ -294,11 +293,10 @@ def test_criterion_5_memorization():
             result = train(model, studies, tc)
             assert tc.max_steps <= 2000
             assert result.final_loss < 0.05, result.final_loss
-            exact = 0
-            for s in studies:
-                ids = model.generate_report(s, Strategy.SS, single_view=True,
-                                            max_new=60)
-                exact += ids == model.tokenizer.encode(s.target_findings)
+            reports = model.generate_reports(studies, Strategy.SS, single_view=True,
+                                             max_new=60)
+            exact = sum(ids == model.tokenizer.encode(s.target_findings)
+                        for s, ids in zip(studies, reports))
         assert exact >= 6, f"only {exact}/8 reproduced exactly"
 
 

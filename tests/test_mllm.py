@@ -222,13 +222,13 @@ class TestGenerate:
     def test_max_new_zero(self):
         lm = DecoderLm(LmConfig(vocab_size=9, dim=8, depth=1, heads=2, max_seq_len=16))
         prompt = Tensor(np.zeros((3, 8)))
-        assert generate(lm, prompt, max_new=0) == []
+        assert generate(lm, [prompt], max_new=0) == [[]]
 
     def test_deterministic(self):
         lm = DecoderLm(LmConfig(vocab_size=9, dim=8, depth=1, heads=2, max_seq_len=32),
                        seed=1)
         prompt = Tensor(np.random.default_rng(7).standard_normal((4, 8)))
-        assert generate(lm, prompt, max_new=6) == generate(lm, prompt, max_new=6)
+        assert generate(lm, [prompt], max_new=6) == generate(lm, [prompt], max_new=6)
 
     def test_stops_at_eos(self):
         lm = DecoderLm(LmConfig(vocab_size=9, dim=8, depth=1, heads=2, max_seq_len=32))
@@ -236,18 +236,18 @@ class TestGenerate:
         lm.head.bias.data[:] = 0.0
         lm.head.bias.data[Tokenizer.EOS] = 10.0
         prompt = Tensor(np.random.default_rng(8).standard_normal((4, 8)))
-        assert generate(lm, prompt, max_new=5) == []
+        assert generate(lm, [prompt], max_new=5) == [[]]
 
     def test_prompt_over_max_seq_len_rejected(self):
         lm = DecoderLm(LmConfig(vocab_size=9, dim=8, depth=1, heads=2, max_seq_len=8))
         prompt = Tensor(np.zeros((9, 8)))
         with pytest.raises(ContractError, match="9.*8"):
-            generate(lm, prompt, max_new=4)
+            generate(lm, [prompt], max_new=4)
 
     def test_prompt_at_max_seq_len_leaves_no_room(self):
         lm = DecoderLm(LmConfig(vocab_size=9, dim=8, depth=1, heads=2, max_seq_len=8))
         prompt = Tensor(np.random.default_rng(9).standard_normal((8, 8)))
-        assert generate(lm, prompt, max_new=4) == []
+        assert generate(lm, [prompt], max_new=4) == [[]]
 
 
 def full_recompute_generate(lm, prompt, max_new, eos_id=Tokenizer.EOS):
@@ -267,18 +267,30 @@ def full_recompute_generate(lm, prompt, max_new, eos_id=Tokenizer.EOS):
     return out, rows
 
 
-def recording_forward(lm):
-    """Shadow lm.forward with a wrapper that keeps every call's last-row logits."""
-    rows = []
+def lockstep_recorder(lm, prompts, max_new):
+    """Shadow lm.forward for a ``generate(lm, prompts, ...)`` call: keep each
+    prompt's last-row logits per step, and the ndim of every input. A buffer
+    row belongs to the prompt whose prefill last started in it; prompts with
+    room to decode are admitted in order. Delete ``lm.forward`` to undo."""
+    rows = [[] for _ in prompts]
+    ndims = []
+    admitted = iter([i for i, p in enumerate(prompts)
+                     if max_new > 0 and p.shape[0] < lm.cfg.max_seq_len])
+    owner = {}
     forward = lm.forward
 
-    def recorded(*args, **kwargs):
-        logits = forward(*args, **kwargs)
-        rows.append(logits.data[-1].copy())
+    def recorded(embeddings, cache, buffer_rows):
+        ndims.append(embeddings.ndim)
+        for row in buffer_rows:
+            if cache[0].lens[row] == 0:
+                owner[row] = next(admitted)
+        logits = forward(embeddings, cache, buffer_rows)
+        for b, row in enumerate(buffer_rows):
+            rows[owner[row]].append(logits.data[b, -1].copy())
         return logits
 
     lm.forward = recorded
-    return rows
+    return rows, ndims
 
 
 def assert_same_decode(got, got_rows, ref, ref_rows):
@@ -298,8 +310,9 @@ class TestCachedDecoding:
                                     max_seq_len=48), seed=seed)
             prompt = Tensor(rng.standard_normal((int(rng.integers(7, 12)), 8)))
             ref, ref_rows = full_recompute_generate(lm, prompt, 16)
-            rows = recording_forward(lm)
-            assert_same_decode(generate(lm, prompt, 16), rows, ref, ref_rows)
+            (rows,), _ = lockstep_recorder(lm, [prompt], 16)
+            [got] = generate(lm, [prompt], 16)
+            assert_same_decode(got, rows, ref, ref_rows)
             decoded += len(ref)
         assert decoded >= 100  # most reports run long, not stop at EOS at once
 
@@ -309,8 +322,8 @@ class TestCachedDecoding:
         lm.head.bias.data[Tokenizer.EOS] = -1e3
         prompt = Tensor(np.random.default_rng(4).standard_normal((9, 8)))
         ref, ref_rows = full_recompute_generate(lm, prompt, 20)
-        rows = recording_forward(lm)
-        got = generate(lm, prompt, 20)
+        (rows,), _ = lockstep_recorder(lm, [prompt], 20)
+        [got] = generate(lm, [prompt], 20)
         assert len(ref) == 16 - 9
         assert_same_decode(got, rows, ref, ref_rows)
 
@@ -325,8 +338,8 @@ class TestCachedDecoding:
             assert len(study.views()) == 3
             emb = model.realize(study, strategy)
             ref, ref_rows = full_recompute_generate(model.lm, emb, 24)
-            rows = recording_forward(model.lm)
-            got = model.generate_report(study, strategy, max_new=24)
+            (rows,), _ = lockstep_recorder(model.lm, [emb], 24)
+            [got] = model.generate_reports([study], strategy, max_new=24)
             del model.lm.forward
             assert_same_decode(got, rows, ref, ref_rows)
             assert len(got) > 0
@@ -385,47 +398,28 @@ class TestKvCache:
         lm = DecoderLm(LmConfig(vocab_size=9, dim=8, depth=1, heads=2, max_seq_len=6))
         cache = [KvCache(2, 6, 8)]
         with no_grad():
-            lm.forward(Tensor(np.zeros((6, 8))), cache, 0)
-            lm.forward(Tensor(np.zeros((2, 8))), cache, 1)
+            lm.forward(Tensor(np.zeros((1, 6, 8))), cache, [0])
+            lm.forward(Tensor(np.zeros((1, 2, 8))), cache, [1])
             with pytest.raises(ContractError, match="7 exceeds max_seq_len 6"):
                 lm.forward(Tensor(np.zeros((2, 1, 8))), cache, [0, 1])
 
-
-def lockstep_recorder(lm, prompts, max_new):
-    """Shadow lm.forward for a ``generate(lm, prompts, ...)`` call: keep each
-    prompt's last-row logits per step, and the ndim of every input. A buffer
-    row belongs to the prompt whose prefill last started in it; prompts with
-    room to decode are admitted in order."""
-    rows = [[] for _ in prompts]
-    ndims = []
-    admitted = iter([i for i, p in enumerate(prompts)
-                     if max_new > 0 and p.shape[0] < lm.cfg.max_seq_len])
-    owner = {}
-    forward = lm.forward
-
-    def recorded(embeddings, cache=None, buffer_rows=0):
-        ndims.append(embeddings.ndim)
-        if embeddings.ndim == 2 and cache[0].lens[buffer_rows] == 0:
-            owner[buffer_rows] = next(admitted)
-        logits = forward(embeddings, cache, buffer_rows)
-        if embeddings.ndim == 2:
-            rows[owner[buffer_rows]].append(logits.data[-1].copy())
-        else:
-            for b, row in enumerate(buffer_rows):
-                rows[owner[row]].append(logits.data[b, -1].copy())
-        return logits
-
-    lm.forward = recorded
-    return rows, ndims
+    @pytest.mark.parametrize("shape,rows", [((6, 8), [0]), ((6, 8), ()), ((1, 6, 8), ()),
+                                            ((2, 1, 8), [0]), ((1, 1, 8), [0, 1])])
+    def test_cached_forward_needs_one_row_per_sequence(self, shape, rows):
+        lm = DecoderLm(LmConfig(vocab_size=9, dim=8, depth=1, heads=2, max_seq_len=6))
+        cache = [KvCache(2, 6, 8)]
+        with no_grad(), pytest.raises(ContractError, match=r"\(B, n, dim\).*B buffer rows"):
+            lm.forward(Tensor(np.zeros(shape)), cache, rows)
+        assert cache[0].lens.tolist() == [0, 0]
 
 
 def decode_alone(lm, prompts, max_new):
     """The per-study reference: each prompt decoded by its own call."""
     out, out_rows = [], []
     for prompt in prompts:
-        rows = recording_forward(lm)
-        out.append(generate(lm, prompt, max_new))
-        out_rows.append(rows)
+        rows, _ = lockstep_recorder(lm, [prompt], max_new)
+        out += generate(lm, [prompt], max_new)
+        out_rows += rows
         del lm.forward
     return out, out_rows
 
@@ -463,8 +457,7 @@ class TestLockstepDecoding:
                 rows, ndims = lockstep_recorder(lm, prompts, 16)
                 got = generate(lm, prompts, 16)
                 assert_bit_identical(got, rows, ref, ref_rows)
-                if batch == 1:
-                    assert set(ndims) == {2}  # one row steps with no gather
+                assert set(ndims) == {3}  # every cached forward is (B, n, dim)
                 decoded += sum(map(len, ref))
         assert decoded >= 40 * batch
 
@@ -532,15 +525,67 @@ class TestLockstepDecoding:
             with no_grad():
                 prompts = [model.realize(s, strategy) for s in studies]
             ref, ref_rows = [], []
-            for study in studies:
-                rows = recording_forward(model.lm)
-                ref.append(model.generate_report(study, strategy, max_new=24))
-                ref_rows.append(rows)
+            for study, prompt in zip(studies, prompts):
+                rows, _ = lockstep_recorder(model.lm, [prompt], 24)
+                ref += model.generate_reports([study], strategy, max_new=24)
+                ref_rows += rows
                 del model.lm.forward
             rows, _ = lockstep_recorder(model.lm, prompts, 24)
             got = model.generate_reports(studies, strategy, max_new=24)
             assert_bit_identical(got, rows, ref, ref_rows)
             assert all(len(ids) > 0 for ids in got)
+
+
+def decode_digests(ids, rows) -> tuple[str, str]:
+    """sha256 of every sequence's ids, and of its per-step last-row logits."""
+    h_ids, h_rows = hashlib.sha256(), hashlib.sha256()
+    for seq, steps in zip(ids, rows):
+        h_ids.update(np.asarray(seq, dtype=np.int64).tobytes() + b"|")
+        for row in steps:
+            h_rows.update(row.tobytes())
+        h_rows.update(b"|")
+    return h_ids.hexdigest()[:16], h_rows.hexdigest()[:16]
+
+
+class TestDecodeDigests:
+    """sha256 of decoded ids and of every step's logits, recorded while cached
+    decoding still had a 2-D single-row path: the one (B, n, dim) path gives
+    the same bits. Logit bits depend on the BLAS kernels (recorded with numpy
+    2.4 and OpenBLAS 0.3.31 on x86-64); the full-recompute oracle above checks
+    only to 1e-10."""
+
+    @pytest.mark.parametrize("dtype,batch,digests", [
+        ("float32", 1, ("e8e8d4ae52c35af0", "3aef19b503731eca")),
+        ("float32", 5, ("636e0c4c3fc02498", "57b83670a3d21671")),
+        ("float64", 1, ("e8e8d4ae52c35af0", "b11df67a3950ab42")),
+        ("float64", 5, ("636e0c4c3fc02498", "81785522d77e928e"))])
+    def test_seeded_lms(self, dtype, batch, digests):
+        ids, rows = [], []
+        with precision(dtype):
+            for seed in range(4):
+                rng = np.random.default_rng(300 + seed)
+                lm = DecoderLm(LmConfig(vocab_size=17, dim=8, depth=2, heads=2,
+                                        max_seq_len=40), seed=seed)
+                prompts = [Tensor(rng.standard_normal((int(rng.integers(3, 25)), 8)))
+                           for _ in range(batch)]
+                rows += lockstep_recorder(lm, prompts, 16)[0]
+                ids += generate(lm, prompts, 16)
+        assert decode_digests(ids, rows) == digests
+
+    @pytest.mark.parametrize("dtype,strategy,digests", [
+        ("float32", Strategy.NS, ("6b13593d1c781eeb", "904338899c62ee4b")),
+        ("float32", Strategy.SS, ("7c3c0008d7c94659", "6599c7383152fb8a")),
+        ("float64", Strategy.NS, ("6b13593d1c781eeb", "691e769c15be2e8c")),
+        ("float64", Strategy.SS, ("7c3c0008d7c94659", "60082ade2faca6a9"))])
+    def test_report_model(self, dtype, strategy, digests):
+        with precision(dtype):
+            model = ReportModel(tiny_model_config(), vocabulary())
+            studies = tiny_studies(3, seed=11, lateral_prob=0.5, prior_prob=0.5)
+            with no_grad():
+                prompts = [model.realize(s, strategy) for s in studies]
+            rows, _ = lockstep_recorder(model.lm, prompts, 24)
+            ids = model.generate_reports(studies, strategy, max_new=24)
+        assert decode_digests(ids, rows) == digests
 
 
 def param_digest(model) -> str:
@@ -586,8 +631,8 @@ class TestLoadOnceConstruction:
         for name, p in blank.named_params().items():
             np.testing.assert_array_equal(p.data, seeded.named_params()[name].data)
         study = tiny_studies(1)[0]
-        assert (blank.generate_report(study, Strategy.SS, max_new=8)
-                == seeded.generate_report(study, Strategy.SS, max_new=8))
+        assert (blank.generate_reports([study], Strategy.SS, max_new=8)
+                == seeded.generate_reports([study], Strategy.SS, max_new=8))
 
     def test_checkpoint_missing_an_entry_rejected(self, tmp_path):
         params = ReportModel(tiny_model_config(), vocabulary()).named_params()

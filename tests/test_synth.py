@@ -209,13 +209,6 @@ class TestManifest:
         with pytest.raises(ContractError, match="manifest.json: not valid JSON"):
             load_manifest(tmp_path)
 
-    def test_threaded_generation_identical(self, tmp_path, monkeypatch):
-        spec = SynthSpec(seed=13, n_studies=6, image_size=32)
-        generate_dataset(spec, tmp_path / "serial")
-        monkeypatch.setenv("SEGPROMPT_THREADS", "3")
-        generate_dataset(spec, tmp_path / "threaded")
-        assert tree_digest(tmp_path / "serial") == tree_digest(tmp_path / "threaded")
-
     def test_mask_noise_flag(self):
         probs = {s.value: 0.0 for s in StructureId}
         probs[StructureId.HEART.value] = 1.0

@@ -467,7 +467,7 @@ class TestNoGrad:
         study = make_study(SynthSpec(seed=5, n_studies=1, image_size=32,
                                      heart_area_threshold=50), 0)
         used, fresh = ReportModel(cfg, vocabulary()), ReportModel(cfg, vocabulary())
-        assert used.generate_report(study, Strategy.SS, max_new=8)
+        assert used.generate_reports([study], Strategy.SS, max_new=8)[0]
         assert all(p.grad is None for p in used.named_params().values())
         losses = []
         for model in (used, fresh):
