@@ -38,15 +38,33 @@ def log(message: str) -> None:
 
 def _read_config(path: str | Path | None, parse):
     """``parse`` the JSON object in ``path`` (``{}`` without a path); a
-    ContractError it raises names the file."""
+    ContractError it raises names the file, and so does a TypeError, which
+    a value of the wrong type gives deeper down."""
     data = {}
     if path:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     try:
         return parse(data)
-    except ContractError as exc:
+    except (ContractError, TypeError) as exc:
         raise ContractError(f"{path}: {exc}") from exc
+
+
+_JSON_TYPES = {dict: "object", list: "list"}
+
+
+def _json_field(d, key: str, kind: type, required: bool = True):
+    """``d[key]`` checked to be a ``kind``; an absent optional key is empty."""
+    if not isinstance(d, dict):
+        raise ContractError(f"expected a JSON object, got a {type(d).__name__}")
+    if key not in d:
+        if required:
+            raise ContractError(f"missing key {key!r}")
+        return kind()
+    if not isinstance(d[key], kind):
+        raise ContractError(f"key {key!r} must be a JSON {_JSON_TYPES[kind]}, "
+                            f"got a {type(d[key]).__name__}")
+    return d[key]
 
 
 def _load_synth_spec(path: str | None, seed: int | None, count: int | None) -> SynthSpec:
@@ -59,23 +77,30 @@ def _load_synth_spec(path: str | None, seed: int | None, count: int | None) -> S
 
 
 def _parse_train_config(d: dict) -> tuple[TrainConfig, ModelConfig]:
+    train, model = (_json_field(d, key, dict, required=False) for key in ("train", "model"))
     unknown = sorted(set(d) - {"train", "model"})
     if unknown:
         raise ContractError(f"unknown top-level key(s): {', '.join(map(repr, unknown))}; "
                             "expected 'train' and 'model'")
-    return TrainConfig.from_dict(d.get("train", {})), ModelConfig.from_dict(d.get("model", {}))
+    return TrainConfig.from_dict(train), ModelConfig.from_dict(model)
 
 
 def _load_train_config(path: str | None) -> tuple[TrainConfig, ModelConfig]:
     return _read_config(path, _parse_train_config)
 
 
+def _parse_echo(d: dict) -> tuple[TrainConfig, ModelConfig, list[str]]:
+    """The ``train_config.json`` that ``train`` writes: both configs and the vocabulary."""
+    train, model, vocab = (_json_field(d, key, kind) for key, kind in
+                           (("train", dict), ("model", dict), ("vocab", list)))
+    if not all(isinstance(word, str) for word in vocab):
+        raise ContractError("key 'vocab' must be a list of strings")
+    return TrainConfig.from_dict(train), ModelConfig.from_dict(model), vocab
+
+
 def _load_model(ckpt_dir: str | Path) -> tuple[ReportModel, TrainConfig]:
     ckpt_dir = Path(ckpt_dir)
-    tc, model_cfg, vocab = _read_config(
-        ckpt_dir / "train_config.json",
-        lambda d: (TrainConfig.from_dict(d["train"]), ModelConfig.from_dict(d["model"]),
-                   d["vocab"]))
+    tc, model_cfg, vocab = _read_config(ckpt_dir / "train_config.json", _parse_echo)
     with precision(tc.precision):
         model = ReportModel(model_cfg, vocab, init=False)
         load_into(ckpt_dir / "model.ckpt", model.named_params())
@@ -178,7 +203,7 @@ def cmd_extract_tokens(args) -> int:
         cfg = ModelConfig(encoder=VitConfig(image_size=size), seed=args.seed)
         model = ReportModel(cfg, vocabulary())
     with no_grad():
-        enc = model.encode_views(study, single_view=args.single_view)
+        [enc] = model.encode_views([study], single_view=args.single_view)
         pairs = model.seg_pairs(study, enc, Strategy.SS, single_view=args.single_view)
     payload = {
         view.value: [

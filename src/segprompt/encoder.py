@@ -8,6 +8,7 @@ stream after each block (1-based), recorded in the config as ``tap_point``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -87,26 +88,38 @@ class VitEncoder:
             out.update(block.named_params(f"{prefix}.block{i}"))
         return out
 
-    def _patchify(self, image: np.ndarray) -> np.ndarray:
-        s, p = self.cfg.image_size, self.cfg.patch_size
-        g = self.cfg.grid_side
-        return image.reshape(g, p, g, p).transpose(0, 2, 1, 3).reshape(g * g, p * p)
+    def _patchify(self, images: np.ndarray) -> np.ndarray:
+        """(n, size, size) -> (n, patches, patch*patch), patches row-major."""
+        p, g = self.cfg.patch_size, self.cfg.grid_side
+        return images.reshape(-1, g, p, g, p).transpose(0, 1, 3, 2, 4).reshape(-1, g * g, p * p)
 
-    def encode(self, image: np.ndarray) -> EncoderOutput:
-        """Run the encoder; returns one FeatureGrid per tap layer plus the
-        final-layer grid for the adapter path."""
-        image = np.asarray(image, dtype=np.float64)
-        if image.shape != (self.cfg.image_size, self.cfg.image_size):
-            raise ContractError(
-                f"image shape {image.shape} != configured "
-                f"({self.cfg.image_size}, {self.cfg.image_size})")
-        if image.min() < 0.0 or image.max() > 1.0:
-            raise ContractError("pixel values must lie in [0, 1]")
+    def encode(self, images: Sequence[np.ndarray]) -> list[EncoderOutput]:
+        """Run the encoder once over a stack of images; returns, per image,
+        one FeatureGrid per tap layer plus the final-layer grid for the
+        adapter path. Each image's features are those of encoding it alone:
+        every op is row-wise or runs per image."""
+        size = self.cfg.image_size
+        stack = []
+        for i, image in enumerate(images):
+            image = np.asarray(image, dtype=np.float64)
+            if image.shape != (size, size):
+                raise ContractError(
+                    f"image {i}: shape {image.shape} != configured ({size}, {size})")
+            if image.min() < 0.0 or image.max() > 1.0:
+                raise ContractError(f"image {i}: pixel values must lie in [0, 1]")
+            stack.append(image)
+        if not stack:
+            return []
         g = self.cfg.grid_side
-        x = self.patch_embed(Tensor(self._patchify(image))) + self.pos_embed
-        taps: dict[int, FeatureGrid] = {}
+        x = self.patch_embed(Tensor(self._patchify(np.stack(stack)))) + self.pos_embed
+        taps: dict[int, Tensor] = {}
         for layer_index, block in enumerate(self.blocks, start=1):
             x = block(x)
             if layer_index in self.cfg.tap_layers:
-                taps[layer_index] = FeatureGrid(g, g, x)
-        return EncoderOutput(taps=taps, final=FeatureGrid(g, g, x))
+                taps[layer_index] = x
+        outs = []
+        for i in range(len(stack)):
+            grids = {layer: FeatureGrid(g, g, t[i]) for layer, t in taps.items()}
+            final = grids[self.cfg.depth] if self.cfg.depth in grids else FeatureGrid(g, g, x[i])
+            outs.append(EncoderOutput(taps=grids, final=final))
+        return outs

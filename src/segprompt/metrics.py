@@ -160,13 +160,18 @@ def corpus_bleu(candidates: Sequence[Sequence[str]],
 
 
 def _lcs_len(a: Sequence[str], b: Sequence[str]) -> int:
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[-1]))
-        prev = cur
-    return prev[-1]
+    """Length of the longest common subsequence, bit-parallel over Python
+    ints (Allison and Dix 1986, in Hyyro's 2004 form): bit i of ``v`` is 0
+    where the LCS so far grows at a[i], so the LCS is the count of 0 bits."""
+    match: dict[str, int] = {}
+    for i, x in enumerate(a):
+        match[x] = match.get(x, 0) | 1 << i
+    full = (1 << len(a)) - 1
+    v = full
+    for y in b:
+        u = v & match.get(y, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(a) - v.bit_count()
 
 
 def rouge_l(candidate: Sequence[str], reference: Sequence[str],

@@ -3,9 +3,10 @@ loop, and greedy generation. ``train`` freezes by one rule: a component in
 ``TrainConfig.frozen`` gets ``requires_grad=False``, so its outputs are
 constants that backward skips, and AdamW receives only the other components.
 
-Greedy decoding is KV-cached and graph-free: under ``no_grad`` each prompt
-is prefilled once, then each step feeds only the newest token's embedding of
-every live sequence and attends over that sequence's cached keys and values.
+Greedy decoding is KV-cached and graph-free: each prompt is prefilled once,
+then each step feeds only the newest token's embedding of every live sequence
+and attends over that sequence's cached keys and values. The cached forward
+runs on arrays and makes no ``Tensor``.
 """
 
 from __future__ import annotations
@@ -92,11 +93,8 @@ class LmConfig:
     depth: int = 2
     heads: int = 4
     max_seq_len: int = 256
-    causal: bool = True
 
     def __post_init__(self):
-        if not self.causal:
-            raise ContractError("the decoder LM is always causal")
         if self.depth < 1:
             raise ContractError(f"the decoder LM needs at least one block, got {self.depth}")
 
@@ -118,18 +116,19 @@ class DecoderLm:
     def embed(self, ids: Sequence[int]) -> Tensor:
         return self.tok_emb[np.asarray(ids, dtype=np.intp)]
 
-    def forward(self, embeddings: Tensor, cache: list[KvCache] | None = None,
-                rows: Sequence[int] = ()) -> Tensor:
+    def forward(self, embeddings: Tensor | np.ndarray, cache: list[KvCache] | None = None,
+                rows: Sequence[int] = ()) -> Tensor | np.ndarray:
         """Embeddings (L, dim) -> logits (L, vocab) under causal masking.
 
-        With ``cache`` (one ``KvCache`` per block) the input is (B, n, dim):
-        n new rows for each of the B cached sequences ``rows``, each at its
-        own next n positions and seeing every cached row of its sequence.
-        The logits are (B, n, vocab).
+        With ``cache`` (one ``KvCache`` per block) the input is a (B, n, dim)
+        array: n new rows for each of the B cached sequences ``rows``, each at
+        its own next n positions and seeing every cached row of its sequence.
+        This path runs on arrays and its logits are a (B, n, vocab) ndarray.
         """
         if cache is None:
             n = embeddings.shape[0]
             pos = slice(0, n)
+            pos_emb = self.pos_emb
         else:
             if embeddings.ndim != 3 or len(rows) != embeddings.shape[0]:
                 raise ContractError(
@@ -138,10 +137,11 @@ class DecoderLm:
             start = cache[0].lens[rows]
             n = max(start.tolist()) + embeddings.shape[1]
             pos = start[:, None] + np.arange(embeddings.shape[1])
+            pos_emb = self.pos_emb.data
         if n > self.cfg.max_seq_len:
             raise ContractError(
                 f"sequence length {n} exceeds max_seq_len {self.cfg.max_seq_len}")
-        x = embeddings + self.pos_emb[pos]
+        x = embeddings + pos_emb[pos]
         for i, block in enumerate(self.blocks):
             x = block(x, None if cache is None else cache[i], rows)
         return self.head(self.ln_f(x))
@@ -227,10 +227,10 @@ def generate(lm: DecoderLm, prompts: Sequence[Tensor], max_new: int,
     waiting = [i for i in range(len(prompts) - 1, -1, -1) if cap[i] > 0]
     live: list[tuple[int, int]] = []  # (buffer row, prompt index)
 
-    def advance(seqs: list[tuple[int, int]], x: Tensor) -> None:
+    def advance(seqs: list[tuple[int, int]], x: np.ndarray) -> None:
         """Run ``x`` (B, n, dim) on the sequences ``seqs``; append each one's
         argmax at its last row and keep it live until EOS or its cap."""
-        logits = lm.forward(x, cache, [row for row, _ in seqs]).data[:, -1]
+        logits = lm.forward(x, cache, [row for row, _ in seqs])[:, -1]
         for (row, i), next_id in zip(seqs, np.argmax(logits, axis=-1).tolist()):
             if next_id != eos_id:
                 out[i].append(next_id)
@@ -239,16 +239,16 @@ def generate(lm: DecoderLm, prompts: Sequence[Tensor], max_new: int,
                     continue
             free.append(row)
 
-    with no_grad():
-        while waiting or live:
-            while waiting and free:
-                row, i = free.pop(), waiting.pop()
-                for c in cache:
-                    c.lens[row] = 0
-                advance([(row, i)], prompts[i][None])
-            seqs, live = live, []
-            if seqs:
-                advance(seqs, lm.embed([out[i][-1:] for _, i in seqs]))
+    tok_emb = lm.tok_emb.data
+    while waiting or live:
+        while waiting and free:
+            row, i = free.pop(), waiting.pop()
+            for c in cache:
+                c.lens[row] = 0
+            advance([(row, i)], prompts[i].data[None])
+        seqs, live = live, []
+        if seqs:
+            advance(seqs, tok_emb[[out[i][-1] for _, i in seqs]][:, None])
     return out
 
 
@@ -273,7 +273,11 @@ class ModelConfig:
         check_keys(d, cls)
         d = dict(d)
         for key, sub_cls in (("encoder", VitConfig), ("extractor", ExtractorConfig)):
-            sub = dict(d.get(key, {}))
+            sub = d.get(key, {})
+            if not isinstance(sub, dict):
+                raise ContractError(f"ModelConfig key {key!r} must be an object, "
+                                    f"got a {type(sub).__name__}")
+            sub = dict(sub)
             check_keys(sub, sub_cls)
             if "tap_layers" in sub:
                 sub["tap_layers"] = tuple(sub["tap_layers"])
@@ -328,10 +332,13 @@ class ReportModel:
         ids = self.tokenizer.encode(text)
         return self.lm.embed(ids) if ids else None
 
-    def encode_views(self, study: StudyInput,
-                     single_view: bool = False) -> dict[View, EncoderOutput]:
-        return {view: self.encoder.encode(image)
-                for view, image, _ in study.views(single_view)}
+    def encode_views(self, studies: Sequence[StudyInput],
+                     single_view: bool = False) -> list[dict[View, EncoderOutput]]:
+        """Every view of every study through one ``encode`` call; one
+        ``{view: output}`` per study."""
+        per_study = [study.views(single_view) for study in studies]
+        outs = iter(self.encoder.encode([image for views in per_study for _, image, _ in views]))
+        return [{view: next(outs) for view, _, _ in views} for views in per_study]
 
     def seg_pairs(self, study: StudyInput, enc_out: dict[View, EncoderOutput],
                   strategy: Strategy, single_view: bool = False
@@ -360,7 +367,7 @@ class ReportModel:
                 enc_out: dict[View, EncoderOutput] | None = None,
                 prompt: Prompt | None = None) -> Tensor:
         if enc_out is None:
-            enc_out = self.encode_views(study, single_view)
+            [enc_out] = self.encode_views([study], single_view)
         if prompt is None:
             prompt = self.prompt_for(study, strategy, single_view)
         pairs = self.seg_pairs(study, enc_out, strategy, single_view)
@@ -386,7 +393,9 @@ class ReportModel:
         """Greedy report ids for each study, decoded in lockstep; a study's ids
         do not depend on the others decoded with it."""
         with no_grad():
-            prompts = [self.realize(study, strategy, single_view) for study in studies]
+            encoded = self.encode_views(studies, single_view)
+            prompts = [self.realize(study, strategy, single_view, enc_out=enc_out)
+                       for study, enc_out in zip(studies, encoded)]
         return generate(self.lm, prompts, max_new)
 
 
@@ -432,9 +441,15 @@ class TrainConfig:
         legacy = d.pop("trainable", None)
         check_keys(d, cls)
         if "strategy" in d:
-            d["strategy"] = Strategy(d["strategy"])
+            try:
+                d["strategy"] = Strategy(d["strategy"])
+            except ValueError as exc:
+                raise ContractError(f"TrainConfig key 'strategy': {exc}") from exc
         for key in ("betas", "frozen"):
             if key in d:
+                if not isinstance(d[key], (list, tuple)):
+                    raise ContractError(f"TrainConfig key {key!r} must be a list, "
+                                        f"got a {type(d[key]).__name__}")
                 d[key] = tuple(d[key])
         tc = cls(**d)
         if legacy is not None:
@@ -478,7 +493,7 @@ def train(model: ReportModel, dataset: list[StudyInput], tc: TrainConfig,
     enc_cache: list[dict[View, EncoderOutput]] = []
     prompts = [model.prompt_for(s, tc.strategy, tc.single_view) for s in dataset]
     if encoder_frozen:
-        enc_cache = [model.encode_views(s, tc.single_view) for s in dataset]
+        enc_cache = model.encode_views(dataset, tc.single_view)
 
     rng = np.random.default_rng(tc.seed)
     order: list[int] = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -42,25 +43,37 @@ def save_checkpoint(path: str | Path, params: dict[str, Tensor | np.ndarray]) ->
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
-    """Load arrays in the current default dtype, keyed by name. A truncated or
-    malformed file raises ``ContractError`` naming the path and the entry."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 12:
-        raise ContractError(f"{path}: {len(raw)} bytes is shorter than the 12-byte preamble")
-    if raw[:8] != MAGIC:
-        raise ContractError(f"{path}: bad checkpoint magic {raw[:8]!r}")
-    (header_len,) = struct.unpack("<I", raw[8:12])
-    data_start = 12 + header_len
-    if data_start > len(raw):
-        raise ContractError(
-            f"{path}: header length {header_len} runs past the end of the file "
-            f"({len(raw)} bytes)")
+    """Load arrays in the current default dtype, keyed by name. The data
+    section is read once into an aligned float32 buffer; under float32 every
+    entry is a writable view of it, under float64 a converted copy. A
+    truncated or malformed file raises ``ContractError`` naming the path and
+    the entry."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        preamble = fh.read(12)
+        if len(preamble) < 12:
+            raise ContractError(
+                f"{path}: {len(preamble)} bytes is shorter than the 12-byte preamble")
+        if preamble[:8] != MAGIC:
+            raise ContractError(f"{path}: bad checkpoint magic {preamble[:8]!r}")
+        (header_len,) = struct.unpack("<I", preamble[8:12])
+        data_start = 12 + header_len
+        if data_start > size:
+            raise ContractError(
+                f"{path}: header length {header_len} runs past the end of the file "
+                f"({size} bytes)")
+        header_bytes = fh.read(header_len)
+        data_len = size - data_start
+        buf = np.empty((data_len + 3) // 4, dtype="<f4")
+        if len(header_bytes) != header_len or fh.readinto(buf.view(np.uint8)[:data_len]) != data_len:
+            raise ContractError(f"{path}: file changed size while being read")
     try:
-        header = json.loads(raw[12:data_start].decode("utf-8"))
+        header = json.loads(header_bytes.decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
         raise ContractError(f"{path}: header is not UTF-8 JSON ({exc})") from exc
     if not isinstance(header, list):
         raise ContractError(f"{path}: header is not a list of entries")
+    convert = np.dtype(default_dtype()) != buf.dtype
     out: dict[str, np.ndarray] = {}
     for i, entry in enumerate(header):
         if not isinstance(entry, dict) or not {"name", "shape", "offset"} <= entry.keys():
@@ -71,20 +84,23 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
             raise ContractError(f"{path}: entry {name!r} has a bad shape {shape!r}")
         if not isinstance(offset, int) or offset < 0:
             raise ContractError(f"{path}: entry {name!r} has a bad offset {offset!r}")
+        if offset % 4:
+            raise ContractError(
+                f"{path}: entry {name!r} has offset {offset}, not a multiple of 4 bytes")
         count = math.prod(shape)
-        start = data_start + offset
-        if start + 4 * count > len(raw):
+        if data_start + offset + 4 * count > size:
             raise ContractError(
                 f"{path}: entry {name!r} needs {4 * count} bytes at offset {offset}, "
-                f"past the end of the file ({len(raw)} bytes)")
-        arr = np.frombuffer(raw, dtype="<f4", count=count, offset=start)
-        out[name] = arr.reshape(shape).astype(default_dtype())
+                f"past the end of the file ({size} bytes)")
+        arr = buf[offset // 4:offset // 4 + count].reshape(shape)
+        out[name] = arr.astype(default_dtype()) if convert else arr
     return out
 
 
 def load_into(path: str | Path, params: dict[str, Tensor]) -> None:
     """Load a checkpoint into existing parameter tensors; the names must match
-    exactly and every shape must agree."""
+    exactly and every shape must agree. An array already in a parameter's
+    dtype is assigned as it is."""
     loaded = load_checkpoint(path)
     missing = set(params) - set(loaded)
     if missing:
@@ -98,4 +114,4 @@ def load_into(path: str | Path, params: dict[str, Tensor]) -> None:
         if arr.shape != p.data.shape:
             raise ContractError(
                 f"{path}: checkpoint shape {arr.shape} != expected {p.data.shape} for {name}")
-        p.data = arr.astype(p.data.dtype, copy=False)
+        p.data = arr if arr.dtype == p.data.dtype else arr.astype(p.data.dtype)

@@ -1,4 +1,7 @@
-"""Layers on top of the autodiff core: linear, MLP, layer norm, attention."""
+"""Layers on top of the autodiff core: linear, MLP, layer norm, attention.
+
+Each layer takes a ``Tensor`` or an ndarray and returns the same kind (see
+``segprompt.nn.tensor``): the cached decode path runs them on arrays."""
 
 from __future__ import annotations
 
@@ -105,8 +108,8 @@ class KvCache:
 
     K and V each live in one preallocated ``(rows, max_len, width)`` buffer;
     every sequence has its own length. ``extend`` copies only the new rows
-    into place and returns ``[:n]`` views, so a report copies each row once.
-    Inference only: the stored values carry no graph.
+    into place and returns ``[:n]`` array views, so a report copies each row
+    once. Inference only: the stored values carry no graph.
     """
 
     def __init__(self, rows: int, max_len: int, width: int):
@@ -115,7 +118,7 @@ class KvCache:
         self.v = np.empty((rows, max_len, width), dtype=dtype)
         self.lens = np.zeros(rows, dtype=np.intp)
 
-    def extend(self, row: int, k: np.ndarray, v: np.ndarray) -> tuple[Tensor, Tensor]:
+    def extend(self, row: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Append ``row``'s new keys and values (n, width); return all of its rows."""
         start = int(self.lens[row])
         end = start + k.shape[0]
@@ -125,7 +128,7 @@ class KvCache:
         self.k[row, start:end] = k
         self.v[row, start:end] = v
         self.lens[row] = end
-        return Tensor(self.k[row, :end]), Tensor(self.v[row, :end])
+        return self.k[row, :end], self.v[row, :end]
 
 
 class AttentionBlock:
@@ -142,10 +145,10 @@ class AttentionBlock:
         self.wv = LinearLayer(dim, dim, rng)
         self.proj = LinearLayer(dim, dim, rng)
 
-    def __call__(self, x: Tensor, cache: KvCache | None = None,
-                 rows: Sequence[int] = ()) -> Tensor:
-        """With ``cache`` a (B, n, dim) ``x`` adds n rows to each of the B
-        cached sequences ``rows``: their keys and values are appended, and
+    def __call__(self, x: Tensor | np.ndarray, cache: KvCache | None = None,
+                 rows: Sequence[int] = ()) -> Tensor | np.ndarray:
+        """With ``cache`` a (B, n, dim) array ``x`` adds n rows to each of the
+        B cached sequences ``rows``: their keys and values are appended, and
         they attend over every cached row of their sequence too. Only the
         row-wise projections see the whole batch: each sequence attends on
         its own over its own cache, with no padding or key mask, so its bits
@@ -153,11 +156,11 @@ class AttentionBlock:
         q, k, v = self.wq(x), self.wk(x), self.wv(x)
         if cache is None:
             return self.proj(T.attention(q, k, v, self.causal, self.heads))
-        out = np.empty_like(q.data)
+        out = np.empty_like(q)
         for b, row in enumerate(rows):
-            kb, vb = cache.extend(row, k.data[b], v.data[b])
-            out[b] = T.attention(q.data[b], kb, vb, self.causal, self.heads).data
-        return self.proj(Tensor(out))
+            kb, vb = cache.extend(row, k[b], v[b])
+            out[b] = T.attention(q[b], kb, vb, self.causal, self.heads)
+        return self.proj(out)
 
     def named_params(self, prefix: str) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -178,8 +181,8 @@ class TransformerBlock:
         self.ln2 = LayerNorm(dim)
         self.mlp = MlpBlock([dim, mlp_ratio * dim, dim], activation="gelu", rng=rng)
 
-    def __call__(self, x: Tensor, cache: KvCache | None = None,
-                 rows: Sequence[int] = ()) -> Tensor:
+    def __call__(self, x: Tensor | np.ndarray, cache: KvCache | None = None,
+                 rows: Sequence[int] = ()) -> Tensor | np.ndarray:
         x = x + self.attn(self.ln1(x), cache, rows)
         return x + self.mlp(self.ln2(x))
 

@@ -6,6 +6,11 @@ with ``requires_grad=True``. Inside ``no_grad()`` no graph is recorded, so
 inference keeps no parents or backward closures alive. Arrays are float64 by
 default ("test mode"); training runs switch to float32 via
 ``set_default_dtype`` / ``precision``.
+
+``linear``, ``layer_norm``, ``gelu`` and ``attention`` build a graph node
+only when their activation input (``x``, or ``q``) is a ``Tensor``. Given an
+ndarray they return an ndarray from the same arithmetic, so the same bits,
+with no ``Tensor`` made: cached decoding runs on arrays this way.
 """
 
 from __future__ import annotations
@@ -270,9 +275,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def _value(x) -> np.ndarray:
+    return x.data if isinstance(x, Tensor) else x
+
+
+def linear(x: Tensor | np.ndarray, w: Tensor, b: Tensor) -> Tensor | np.ndarray:
     """x @ w.T + b as one node: x (..., in), w (out, in), b (out,)."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if not isinstance(x, Tensor):
+        return x @ _value(w).T + _value(b)
+    w, b = as_tensor(w), as_tensor(b)
     out = _make(x.data @ w.data.T + b.data, (x, w, b))
     if out.requires_grad:
         def bw(g):
@@ -292,15 +303,15 @@ def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
     return a.reshape(*a.shape[:-1], heads, -1).swapaxes(-2, -3)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False, heads: int = 1) -> Tensor:
+def attention(q: Tensor | np.ndarray, k: Tensor | np.ndarray, v: Tensor | np.ndarray,
+              causal: bool = False, heads: int = 1) -> Tensor | np.ndarray:
     """softmax(q k^T / sqrt(d) + mask) v per head over (..., rows, heads*d) as one node.
 
     q has n rows, k and v have m. With ``causal`` query row i sits at
     position m - n + i and sees keys up to it. Only the attention weights are
     kept for backward; head split and merge, scores, mask and softmax are not separate nodes.
     """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
+    qh, kh, vh = (_split_heads(_value(t), heads) for t in (q, k, v))
     scale = 1.0 / math.sqrt(qh.shape[-1])
     s = (qh @ kh.swapaxes(-1, -2)) * scale
     n, m = s.shape[-2:]
@@ -308,7 +319,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False, heads: int 
         s = s + np.triu(np.full((n, m), -1e30, dtype=s.dtype), k=m - n + 1)
     e = np.exp(s - s.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
-    out = _make((p @ vh).swapaxes(-2, -3).reshape(q.shape), (q, k, v))
+    y = (p @ vh).swapaxes(-2, -3).reshape(q.shape)
+    if not isinstance(q, Tensor):
+        return y
+    k, v = as_tensor(k), as_tensor(v)
+    out = _make(y, (q, k, v))
     if out.requires_grad:
         def bw(g):
             gh = _split_heads(g, heads)
@@ -393,12 +408,15 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def gelu(x: Tensor) -> Tensor:
+def gelu(x: Tensor | np.ndarray) -> Tensor | np.ndarray:
     """GELU, tanh approximation: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3)))."""
-    xd = x.data
+    xd = _value(x)
     inner = _GELU_C * (xd + 0.044715 * (xd * xd * xd))
     t = np.tanh(inner)
-    out = _make(0.5 * xd * (1.0 + t), (x,))
+    y = 0.5 * xd * (1.0 + t)
+    if not isinstance(x, Tensor):
+        return y
+    out = _make(y, (x,))
     if out.requires_grad:
         def bw(g):
             dinner = _GELU_C * (1.0 + 3 * 0.044715 * (xd * xd))
@@ -436,14 +454,19 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor | np.ndarray, gamma: Tensor, beta: Tensor,
+               eps: float = 1e-5) -> Tensor | np.ndarray:
     """Normalize the trailing axis to zero mean / unit variance, then affine.
     The statistics are numpy's mean/var reductions written out: same bits, less overhead."""
-    d = x.shape[-1]
-    xc = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    xd = _value(x)
+    d = xd.shape[-1]
+    xc = xd - xd.sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + eps)
     xhat = xc * inv
-    out = _make(xhat * gamma.data + beta.data, (x, gamma, beta))
+    y = xhat * gamma.data + beta.data
+    if not isinstance(x, Tensor):
+        return y
+    out = _make(y, (x, gamma, beta))
     if out.requires_grad:
         def bw(g):
             if gamma.requires_grad or gamma._parents:

@@ -160,7 +160,7 @@ def test_criterion_1_gradient_suite():
                              lateral_prob=0.0, prior_prob=0.0)
             study = make_study(spec, 0)
             with no_grad():
-                enc = model.encode_views(study, single_view=True)
+                [enc] = model.encode_views([study], single_view=True)
             stack_params = {n: p for n, p in model.named_params().items()
                             if not n.startswith("enc.")}
             _check_param_grads(
@@ -181,7 +181,7 @@ def test_criterion_2_token_accounting():
         for i in range(spec.n_studies):
             study = make_study(spec, i)
             with no_grad():
-                enc = model.encode_views(study)
+                [enc] = model.encode_views([study])
             ns_len = model.realize(study, Strategy.NS, enc_out=enc).shape[0]
             ss_len = model.realize(study, Strategy.SS, enc_out=enc).shape[0]
             positives = sum(int(m.any()) for _, _, ms in study.views()

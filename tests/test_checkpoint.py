@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from segprompt.errors import ContractError
-from segprompt.nn import MAGIC, Tensor, load_checkpoint, load_into, save_checkpoint
+from segprompt.nn import MAGIC, Tensor, load_checkpoint, load_into, precision, save_checkpoint
 
 
 def test_roundtrip_values_and_shapes(tmp_path):
@@ -80,6 +80,37 @@ def test_load_into_gives_each_load_its_own_writable_arrays(tmp_path, dtype):
     assert np.array_equal(second["w"].data, np.arange(4.0))
 
 
+def test_float32_load_views_one_buffer(tmp_path):
+    """The data section is read once; under float32 each entry is a writable
+    view of that one buffer, and ``load_into`` hands the views on as they are."""
+    path = tmp_path / "model.ckpt"
+    rng = np.random.default_rng(1)
+    params = {"a": rng.standard_normal((3, 4)), "b": rng.standard_normal(5),
+              "c": rng.standard_normal((2, 1, 3))}
+    save_checkpoint(path, params)
+    with precision("float32"):
+        loaded = load_checkpoint(path)
+        target = {name: Tensor(np.zeros(p.shape)) for name, p in params.items()}
+        load_into(path, target)
+    buf = loaded["a"].base
+    assert buf is not None and buf.nbytes == 4 * sum(p.size for p in params.values())
+    for name, arr in loaded.items():
+        assert arr.base is buf and arr.dtype == np.float32 and arr.flags.writeable, name
+        assert np.array_equal(arr, params[name].astype(np.float32)), name
+    assert len({id(t.data.base) for t in target.values()}) == 1
+    assert target["a"].data.base is not buf  # every load reads its own buffer
+    loaded["b"][:] = 0.0
+    assert np.array_equal(loaded["a"], params["a"].astype(np.float32))
+
+
+def test_float64_load_converts_each_entry(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"a": np.arange(3.0), "b": np.ones(2)})
+    loaded = load_checkpoint(path)
+    assert all(arr.dtype == np.float64 for arr in loaded.values())
+    assert not np.shares_memory(loaded["a"], loaded["b"])
+
+
 # -- malformed files: each raises ContractError naming the path (and the entry) --
 
 
@@ -130,6 +161,12 @@ def test_negative_offset_rejected(tmp_path):
     path = write_raw(tmp_path / "m.ckpt", entry_header(name="w", shape=[1], offset=-4),
                      b"\x00" * 8)
     assert_rejected(path, "'w'", "offset -4")
+
+
+def test_misaligned_offset_rejected(tmp_path):
+    path = write_raw(tmp_path / "m.ckpt", entry_header(name="w", shape=[1], offset=2),
+                     b"\x00" * 8)
+    assert_rejected(path, "'w'", "offset 2", "multiple of 4")
 
 
 def test_entry_data_past_eof_rejected(tmp_path):

@@ -112,6 +112,46 @@ class TestConfigErrors:
         assert str(data / "manifest.json") in err and "studies[0]" in err, err
         assert "'split'" in err
 
+    @pytest.mark.parametrize("mutate,words", [
+        (lambda d: d.pop("train"), ["missing key 'train'"]),
+        (lambda d: d.pop("model"), ["missing key 'model'"]),
+        (lambda d: d.pop("vocab"), ["missing key 'vocab'"]),
+        (lambda d: d.update(train=[]), ["key 'train'", "object", "list"]),
+        (lambda d: d.update(model="tiny"), ["key 'model'", "object", "str"]),
+        (lambda d: d.update(vocab={"a": 1}), ["key 'vocab'", "list", "dict"]),
+        (lambda d: d.update(vocab=[1, 2]), ["key 'vocab'", "strings"]),
+        (lambda d: d["model"].update(encoder=[]), ["'encoder'", "object"]),
+        (lambda d: d["train"].update(frozen=5), ["'frozen'", "list"]),
+        (lambda d: d["train"].update(strategy="XX"), ["'strategy'", "'XX'"]),
+        (lambda d: d["model"]["encoder"].update(image_size="32"), []),
+        (lambda d: d.clear() or d.update(echo=[1]), ["missing key 'train'"]),
+    ])
+    def test_malformed_checkpoint_config(self, dataset, checkpoint, tmp_path, capsys,
+                                         mutate, words):
+        """A bad ``train_config.json`` beside a checkpoint exits 1 from
+        ``generate`` and ``eval``, naming the file and the key."""
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(checkpoint, ckpt)
+        path = ckpt / "train_config.json"
+        echo = json.loads(path.read_text())
+        mutate(echo)
+        path.write_text(json.dumps(echo))
+        for argv in (["generate", "--study", "study_00000"],
+                     ["eval", "--report", str(tmp_path / "report.json")]):
+            assert run_command(argv + ["--data", str(dataset), "--ckpt", str(ckpt)]) == 1
+            err = capsys.readouterr().err
+            assert str(path) in err and all(word in err for word in words), err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_checkpoint_config_not_an_object(self, dataset, checkpoint, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(checkpoint, ckpt)
+        (ckpt / "train_config.json").write_text("[1, 2]")
+        assert run_command(["generate", "--data", str(dataset), "--ckpt", str(ckpt),
+                            "--study", "study_00000"]) == 1
+        err = capsys.readouterr().err
+        assert str(ckpt / "train_config.json") in err and "JSON object" in err, err
+
     def test_unsupported_precision(self, dataset, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"train": {"precision": "float16"}}))
@@ -213,7 +253,8 @@ class TestExtractTokens:
         study = load_study(next(r for r in records if r.study_id == "study_00000"), dataset)
         model = ReportModel(ModelConfig(encoder=VitConfig(image_size=SYNTH_SPEC["image_size"]),
                                         seed=3), vocabulary())
-        pairs = model.seg_pairs(study, model.encode_views(study), Strategy.SS)
+        [enc] = model.encode_views([study])
+        pairs = model.seg_pairs(study, enc, Strategy.SS)
         assert all(p.mask_token.requires_grad for view_pairs in pairs.values()
                    for p in view_pairs)
         expected = {

@@ -31,7 +31,7 @@ class TestConfig:
         shallow = VitConfig(image_size=32, patch_size=16, depth=2, dim=768, heads=12,
                             tap_layers=(1, 2))
         enc = VitEncoder(shallow, seed=0)
-        out = enc.encode(np.zeros((32, 32)))
+        [out] = enc.encode([np.zeros((32, 32))])
         assert out.final.features.shape == (4, 768)
 
     def test_invalid_configs(self):
@@ -47,7 +47,7 @@ class TestEncode:
     def test_grid_shapes(self):
         enc = VitEncoder(VitConfig(image_size=64, patch_size=16, depth=8, dim=64,
                                    heads=4), seed=0)
-        out = enc.encode(np.zeros((64, 64)))
+        [out] = enc.encode([np.zeros((64, 64))])
         for fg in out.taps.values():
             assert (fg.rows, fg.cols) == (4, 4)
             assert fg.features.shape == (16, 64)
@@ -56,35 +56,37 @@ class TestEncode:
         rng = np.random.default_rng(0)
         enc = VitEncoder(toy_config(), seed=3)
         img = rand_image(rng)
-        a = enc.encode(img)
-        b = enc.encode(img)
+        [a] = enc.encode([img])
+        [b] = enc.encode([img])
         for k in a.taps:
             assert np.array_equal(a.taps[k].features.data, b.taps[k].features.data)
         assert np.array_equal(a.final.features.data, b.final.features.data)
 
     def test_tap_list_semantics(self):
         enc = VitEncoder(toy_config(tap_layers=(2, 4), depth=4), seed=0)
-        out = enc.encode(np.zeros((32, 32)))
+        [out] = enc.encode([np.zeros((32, 32))])
         assert sorted(out.taps) == [2, 4]
 
     def test_final_is_last_block_output(self):
         enc = VitEncoder(toy_config(tap_layers=(4,), depth=4), seed=1)
-        out = enc.encode(np.zeros((32, 32)))
+        [out] = enc.encode([np.zeros((32, 32))])
         assert np.array_equal(out.taps[4].features.data, out.final.features.data)
 
     def test_extent_and_range_contracts(self):
         enc = VitEncoder(toy_config(), seed=0)
-        with pytest.raises(ContractError):
-            enc.encode(np.zeros((16, 16)))
-        with pytest.raises(ContractError):
-            enc.encode(np.full((32, 32), 1.5))
+        good = np.zeros((32, 32))
+        with pytest.raises(ContractError, match=r"image 1: shape \(16, 16\)"):
+            enc.encode([good, np.zeros((16, 16))])
+        with pytest.raises(ContractError, match=r"image 2: pixel values"):
+            enc.encode([good, good, np.full((32, 32), 1.5)])
+        assert enc.encode([]) == []
 
     def test_batch_permutation_consistency(self):
         rng = np.random.default_rng(5)
         enc = VitEncoder(toy_config(), seed=2)
         img_a, img_b = rand_image(rng), rand_image(rng)
-        out_ab = [enc.encode(i).final.features.data for i in (img_a, img_b)]
-        out_ba = [enc.encode(i).final.features.data for i in (img_b, img_a)]
+        out_ab = [o.final.features.data for o in enc.encode([img_a, img_b])]
+        out_ba = [o.final.features.data for o in enc.encode([img_b, img_a])]
         assert np.array_equal(out_ab[0], out_ba[1])
         assert np.array_equal(out_ab[1], out_ba[0])
 
@@ -101,7 +103,7 @@ class TestFreezing:
         rng = np.random.default_rng(7)
         params = enc.named_params("enc")
         opt = AdamW({k: p for k, p in params.items() if p.requires_grad}, weight_decay=0.0)
-        out = enc.encode(rng.random((32, 32)))
+        [out] = enc.encode([rng.random((32, 32))])
         (out.final.features * out.final.features).sum().backward()
         opt.step(lr=1e-2)
         return params
@@ -128,14 +130,14 @@ class TestFreezing:
         enc_a = VitEncoder(toy_config(), seed=6)
         enc_b = VitEncoder(toy_config(), seed=6)
         freeze(enc_b.named_params("enc"))
-        assert np.array_equal(enc_a.encode(img).final.features.data,
-                              enc_b.encode(img).final.features.data)
+        assert np.array_equal(enc_a.encode([img])[0].final.features.data,
+                              enc_b.encode([img])[0].final.features.data)
 
     def test_gradient_flows_through_activations_when_frozen(self):
         # frozen blocks still pass the gradient back to pos_embed
         enc = VitEncoder(toy_config(), seed=8)
         freeze({k: p for k, p in enc.named_params("enc").items() if k != "enc.pos_embed"})
-        out = enc.encode(np.zeros((32, 32)))
+        [out] = enc.encode([np.zeros((32, 32))])
         (out.final.features * out.final.features).sum().backward()
         assert enc.pos_embed.grad is not None
         assert np.isfinite(enc.pos_embed.grad).all()
@@ -151,6 +153,6 @@ def test_weights_roundtrip_through_checkpoint(tmp_path):
     other = VitEncoder(toy_config(), seed=99)
     load_into(path, other.named_params("enc"))
     img = np.random.default_rng(0).random((32, 32))
-    a = enc.encode(img).final.features.data
-    b = other.encode(img).final.features.data
+    a = enc.encode([img])[0].final.features.data
+    b = other.encode([img])[0].final.features.data
     assert np.allclose(a, b, atol=1e-5)  # float32 storage quantization

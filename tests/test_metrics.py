@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from segprompt.errors import ContractError
 from segprompt.metrics import (
     BootstrapSpec,
+    _lcs_len,
     aggregate_positive,
     bleu,
     bootstrap_ci,
@@ -230,6 +231,33 @@ class TestRougeL:
     def test_empty_inputs(self):
         assert rouge_l([], []) == 0.0
         assert rouge_l([], "a".split()) == 0.0
+
+
+def dp_lcs_len(a, b) -> int:
+    """The O(len(a) * len(b)) dynamic program: the oracle for ``_lcs_len``."""
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, start=1):
+            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[-1]))
+        prev = cur
+    return prev[-1]
+
+
+# few distinct words, so lists repeat tokens and share long subsequences
+token_lists = st.lists(st.sampled_from(["a", "b", "c", "the", "."]), max_size=90)
+
+
+class TestLcsLen:
+    @given(token_lists, token_lists)
+    def test_matches_dynamic_program(self, a, b):
+        assert _lcs_len(a, b) == dp_lcs_len(a, b)
+
+    @pytest.mark.parametrize("a,b,want", [
+        ([], [], 0), ([], ["a"], 0), (["a"], [], 0), (["a", "a", "a"], ["a"], 1),
+        ("a b c b d a b".split(), "b d c a b a".split(), 4)])
+    def test_hand_cases(self, a, b, want):
+        assert _lcs_len(a, b) == _lcs_len(b, a) == dp_lcs_len(a, b) == want
 
 
 class TestBootstrap:
