@@ -16,7 +16,7 @@ import numpy as np
 
 from segprompt import metrics, synth
 from segprompt.encoder import VitConfig
-from segprompt.errors import ContractError
+from segprompt.errors import ContractError, json_field
 from segprompt.masks import read_image, read_mask, write_image, StructureId
 from segprompt.mllm import ModelConfig, ReportModel, TrainConfig, train
 from segprompt.nn import load_into, no_grad, precision
@@ -50,23 +50,6 @@ def _read_config(path: str | Path | None, parse):
         raise ContractError(f"{path}: {exc}") from exc
 
 
-_JSON_TYPES = {dict: "object", list: "list"}
-
-
-def _json_field(d, key: str, kind: type, required: bool = True):
-    """``d[key]`` checked to be a ``kind``; an absent optional key is empty."""
-    if not isinstance(d, dict):
-        raise ContractError(f"expected a JSON object, got a {type(d).__name__}")
-    if key not in d:
-        if required:
-            raise ContractError(f"missing key {key!r}")
-        return kind()
-    if not isinstance(d[key], kind):
-        raise ContractError(f"key {key!r} must be a JSON {_JSON_TYPES[kind]}, "
-                            f"got a {type(d[key]).__name__}")
-    return d[key]
-
-
 def _load_synth_spec(path: str | None, seed: int | None, count: int | None) -> SynthSpec:
     spec = _read_config(path, SynthSpec.from_dict)
     if seed is not None:
@@ -77,7 +60,7 @@ def _load_synth_spec(path: str | None, seed: int | None, count: int | None) -> S
 
 
 def _parse_train_config(d: dict) -> tuple[TrainConfig, ModelConfig]:
-    train, model = (_json_field(d, key, dict, required=False) for key in ("train", "model"))
+    train, model = (json_field(d, key, dict, required=False) for key in ("train", "model"))
     unknown = sorted(set(d) - {"train", "model"})
     if unknown:
         raise ContractError(f"unknown top-level key(s): {', '.join(map(repr, unknown))}; "
@@ -91,7 +74,7 @@ def _load_train_config(path: str | None) -> tuple[TrainConfig, ModelConfig]:
 
 def _parse_echo(d: dict) -> tuple[TrainConfig, ModelConfig, list[str]]:
     """The ``train_config.json`` that ``train`` writes: both configs and the vocabulary."""
-    train, model, vocab = (_json_field(d, key, kind) for key, kind in
+    train, model, vocab = (json_field(d, key, kind) for key, kind in
                            (("train", dict), ("model", dict), ("vocab", list)))
     if not all(isinstance(word, str) for word in vocab):
         raise ContractError("key 'vocab' must be a list of strings")

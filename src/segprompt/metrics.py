@@ -86,12 +86,6 @@ def cl_dice(pred: Mask, gt: Mask) -> float | None:
     return 2.0 * tprec * tsens / (tprec + tsens)
 
 
-def aggregate_positive(scores: Sequence[float | None]) -> float | None:
-    """Mean over defined scores only; None when every score is undefined."""
-    defined = [s for s in scores if s is not None]
-    return float(np.mean(defined)) if defined else None
-
-
 # -- multi-label F1 -----------------------------------------------------------
 
 

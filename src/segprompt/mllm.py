@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from segprompt.errors import ContractError, check_keys
+from segprompt.errors import ContractError, checked_fields
 from segprompt.encoder import EncoderOutput, FeatureGrid, VitConfig, VitEncoder
 from segprompt.extractor import ExtractorConfig, SegTokenExtractor, SegTokenPair, extract_tokens
 from segprompt.nn import (
@@ -270,19 +270,9 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        check_keys(d, cls)
-        d = dict(d)
-        for key, sub_cls in (("encoder", VitConfig), ("extractor", ExtractorConfig)):
-            sub = d.get(key, {})
-            if not isinstance(sub, dict):
-                raise ContractError(f"ModelConfig key {key!r} must be an object, "
-                                    f"got a {type(sub).__name__}")
-            sub = dict(sub)
-            check_keys(sub, sub_cls)
-            if "tap_layers" in sub:
-                sub["tap_layers"] = tuple(sub["tap_layers"])
-            d[key] = sub_cls(**sub)
-        return cls(**d)
+        """Inverse of ``to_dict``; every key and value type is checked, the
+        ``encoder`` and ``extractor`` objects' too."""
+        return cls(**checked_fields(d, cls))
 
 
 class ReportModel:
@@ -434,24 +424,13 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        """Inverse of ``to_dict``: JSON lists become tuples, the strategy an enum.
-        An older echo's ``trainable`` list is dropped if it and ``frozen`` split
-        the components (``bridge`` may be missing: few models have one)."""
+        """Inverse of ``to_dict``: every key and value type is checked, JSON
+        lists become tuples and the strategy an enum. An older echo's
+        ``trainable`` list is dropped if it and ``frozen`` split the components
+        (``bridge`` may be missing: few models have one)."""
         d = dict(d)
         legacy = d.pop("trainable", None)
-        check_keys(d, cls)
-        if "strategy" in d:
-            try:
-                d["strategy"] = Strategy(d["strategy"])
-            except ValueError as exc:
-                raise ContractError(f"TrainConfig key 'strategy': {exc}") from exc
-        for key in ("betas", "frozen"):
-            if key in d:
-                if not isinstance(d[key], (list, tuple)):
-                    raise ContractError(f"TrainConfig key {key!r} must be a list, "
-                                        f"got a {type(d[key]).__name__}")
-                d[key] = tuple(d[key])
-        tc = cls(**d)
+        tc = cls(**checked_fields(d, cls))
         if legacy is not None:
             frozen, live = set(tc.frozen), set(legacy)
             covered = frozen | live
@@ -474,7 +453,16 @@ def train(model: ReportModel, dataset: list[StudyInput], tc: TrainConfig,
     """Single-stage training. Every parameter of a component in ``tc.frozen``
     gets ``requires_grad=False`` and every other one ``True``; AdamW updates
     only the latter, and backward computes no gradient for the former.
-    Writes checkpoint, loss curve CSV and config JSON when out_dir is given.
+
+    Each study of a batch is backpropagated as soon as its loss is built,
+    seeded with ``1 / len(batch)``, and its graph is freed by that backward;
+    the step loss is the mean of the per-study values. Only one study's graph
+    is alive at a time, so memory does not grow with ``batch_size``. The
+    parameter gradients are bit-identical to one backward of the batch mean:
+    that graph's reverse topological order adds the per-study contributions
+    to each parameter in batch order too, and gives each study loss the same
+    seed. Writes checkpoint, loss curve CSV and config JSON when out_dir is
+    given.
     """
     if not dataset:
         raise ContractError("empty training dataset")
@@ -507,14 +495,15 @@ def train(model: ReportModel, dataset: list[StudyInput], tc: TrainConfig,
         losses = []
         for i in batch:
             enc_out = enc_cache[i] if encoder_frozen else None
-            losses.append(model.study_loss(dataset[i], tc.strategy, tc.single_view,
-                                           enc_out=enc_out, prompt=prompts[i]))
-        loss = concat([l.reshape(1) for l in losses], axis=0).mean()
-        loss_value = loss.item()
+            loss = model.study_loss(dataset[i], tc.strategy, tc.single_view,
+                                    enc_out=enc_out, prompt=prompts[i])
+            (loss * (1.0 / len(batch))).backward()
+            losses.append(loss)
+        with no_grad():
+            loss_value = concat([l.reshape(1) for l in losses], axis=0).mean().item()
         if not math.isfinite(loss_value):
             raise RuntimeError(f"non-finite loss at step {step}")
         lr = lr_at(schedule, step)
-        loss.backward()
         opt.step(lr)
         opt.zero_grad()
         curve.append((step, lr, loss_value))

@@ -1,8 +1,12 @@
 """Reverse-mode autodiff over numpy arrays.
 
 A ``Tensor`` wraps an ndarray and records the op graph as it is built.
-``Tensor.backward()`` on a scalar fills ``.grad`` on every reachable tensor
-with ``requires_grad=True``. Inside ``no_grad()`` no graph is recorded, so
+``Tensor.backward()`` on a scalar adds to ``.grad`` on every reachable leaf
+with ``requires_grad=True`` and consumes the graph: each interior node drops
+its grad, parents and backward closure once its closure has run, so the
+activations the closures hold are freed while backward runs, not after it.
+A graph is backpropagated once; reaching a consumed node again raises
+``ContractError``. Inside ``no_grad()`` no graph is recorded, so
 inference keeps no parents or backward closures alive. Arrays are float64 by
 default ("test mode"); training runs switch to float32 via
 ``set_default_dtype`` / ``precision``.
@@ -108,7 +112,15 @@ class Tensor:
             self.grad = self.grad + g
 
     def backward(self) -> None:
-        """Backpropagate from a scalar loss; fills .grad on requires_grad tensors."""
+        """Backpropagate from a scalar loss and consume its graph.
+
+        Leaves with ``requires_grad`` accumulate into ``.grad`` and keep it,
+        so the gradients of several backward calls add up. Each interior
+        node, once its closure has run, drops ``grad``, ``_parents`` and
+        ``_backward`` and leaves the traversal list, so what it held is freed
+        partway through backward. A graph that reaches a node an earlier
+        backward consumed raises ``ContractError`` before any gradient moves.
+        """
         if self.data.size != 1:
             raise ContractError(f"backward() requires a scalar, got shape {self.shape}")
         topo: list[Tensor] = []
@@ -121,15 +133,21 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _consumed:
+                _consumed(None)
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
+                node._parents = ()
+                node._backward = _consumed
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -177,6 +195,12 @@ class Tensor:
 
     def __getitem__(self, idx):
         return take(self, idx)
+
+
+def _consumed(g) -> None:
+    """The backward closure of a node an earlier backward consumed."""
+    raise ContractError("backward reached a tensor whose graph an earlier backward "
+                        "consumed; rebuild the graph to backpropagate it again")
 
 
 def as_tensor(x) -> Tensor:

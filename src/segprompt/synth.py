@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from segprompt.errors import ContractError, check_keys, check_required
+from segprompt.errors import ContractError, checked_fields, json_field
 from segprompt.masks import (
     STRUCTURE_NAMES,
     STRUCTURE_ORDER,
@@ -95,8 +95,7 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthSpec":
-        check_keys(d, cls)
-        return cls(**d)
+        return cls(**checked_fields(d, cls))
 
 
 @dataclass
@@ -265,18 +264,6 @@ def findings_text(state: StudyState) -> str:
     return " ".join(sentences) if sentences else SENTENCES["none"]
 
 
-def labels_for_state(state: StudyState) -> np.ndarray:
-    """Ground-truth vector over the five mask-relevant findings."""
-    values = {
-        "lung_opacity": state.opacity_side is not None,
-        "cardiomegaly": bool(state.present.get(StructureId.HEART)) and state.cardiomegaly,
-        "pneumothorax": bool(state.present.get(StructureId.PNEUMOTHORAX)),
-        "support_devices": any(state.present.get(d) for d in DEVICES),
-        "pleural_effusion": state.effusion,
-    }
-    return np.array([values[f] for f in MR_FINDINGS], dtype=bool)
-
-
 def findings_to_labels(text: str) -> np.ndarray:
     """Keyword extraction of the five mask-relevant findings from report text.
     The grammar only mentions a finding when it is present, so presence of its
@@ -364,10 +351,6 @@ def make_study(spec: SynthSpec, index: int) -> StudyInput:
     )
 
 
-def make_studies(spec: SynthSpec) -> list[StudyInput]:
-    return [make_study(spec, i) for i in range(spec.n_studies)]
-
-
 def split_of(index: int) -> str:
     r = index % 10
     return "train" if r < 8 else ("val" if r == 8 else "test")
@@ -418,9 +401,57 @@ def generate_dataset(spec: SynthSpec, out_dir: str | Path) -> list[StudyRecord]:
     return records
 
 
+CONTEXT_KEYS = ("indication", "technique", "comparison", "prior_report")
+STRUCTURE_VALUES = frozenset(s.value for s in StructureId)
+VIEW_VALUES = frozenset(v.value for v in View)
+
+
+def _check_views(views: dict) -> None:
+    """A manifest entry's ``views``: known view names, ``current_frontal``
+    among them, each with an ``image`` path, a ``masks`` object from
+    structure names to paths and an optional ``legend`` of
+    ``[label, structure, value]``; a violation names the field."""
+    if View.CURRENT_FRONTAL.value not in views:
+        raise ContractError(f"key 'views' lacks {View.CURRENT_FRONTAL.value!r}")
+    for name, entry in views.items():
+        where = f"key 'views'[{name!r}]"
+        if name not in VIEW_VALUES:
+            raise ContractError(f"{where}: unknown view; expected one of "
+                                f"{sorted(VIEW_VALUES)}")
+        try:
+            unknown = sorted(set(entry) - {"image", "masks", "legend"})
+            if unknown:
+                raise ContractError(f"unknown key(s): {', '.join(map(repr, unknown))}")
+            json_field(entry, "image", str)
+            for structure, rel in json_field(entry, "masks", dict).items():
+                if structure not in STRUCTURE_VALUES or not isinstance(rel, str):
+                    raise ContractError(f"key 'masks' must map structure names to path strings, "
+                                        f"got {structure!r}: {rel!r}")
+            for item in json_field(entry, "legend", list, required=False):
+                if not (isinstance(item, list) and len(item) == 3 and isinstance(item[0], str)
+                        and item[1] in STRUCTURE_VALUES
+                        and type(item[2]) is int):
+                    raise ContractError(f"key 'legend' holds {item!r}, not "
+                                        f"[label, structure, value]")
+        except ContractError as exc:
+            raise ContractError(f"{where}: {exc}") from None
+
+
+def _check_entry(entry: dict) -> None:
+    """One manifest study entry's keys and field types (the views' and
+    context's inner ones too); a violation names the field."""
+    checked_fields(entry, StudyRecord)
+    _check_views(entry["views"])
+    unknown = sorted(set(entry["context"]) - set(CONTEXT_KEYS))
+    if unknown:
+        raise ContractError(f"key 'context' has unknown key(s): "
+                            f"{', '.join(map(repr, unknown))}; expected {list(CONTEXT_KEYS)}")
+
+
 def load_manifest(data_dir: str | Path) -> tuple[dict, list[StudyRecord]]:
-    """The manifest and its study records; a malformed manifest raises a
-    ContractError naming the file and the entry."""
+    """The manifest and its study records; a malformed manifest, a missing or
+    unknown key or a value of the wrong type in an entry, raises a
+    ContractError naming the file, the entry and the field."""
     path = Path(data_dir) / "manifest.json"
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
@@ -431,10 +462,7 @@ def load_manifest(data_dir: str | Path) -> tuple[dict, list[StudyRecord]]:
         raise ContractError(f"{path}: 'studies' must be a list of study entries")
     for index, entry in enumerate(studies):
         try:
-            if not isinstance(entry, dict):
-                raise ContractError(f"expected an object, got {type(entry).__name__}")
-            check_keys(entry, StudyRecord)
-            check_required(entry, StudyRecord)
+            _check_entry(entry)
         except ContractError as exc:
             raise ContractError(f"{path}: studies[{index}]: {exc}") from exc
     return manifest, [StudyRecord(**entry) for entry in studies]

@@ -152,6 +152,65 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert str(ckpt / "train_config.json") in err and "JSON object" in err, err
 
+    @pytest.mark.parametrize("command,content,words", [
+        ("train", {"model": {"lm_dim": 8.5}}, ["ModelConfig key 'lm_dim'", "integer", "8.5"]),
+        ("train", {"model": {"encoder": {"tap_layers": 3}}},
+         ["VitConfig key 'tap_layers'", "list", "got 3"]),
+        ("train", {"model": {"extractor": {"tap_layers": [1, "2"]}}},
+         ["ExtractorConfig key 'tap_layers'", "integer"]),
+        ("train", {"model": {"encoder": {"image_size": "32"}}}, ["'image_size'", "integer"]),
+        ("train", {"train": {"epochs": "2"}}, ["TrainConfig key 'epochs'", "integer", "'2'"]),
+        ("train", {"train": {"batch_size": True}}, ["'batch_size'", "integer", "True"]),
+        ("train", {"train": {"base_lr": "0.1"}}, ["'base_lr'", "number"]),
+        ("train", {"train": {"betas": [0.9]}}, ["'betas'", "2 items", "number"]),
+        ("train", {"train": {"frozen": ["encoder", 1]}}, ["'frozen'", "string"]),
+        ("train", {"train": {"single_view": 1}}, ["'single_view'", "boolean"]),
+        ("train", {"train": {"max_steps": 2.0}}, ["'max_steps'", "integer or null"]),
+        ("gen-data", {"n_studies": "4"}, ["SynthSpec key 'n_studies'", "integer"]),
+        ("gen-data", {"structure_probs": {"heart": "1"}}, ["'structure_probs'", "number"]),
+    ])
+    def test_wrong_value_type_names_file_and_key(self, dataset, tmp_path, capsys, command,
+                                                 content, words):
+        """A config value of the wrong type exits 1 naming the file and the
+        key; it used to escape as a TypeError, fail without the key, or run."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(content))
+        out = tmp_path / "out"
+        if command == "gen-data":
+            argv = ["gen-data", "--spec", str(path), "--out", str(out)]
+        else:
+            argv = ["train", "--data", str(dataset), "--config", str(path), "--out", str(out)]
+        assert run_command(argv) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and all(word in err for word in words), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,index,mutate,words", [
+        ("generate", 0, lambda e: e.update(views=[]), ["'views'", "object", "got []"]),
+        ("generate", 0, lambda e: e.update(context=["Fever."]), ["'context'", "object"]),
+        ("eval", 9, lambda e: e.update(target_findings=None),
+         ["'target_findings'", "string", "None"]),
+        ("generate", 0, lambda e: e["views"].update(side_view=e["views"]["current_frontal"]),
+         ["'views'['side_view']", "unknown view"]),
+    ])
+    def test_malformed_manifest_field_types(self, dataset, checkpoint, tmp_path, capsys,
+                                            command, index, mutate, words):
+        """A manifest entry field of the wrong type exits 1 naming the file,
+        the entry and the field. These escaped as an AttributeError, or (an
+        unknown view) were dropped silently."""
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        path = data / "manifest.json"
+        manifest = json.loads(path.read_text())
+        mutate(manifest["studies"][index])
+        path.write_text(json.dumps(manifest))
+        argv = {"generate": ["generate", "--study", "study_00000"],
+                "eval": ["eval", "--report", str(tmp_path / "report.json")]}[command]
+        assert run_command(argv + ["--data", str(data), "--ckpt", str(checkpoint)]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and f"studies[{index}]" in err, err
+        assert all(word in err for word in words), err
+
     def test_unsupported_precision(self, dataset, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"train": {"precision": "float16"}}))

@@ -9,7 +9,6 @@ from segprompt.errors import ContractError
 from segprompt.metrics import (
     BootstrapSpec,
     _lcs_len,
-    aggregate_positive,
     bleu,
     bootstrap_ci,
     bootstrap_ci_fn,
@@ -27,6 +26,12 @@ def box(shape, r0, c0, h, w):
     m = np.zeros(shape, dtype=bool)
     m[r0:r0 + h, c0:c0 + w] = True
     return m
+
+
+def aggregate_positive(scores):
+    """Mean over defined scores only; None when every score is undefined."""
+    defined = [s for s in scores if s is not None]
+    return float(np.mean(defined)) if defined else None
 
 
 class TestDice:

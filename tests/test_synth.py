@@ -13,6 +13,7 @@ from segprompt.errors import ContractError
 from segprompt.masks import StructureId, read_image
 from segprompt.metrics import MR_FINDINGS
 from segprompt.mllm import Tokenizer
+from segprompt.prompting import View
 from segprompt.synth import (
     DEVICES,
     SynthSpec,
@@ -20,10 +21,8 @@ from segprompt.synth import (
     findings_text,
     findings_to_labels,
     generate_dataset,
-    labels_for_state,
     load_manifest,
     load_study,
-    make_studies,
     make_study,
     split_of,
     vocabulary,
@@ -37,6 +36,23 @@ def tree_digest(root: Path) -> str:
             h.update(path.relative_to(root).as_posix().encode())
             h.update(path.read_bytes())
     return h.hexdigest()
+
+
+def make_studies(spec: SynthSpec) -> list:
+    return [make_study(spec, i) for i in range(spec.n_studies)]
+
+
+def labels_for_state(state: StudyState) -> np.ndarray:
+    """Ground-truth vector over the five mask-relevant findings: the oracle
+    for ``findings_to_labels``."""
+    values = {
+        "lung_opacity": state.opacity_side is not None,
+        "cardiomegaly": bool(state.present.get(StructureId.HEART)) and state.cardiomegaly,
+        "pneumothorax": bool(state.present.get(StructureId.PNEUMOTHORAX)),
+        "support_devices": any(state.present.get(d) for d in DEVICES),
+        "pleural_effusion": state.effusion,
+    }
+    return np.array([values[f] for f in MR_FINDINGS], dtype=bool)
 
 
 class TestGeneratorBasics:
@@ -192,6 +208,25 @@ class TestManifest:
         (lambda m: m["studies"].__setitem__(3, ["study_00003"]), ["studies[3]", "list"]),
         (lambda m: m.pop("studies"), ["'studies'", "list"]),
         (lambda m: m.update(studies={"study_00000": {}}), ["'studies'", "list"]),
+        (lambda m: m["studies"][1]["views"].pop("current_frontal"),
+         ["studies[1]", "'views'", "lacks 'current_frontal'"]),
+        (lambda m: m["studies"][0]["views"]["current_frontal"].pop("image"),
+         ["studies[0]", "'views'['current_frontal']", "missing key 'image'"]),
+        (lambda m: m["studies"][0]["views"]["current_frontal"].update(image=3),
+         ["'views'['current_frontal']", "'image'", "string"]),
+        (lambda m: m["studies"][0]["views"]["current_frontal"].update(images="x.pgm"),
+         ["'views'['current_frontal']", "unknown", "'images'"]),
+        (lambda m: m["studies"][0]["views"]["current_frontal"]["masks"].update(spleen="x.pgm"),
+         ["'views'['current_frontal']", "'spleen'"]),
+        (lambda m: m["studies"][0]["views"]["current_frontal"]["masks"].update(heart=None),
+         ["'views'['current_frontal']", "'heart'", "string"]),
+        (lambda m: m["studies"][0]["views"]["current_frontal"].update(legend=[["1", "heart"]]),
+         ["'views'['current_frontal']", "'legend'", "[label, structure, value]"]),
+        (lambda m: m["studies"][2]["context"].update(indication=7),
+         ["studies[2]", "'context'", "string or null"]),
+        (lambda m: m["studies"][2]["context"].update(history="x"),
+         ["studies[2]", "'context'", "'history'"]),
+        (lambda m: m["studies"][3].update(study_id=3), ["studies[3]", "'study_id'", "string"]),
     ])
     def test_malformed_manifest_names_file_and_entry(self, tmp_path, edit, names):
         generate_dataset(SynthSpec(seed=11, n_studies=4, image_size=32), tmp_path)
@@ -203,6 +238,20 @@ class TestManifest:
             load_manifest(tmp_path)
         for name in names:
             assert name in str(info.value)
+
+    def test_legend_and_missing_context_keys_load(self, tmp_path):
+        """A ``legend`` of ``[label, structure, value]`` is accepted, and a
+        context key left out reads as null."""
+        generate_dataset(SynthSpec(seed=11, n_studies=2, image_size=32), tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["studies"][0]["views"]["current_frontal"]["legend"] = [["1", "heart", 200]]
+        manifest["studies"][0]["context"] = {"indication": "Fever and cough."}
+        path.write_text(json.dumps(manifest))
+        _, records = load_manifest(tmp_path)
+        study = load_study(records[0], tmp_path)
+        assert study.som_legends == {View.CURRENT_FRONTAL: [("1", StructureId.HEART, 200)]}
+        assert study.indication == "Fever and cough." and study.technique is None
 
     def test_manifest_not_json(self, tmp_path):
         (tmp_path / "manifest.json").write_text('{"studies": [')

@@ -125,6 +125,121 @@ class TestBackward:
         assert np.isfinite(x.grad).all()
 
 
+def graph_nodes(t) -> list:
+    """Every autodiff node reachable from t, t included."""
+    seen, stack, out = set(), [t], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            out.append(node)
+            stack.extend(node._parents)
+    return out
+
+
+def backward_keeping_graph(loss) -> None:
+    """The backward that kept its graph: the same reverse topological order
+    as ``Tensor.backward``, with no node's grad, parents or closure dropped."""
+    topo, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents if id(p) not in seen)
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(topo):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+def small_graph(rng, mlp, gamma, beta):
+    """A scalar loss over a fresh input through layer norm, an MLP, a residual
+    (the input reaches the loss twice), a slice and a concat."""
+    x = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
+    y = mlp(layer_norm(x, gamma, beta)) + x
+    return cross_entropy(concat([y, y[1:2]], axis=0), np.arange(5)), x
+
+
+def small_params(seed):
+    rng = np.random.default_rng(seed)
+    mlp = MlpBlock([6, 5, 6], activation="gelu", rng=rng)
+    gamma = Tensor(rng.standard_normal(6), requires_grad=True)
+    beta = Tensor(rng.standard_normal(6), requires_grad=True)
+    return rng, mlp, gamma, beta
+
+
+def param_list(mlp, gamma, beta) -> list:
+    return [gamma, beta, *mlp.named_params("mlp").values()]
+
+
+class TestConsumingBackward:
+    """``Tensor.backward`` frees each interior node once its closure has run;
+    the backward that kept the whole graph is the oracle for the gradients."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_interior_released_leaf_grads_equal_kept_graph(self, seed):
+        rng, *params = small_params(seed)
+        loss, x = small_graph(rng, *params)
+        interior = [node for node in graph_nodes(loss) if node._parents]
+        loss.backward()
+        ref_rng, *ref_params = small_params(seed)
+        ref_loss, ref_x = small_graph(ref_rng, *ref_params)
+        backward_keeping_graph(ref_loss)
+        for got, want in zip([x, *param_list(*params)], [ref_x, *param_list(*ref_params)]):
+            assert got.grad is not None and np.array_equal(got.grad, want.grad)
+        assert len(interior) == 8
+        assert all(node.grad is None and node._parents == () for node in interior)
+        assert ref_loss.grad is not None and ref_loss._parents
+
+    def test_second_backward_raises(self):
+        rng, *params = small_params(0)
+        loss, x = small_graph(rng, *params)
+        loss.backward()
+        leaves = [x, *param_list(*params)]
+        grads = [leaf.grad.copy() for leaf in leaves]
+        with pytest.raises(ContractError, match="consumed"):
+            loss.backward()
+        assert all(np.array_equal(leaf.grad, g) for leaf, g in zip(leaves, grads))
+
+    def test_reused_consumed_tensor_raises_when_reached(self):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.standard_normal(5), requires_grad=True)
+        w = Tensor(rng.standard_normal(5), requires_grad=True)
+        h = gelu(x * w)
+        h.sum().backward()
+        x_grad = x.grad.copy()
+        fresh = Tensor(rng.standard_normal(5), requires_grad=True)
+        again = (h * fresh).sum()
+        with pytest.raises(ContractError, match="consumed"):
+            again.backward()
+        assert fresh.grad is None and np.array_equal(x.grad, x_grad)
+        # the consumed tensor keeps its value, and reads as a constant without a graph
+        with no_grad():
+            assert np.array_equal((h * fresh).data, h.data * fresh.data)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("parts", [2, 3])
+    def test_per_part_backward_equals_whole_batch(self, dtype, parts):
+        """Backpropagating each part's loss seeded with 1/parts adds the
+        same parameter gradients, bit for bit, as one backward of the mean."""
+        grads = []
+        for per_part in (False, True):
+            with T.precision(dtype):
+                rng, *params = small_params(5)
+                losses = [small_graph(rng, *params)[0] for _ in range(parts)]
+                if per_part:
+                    for loss in losses:
+                        (loss * (1.0 / parts)).backward()
+                else:
+                    concat([loss.reshape(1) for loss in losses], axis=0).mean().backward()
+                grads.append([p.grad for p in param_list(*params)])
+        for got, want in zip(*grads):
+            assert got.dtype == np.dtype(dtype) and np.array_equal(got, want)
+
+
 def mean_var_layer_norm(x, gamma, beta, g, eps=1e-5):
     """layer_norm's output and x, gamma, beta gradients for upstream g, with
     the statistics from numpy's mean and var."""
