@@ -17,7 +17,7 @@ import numpy as np
 from segprompt import metrics, synth
 from segprompt.encoder import VitConfig
 from segprompt.errors import ContractError, json_field
-from segprompt.masks import read_image, read_mask, write_image, StructureId
+from segprompt.masks import write_image
 from segprompt.mllm import ModelConfig, ReportModel, TrainConfig, train
 from segprompt.nn import load_into, no_grad, precision
 from segprompt.prompting import Strategy, build_prompt, prompt_dumps
@@ -28,6 +28,7 @@ from segprompt.synth import (
     generate_dataset,
     load_manifest,
     load_study,
+    read_view,
     vocabulary,
 )
 
@@ -133,9 +134,7 @@ def cmd_render_som(args) -> int:
     for record in records:
         new_views = {}
         for view_name, entry in record.views.items():
-            image = read_image(src / entry["image"])
-            masks = {StructureId(k): read_mask(src / rel)
-                     for k, rel in entry["masks"].items()}
+            image, masks, _ = read_view(src, entry)
             overlay = render_overlay(image, masks, style)
             write_image(dst / entry["image"], overlay.image)
             legend = [[label, s.value, value] for label, s, value in overlay.legend]

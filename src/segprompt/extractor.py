@@ -43,16 +43,12 @@ class SegTokenPair:
 class SegTokenExtractor:
     """Trainable weights: one linear per tap, a fusion MLP, a spatial linear."""
 
-    def __init__(self, cfg: ExtractorConfig, seed: int | None = 0, identity: bool = False):
+    def __init__(self, cfg: ExtractorConfig, seed: int | None = 0):
         """``seed=None`` draws nothing: zero weights for a checkpoint to fill."""
         self.cfg = cfg
         rng = None if seed is None else np.random.default_rng(seed)
-        if identity:
-            self.tap_linears = {k: LinearLayer.identity(cfg.dim) for k in cfg.tap_layers}
-            self.fusion = MlpBlock.identity(cfg.dim, cfg.mlp_depth)
-        else:
-            self.tap_linears = {k: LinearLayer(cfg.dim, cfg.dim, rng) for k in cfg.tap_layers}
-            self.fusion = MlpBlock([cfg.dim] * (cfg.mlp_depth + 1), activation="gelu", rng=rng)
+        self.tap_linears = {k: LinearLayer(cfg.dim, cfg.dim, rng) for k in cfg.tap_layers}
+        self.fusion = MlpBlock([cfg.dim] * (cfg.mlp_depth + 1), rng=rng)
         self.spatial = LinearLayer(cfg.spatial_side ** 2, cfg.dim, rng)
 
     def named_params(self, prefix: str = "seg") -> dict[str, Tensor]:

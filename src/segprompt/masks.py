@@ -55,12 +55,6 @@ def as_mask(arr) -> Mask:
     return a.astype(bool)
 
 
-def validate_mask_set(ms: MaskSet) -> None:
-    extents = {m.shape for m in ms.values()}
-    if len(extents) > 1:
-        raise ContractError(f"mask set mixes extents: {sorted(extents)}")
-
-
 def positive_structures(ms: MaskSet) -> list[StructureId]:
     """Structures with a positive mask, in canonical roster order."""
     return [s for s in STRUCTURE_ORDER if s in ms and is_positive(ms[s])]

@@ -157,7 +157,7 @@ class DecoderLm:
 
 def make_adapter(enc_dim: int, lm_dim: int, rng: np.random.Generator | None) -> MlpBlock:
     """The 4-linear-layer MLP adapter from encoder width to LM width."""
-    return MlpBlock([enc_dim, lm_dim, lm_dim, lm_dim, lm_dim], activation="gelu", rng=rng)
+    return MlpBlock([enc_dim, lm_dim, lm_dim, lm_dim, lm_dim], rng=rng)
 
 
 def adapt(fg: FeatureGrid, adapter: MlpBlock) -> Tensor:
@@ -265,12 +265,9 @@ class ModelConfig:
     max_seq_len: int = 256
     seed: int = 0
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """Inverse of ``to_dict``; every key and value type is checked, the
+        """Inverse of ``asdict``; every key and value type is checked, the
         ``encoder`` and ``extractor`` objects' too."""
         return cls(**checked_fields(d, cls))
 
@@ -416,29 +413,15 @@ class TrainConfig:
         if unknown:
             raise ContractError(
                 f"unknown frozen component(s) {unknown}; expected names from {COMPONENTS}")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["strategy"] = self.strategy.value
-        return d
+        if self.precision not in ("float32", "float64"):
+            raise ContractError(f"unsupported dtype {self.precision!r} for key 'precision'; "
+                                "expected 'float32' or 'float64'")
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        """Inverse of ``to_dict``: every key and value type is checked, JSON
-        lists become tuples and the strategy an enum. An older echo's
-        ``trainable`` list is dropped if it and ``frozen`` split the components
-        (``bridge`` may be missing: few models have one)."""
-        d = dict(d)
-        legacy = d.pop("trainable", None)
-        tc = cls(**checked_fields(d, cls))
-        if legacy is not None:
-            frozen, live = set(tc.frozen), set(legacy)
-            covered = frozen | live
-            if frozen & live or not set(COMPONENTS) - {"bridge"} <= covered <= set(COMPONENTS):
-                raise ContractError(
-                    f"legacy 'trainable' {sorted(live)} and frozen {sorted(frozen)} must "
-                    f"split the components {COMPONENTS}")
-        return tc
+        """Inverse of ``asdict``: every key and value type is checked, JSON
+        lists become tuples and the strategy an enum."""
+        return cls(**checked_fields(d, cls))
 
 
 @dataclass
@@ -519,7 +502,7 @@ def train(model: ReportModel, dataset: list[StudyInput], tc: TrainConfig,
             fh.write("step,lr,loss\n")
             for step, lr, loss_value in curve:
                 fh.write(f"{step},{lr:.10g},{loss_value:.10g}\n")
-        echo = {"train": tc.to_dict(), "model": model.cfg.to_dict(),
+        echo = {"train": asdict(tc), "model": asdict(model.cfg),
                 "vocab": model.tokenizer.vocab}
         with open(out / "train_config.json", "w", encoding="utf-8") as fh:
             json.dump(echo, fh, indent=2, sort_keys=True)

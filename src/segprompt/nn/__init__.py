@@ -12,10 +12,8 @@ from segprompt.nn.tensor import (
     linear,
     no_grad,
     precision,
-    relu,
     set_default_dtype,
     softmax,
-    tanh,
 )
 from segprompt.nn.layers import (
     ACTIVATIONS,
@@ -36,6 +34,5 @@ __all__ = [
     "TransformerBlock", "adamw_step", "as_tensor", "attention", "concat", "cross_entropy",
     "default_dtype", "finite_diff_grad", "gelu", "grad_rel_error",
     "init_uniform", "layer_norm", "linear", "load_checkpoint", "load_into", "lr_at",
-    "no_grad", "precision", "relu", "save_checkpoint", "set_default_dtype",
-    "softmax", "tanh",
+    "no_grad", "precision", "save_checkpoint", "set_default_dtype", "softmax",
 ]

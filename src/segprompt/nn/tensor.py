@@ -450,21 +450,6 @@ def gelu(x: Tensor | np.ndarray) -> Tensor | np.ndarray:
     return out
 
 
-def relu(x: Tensor) -> Tensor:
-    out = _make(np.maximum(x.data, 0.0), (x,))
-    if out.requires_grad:
-        out._backward = lambda g: x._accumulate(g * (x.data > 0))
-    return out
-
-
-def tanh(x: Tensor) -> Tensor:
-    t = np.tanh(x.data)
-    out = _make(t, (x,))
-    if out.requires_grad:
-        out._backward = lambda g: x._accumulate(g * (1.0 - t * t))
-    return out
-
-
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     m = x.data.max(axis=axis, keepdims=True)
     e = np.exp(x.data - m)

@@ -468,29 +468,40 @@ def load_manifest(data_dir: str | Path) -> tuple[dict, list[StudyRecord]]:
     return manifest, [StudyRecord(**entry) for entry in studies]
 
 
+def _read_named(path: Path, read):
+    try:
+        return read(path)
+    except FileNotFoundError:
+        raise ContractError(f"{path}: file named in the manifest is missing") from None
+
+
+def read_view(root: Path, entry: dict) -> tuple[np.ndarray, MaskSet, list | None]:
+    """One manifest view's image, masks and legend (``None`` without one).
+    A missing file, or a mask whose extent differs from the image's, raises
+    a ContractError naming the file."""
+    image = _read_named(root / entry["image"], read_image)
+    masks = {}
+    for name, rel in entry["masks"].items():
+        mask = masks[StructureId(name)] = _read_named(root / rel, read_mask)
+        if mask.shape != image.shape:
+            raise ContractError(f"{root / rel}: mask extent {mask.shape} != image extent "
+                                f"{image.shape} of {root / entry['image']}")
+    legend = None
+    if entry.get("legend"):
+        legend = [(label, StructureId(sv), int(iv)) for label, sv, iv in entry["legend"]]
+    return image, masks, legend
+
+
 def load_study(record: StudyRecord, root: str | Path) -> StudyInput:
     root = Path(root)
-
-    def view_parts(view: View):
-        entry = record.views.get(view.value)
-        if entry is None:
-            return None, None, None
-        image = read_image(root / entry["image"])
-        masks = {StructureId(k): read_mask(root / rel)
-                 for k, rel in entry["masks"].items()}
-        legend = None
-        if entry.get("legend"):
-            legend = [(label, StructureId(sv), int(iv)) for label, sv, iv in entry["legend"]]
-        return image, masks, legend
-
-    f_img, f_masks, f_leg = view_parts(View.CURRENT_FRONTAL)
-    l_img, l_masks, l_leg = view_parts(View.CURRENT_LATERAL)
-    p_img, p_masks, p_leg = view_parts(View.PRIOR_FRONTAL)
-    legends = {view: leg for view, leg in ((View.CURRENT_FRONTAL, f_leg),
-                                           (View.CURRENT_LATERAL, l_leg),
-                                           (View.PRIOR_FRONTAL, p_leg)) if leg}
+    parts = {View(name): read_view(root, entry) for name, entry in record.views.items()}
+    absent = (None, None, None)
+    f_img, f_masks, _ = parts[View.CURRENT_FRONTAL]
+    l_img, l_masks, _ = parts.get(View.CURRENT_LATERAL, absent)
+    p_img, p_masks, _ = parts.get(View.PRIOR_FRONTAL, absent)
+    legends = {view: legend for view, (_, _, legend) in parts.items() if legend}
     return StudyInput(
-        frontal_image=f_img, frontal_masks=f_masks or {},
+        frontal_image=f_img, frontal_masks=f_masks,
         lateral_image=l_img, lateral_masks=l_masks,
         prior_image=p_img, prior_masks=p_masks,
         indication=record.context.get("indication"),

@@ -3,9 +3,11 @@
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from segprompt import cli
+from segprompt import masks as M
 from segprompt.cli import run_command
 from segprompt.encoder import VitConfig
 from segprompt.mllm import ModelConfig, ReportModel
@@ -77,6 +79,7 @@ class TestConfigErrors:
         ("train", {"model": {"extractor": {"spatial": 8}}}, "spatial"),
         ("train", {"train": {"frozen": ["encoderr"]}}, "encoderr"),
         ("train", {"train": {"frozen": ["encoder"], "trainable": ["lm"]}}, "trainable"),
+        ("train", {"train": {"trainable": 5}}, "trainable"),
     ])
     def test_bad_key_names_file_and_key(self, dataset, tmp_path, capsys, command,
                                         content, key):
@@ -216,7 +219,49 @@ class TestConfigErrors:
         path.write_text(json.dumps({"train": {"precision": "float16"}}))
         assert run_command(["train", "--data", str(dataset), "--config", str(path),
                             "--out", str(tmp_path / "out")]) == 1
-        assert "unsupported dtype 'float16'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unsupported dtype 'float16'" in err
+        assert str(path) in err and "'precision'" in err, err
+
+
+class TestBadStudyFiles:
+    """A mask file the manifest names that is missing, or that has another
+    extent than its image, makes every command that reads the study exit 1
+    and name the file, whatever the strategy."""
+
+    @pytest.fixture(scope="class")
+    def ns_checkpoint(self, dataset, tmp_path_factory):
+        root = tmp_path_factory.mktemp("ckpt-ns")
+        cfg = root / "train.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG,
+                                   "train": {**TINY_CONFIG["train"], "strategy": "NS"}}))
+        assert run_command(["train", "--data", str(dataset), "--config", str(cfg),
+                            "--out", str(root / "run")]) == 0
+        return root / "run"
+
+    @pytest.mark.parametrize("fault", ["missing", "extent"])
+    def test_every_reader_names_the_file(self, dataset, checkpoint, ns_checkpoint, tmp_path,
+                                         capsys, fault):
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        _, records = load_manifest(data)
+        record = next(r for r in records if r.split == "test")
+        rel = next(iter(record.views["current_frontal"]["masks"].values()))
+        if fault == "missing":
+            (data / rel).unlink()
+        else:
+            M.write_mask(data / rel, np.ones((16, 16), dtype=bool))
+        study = ["--data", str(data), "--study", record.study_id]
+        for argv in (["generate", "--ckpt", str(checkpoint)] + study,
+                     ["generate", "--ckpt", str(ns_checkpoint)] + study,
+                     ["build-prompt", "--strategy", "NS"] + study,
+                     ["eval", "--data", str(data), "--ckpt", str(ns_checkpoint),
+                      "--report", str(tmp_path / "report.json")],
+                     ["render-som", "--data", str(data), "--out", str(tmp_path / "som")]):
+            assert run_command(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert str(data / rel) in err, (argv, err)
+            assert "Errno" not in err and "input arrays" not in err, (argv, err)
 
 
 class TestParserReuse:
@@ -378,26 +423,23 @@ class TestTrainGenerateEval:
         out = capsys.readouterr().out
         assert isinstance(out, str)
 
-    def test_echo_with_legacy_trainable_loads(self, dataset, checkpoint, tmp_path, capsys):
-        """An echo that lists ``trainable`` beside ``frozen`` loads as before;
-        an unknown key in it names the echo file."""
-        argv = ["generate", "--data", str(dataset), "--study", "study_00000",
-                "--max-new", "6", "--ckpt"]
-        assert run_command(argv + [str(checkpoint)]) == 0
-        expected = capsys.readouterr().out
-        legacy = tmp_path / "legacy"
-        shutil.copytree(checkpoint, legacy)
-        echo_path = legacy / "train_config.json"
+    @pytest.mark.parametrize("key,value", [("trainable", ["extractor", "adapter", "bridge", "lm"]),
+                                           ("epochz", 1)], ids=["trainable", "epochz"])
+    def test_echo_with_unknown_key_names_file(self, dataset, checkpoint, tmp_path, capsys,
+                                              key, value):
+        """An echo with a key ``TrainConfig`` lacks exits 1 and names the echo
+        file and the key; ``trainable``, which echoes written before ``frozen``
+        became the one freezing option carried, is no exception."""
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(checkpoint, ckpt)
+        echo_path = ckpt / "train_config.json"
         echo = json.loads(echo_path.read_text())
-        echo["train"]["trainable"] = ["extractor", "adapter", "bridge", "lm"]
+        echo["train"][key] = value
         echo_path.write_text(json.dumps(echo))
-        assert run_command(argv + [str(legacy)]) == 0
-        assert capsys.readouterr().out == expected
-        echo["train"]["epochz"] = 1
-        echo_path.write_text(json.dumps(echo))
-        assert run_command(argv + [str(legacy)]) == 1
+        assert run_command(["generate", "--data", str(dataset), "--study", "study_00000",
+                            "--max-new", "6", "--ckpt", str(ckpt)]) == 1
         err = capsys.readouterr().err
-        assert str(echo_path) in err and "epochz" in err
+        assert str(echo_path) in err and repr(key) in err, err
 
     def test_eval_report(self, dataset, checkpoint, tmp_path):
         report_path = tmp_path / "report.json"

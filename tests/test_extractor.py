@@ -32,9 +32,20 @@ def grid(features: np.ndarray, side: int) -> FeatureGrid:
     return FeatureGrid(side, side, Tensor(np.asarray(features, dtype=float)))
 
 
-def tiny_extractor(dim=4, taps=(1, 2), side=4, identity=False, seed=0):
+def tiny_extractor(dim=4, taps=(1, 2), side=4, seed=0):
     cfg = ExtractorConfig(dim=dim, tap_layers=taps, spatial_side=side, mlp_depth=2)
-    return SegTokenExtractor(cfg, seed=seed, identity=identity)
+    return SegTokenExtractor(cfg, seed=seed)
+
+
+def identity_extractor(dim, taps):
+    """Every tap projection and the fusion are identities: with ``mlp_depth=1``
+    the fusion is one linear layer and no GELU."""
+    ext = SegTokenExtractor(ExtractorConfig(dim=dim, tap_layers=taps, spatial_side=4,
+                                            mlp_depth=1))
+    for layer in [*ext.tap_linears.values(), *ext.fusion.layers]:
+        layer.weight.data[:] = np.eye(dim)
+        layer.bias.data[:] = 0.0
+    return ext
 
 
 class TestMaskPool:
@@ -80,13 +91,13 @@ class TestMaskPool:
 
 class TestMaskToken:
     def test_degenerate_identity_single_tap(self):
-        ext = tiny_extractor(dim=3, taps=(1,), identity=True)
+        ext = identity_extractor(3, taps=(1,))
         feats = {1: grid(np.arange(12).reshape(4, 3), 2)}
         gm = np.array([[True, False], [False, False]])
         assert np.allclose(mask_token(feats, gm, ext).data, [0.0, 1.0, 2.0])
 
     def test_two_taps_addition_semantics(self):
-        ext = tiny_extractor(dim=3, taps=(1, 2), identity=True)
+        ext = identity_extractor(3, taps=(1, 2))
         f = np.tile(np.array([1.0, -2.0, 0.5]), (4, 1))
         feats = {1: grid(f, 2), 2: grid(f, 2)}
         gm = np.ones((2, 2), dtype=bool)

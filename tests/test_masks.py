@@ -278,12 +278,6 @@ class TestStructures:
               StructureId.LEFT_LUNG: lung}
         assert M.positive_structures(ms) == [StructureId.LEFT_LUNG, StructureId.HEART]
 
-    def test_mask_set_extent_validation(self):
-        ms = {StructureId.HEART: np.zeros((4, 4), dtype=bool),
-              StructureId.LEFT_LUNG: np.zeros((5, 5), dtype=bool)}
-        with pytest.raises(ContractError):
-            M.validate_mask_set(ms)
-
 
 class TestPgm:
     def test_mask_roundtrip_bit_identical(self, tmp_path):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from segprompt.nn import (
     AdamW,
     KvCache,
     LrSchedule,
-    MlpBlock,
     Tensor,
     concat,
     finite_diff_grad,
@@ -101,11 +101,25 @@ class TestAdapter:
         fg = FeatureGrid(4, 4, Tensor(rng.standard_normal((16, 6))))
         assert adapt(fg, adapter).shape == (16, 10)
 
-    def test_identity_configuration(self):
-        feats = np.random.default_rng(1).standard_normal((4, 5))
-        fg = FeatureGrid(2, 2, Tensor(feats))
-        adapter = MlpBlock.identity(5, 4)
-        assert np.allclose(adapt(fg, adapter).data, feats)
+    def test_matches_independent_straight_line_oracle(self):
+        rng = np.random.default_rng(1)
+        adapter = make_adapter(5, 7, rng)
+        feats = rng.standard_normal((4, 5))
+        got = adapt(FeatureGrid(2, 2, Tensor(feats)), adapter).data
+
+        # plain-numpy recomputation: four linear layers, a GELU between each pair
+        def np_gelu(x):
+            c = np.sqrt(2.0 / np.pi)
+            return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x ** 3)))
+
+        p = adapter.named_params("adapter")
+        h = feats
+        for i in range(4):
+            if i > 0:
+                h = np_gelu(h)
+            h = h @ p[f"adapter.{i}.weight"].data.T + p[f"adapter.{i}.bias"].data
+        assert got.shape == (4, 7)
+        assert np.allclose(got, h, atol=1e-12)
 
     def test_dim_mismatch(self):
         adapter = make_adapter(6, 10, np.random.default_rng(0))
@@ -806,11 +820,10 @@ class TestTrain:
 
     def test_config_validation(self):
         model = ReportModel(tiny_model_config(), vocabulary())
-        with pytest.raises(ContractError):
-            TrainConfig.from_dict({"frozen": ["encoder", "lm"],
-                                   "trainable": ["extractor", "adapter", "lm"]})
-        with pytest.raises(ContractError):
-            TrainConfig.from_dict({"frozen": [], "trainable": ["extractor", "adapter", "lm"]})
+        with pytest.raises(ContractError, match="unsupported dtype 'float16' for key 'precision'"):
+            TrainConfig.from_dict({"precision": "float16"})
+        with pytest.raises(ContractError, match="'precision'"):
+            TrainConfig(precision="bfloat16")
         with pytest.raises(ContractError):
             train(model, [], TrainConfig())
 
@@ -819,13 +832,13 @@ class TestTrain:
                    TrainConfig(epochs=2, strategy=Strategy.CS, single_view=True,
                                betas=(0.8, 0.95), max_steps=7, precision="float64",
                                frozen=("encoder", "lm"))):
-            assert TrainConfig.from_dict(tc.to_dict()) == tc
-            assert TrainConfig.from_dict(json.loads(json.dumps(tc.to_dict()))) == tc
+            assert TrainConfig.from_dict(asdict(tc)) == tc
+            assert TrainConfig.from_dict(json.loads(json.dumps(asdict(tc)))) == tc
         assert TrainConfig.from_dict({"strategy": "NS"}) == TrainConfig(strategy=Strategy.NS)
 
     def test_model_config_dict_roundtrip(self):
         for cfg in (ModelConfig(), tiny_model_config(lm_dim=16, seed=3)):
-            assert ModelConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+            assert ModelConfig.from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
 
     def test_artifacts_written(self, tmp_path):
         model = ReportModel(tiny_model_config(), vocabulary())
@@ -942,16 +955,14 @@ class TestFreezingRule:
                 assert p.requires_grad is (component not in tc.frozen), name
                 assert (p.grad is None) is (component in tc.frozen), name
 
-    def test_legacy_trainable_echo_loads(self):
-        parent_echo = {"frozen": ["encoder"], "trainable": ["extractor", "adapter", "bridge", "lm"],
-                       "strategy": "SS", "betas": [0.9, 0.999]}
-        assert TrainConfig.from_dict(parent_echo) == TrainConfig()
-        no_bridge = {"frozen": ["encoder", "lm"], "trainable": ["extractor", "adapter"]}
-        assert TrainConfig.from_dict(no_bridge) == TrainConfig(frozen=("encoder", "lm"))
-        assert "trainable" not in TrainConfig().to_dict()
-        with pytest.raises(ContractError, match="trainable"):
-            TrainConfig.from_dict({"frozen": ["encoder"], "trainable": ["adapter", "lm", "bogus",
-                                                                       "extractor"]})
+    @pytest.mark.parametrize("trainable", [["extractor", "adapter", "bridge", "lm"], 5],
+                             ids=["list", "int"])
+    def test_trainable_key_rejected(self, trainable):
+        """``frozen`` is the one freezing option: a ``trainable`` key, as an
+        echo written before it carried, is an unknown key, whatever its value."""
+        with pytest.raises(ContractError, match="unknown TrainConfig key.*'trainable'"):
+            TrainConfig.from_dict({"frozen": ["encoder"], "trainable": trainable})
+        assert "trainable" not in asdict(TrainConfig())
 
     def test_misspelt_frozen_name_rejected(self):
         with pytest.raises(ContractError, match="encoderr"):

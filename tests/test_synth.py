@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from segprompt.errors import ContractError
-from segprompt.masks import StructureId, read_image
+from segprompt.masks import StructureId, read_image, write_mask
 from segprompt.metrics import MR_FINDINGS
 from segprompt.mllm import Tokenizer
 from segprompt.prompting import View
@@ -24,6 +24,7 @@ from segprompt.synth import (
     load_manifest,
     load_study,
     make_study,
+    read_view,
     split_of,
     vocabulary,
 )
@@ -252,6 +253,22 @@ class TestManifest:
         study = load_study(records[0], tmp_path)
         assert study.som_legends == {View.CURRENT_FRONTAL: [("1", StructureId.HEART, 200)]}
         assert study.indication == "Fever and cough." and study.technique is None
+
+    @pytest.mark.parametrize("fault", ["missing", "extent"])
+    def test_view_files_checked(self, tmp_path, fault):
+        """``read_view``, which ``load_study`` and ``render-som`` share, names
+        a missing file and a mask whose extent differs from its image's."""
+        generate_dataset(SynthSpec(seed=11, n_studies=2, image_size=32), tmp_path)
+        _, records = load_manifest(tmp_path)
+        entry = records[0].views["current_frontal"]
+        rel = entry["masks"]["heart"]
+        if fault == "missing":
+            (tmp_path / rel).unlink()
+        else:
+            write_mask(tmp_path / rel, np.zeros((32, 16), dtype=bool))
+        for read in (lambda: read_view(tmp_path, entry), lambda: load_study(records[0], tmp_path)):
+            with pytest.raises(ContractError, match=re.escape(str(tmp_path / rel))):
+                read()
 
     def test_manifest_not_json(self, tmp_path):
         (tmp_path / "manifest.json").write_text('{"studies": [')
