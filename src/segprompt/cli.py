@@ -30,6 +30,7 @@ from segprompt.synth import (
     load_study,
     read_view,
     vocabulary,
+    write_manifest,
 )
 
 
@@ -44,7 +45,10 @@ def _read_config(path: str | Path | None, parse):
     data = {}
     if path:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ContractError(f"{path}: not valid JSON ({exc})") from exc
     try:
         return parse(data)
     except (ContractError, TypeError) as exc:
@@ -151,13 +155,8 @@ def cmd_render_som(args) -> int:
         out_records.append(rec)
     out_manifest = dict(manifest)
     out_manifest["studies"] = out_records
-    out_manifest["som_style"] = {"contours": style.contours,
-                                 "alphanumerics": style.alphanumerics,
-                                 "policy": style.policy,
-                                 "uniform_value": style.uniform_value}
-    with open(dst / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(out_manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    out_manifest["som_style"] = asdict(style)
+    write_manifest(dst, out_manifest)
     log(f"rendered {len(out_records)} studies to {dst}")
     return 0
 

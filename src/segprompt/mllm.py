@@ -47,7 +47,6 @@ from segprompt.prompting import (
     build_prompt,
     realize_embeddings,
 )
-from segprompt.som import augment_som_prompt
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+|\.")
 
@@ -338,25 +337,13 @@ class ReportModel:
                                          self.cfg.encoder.patch_size, self.extractor)
         return pairs
 
-    def prompt_for(self, study: StudyInput, strategy: Strategy,
-                   single_view: bool = False) -> Prompt:
-        prompt = build_prompt(study, strategy, single_view)
-        legends = study.som_legends
-        if legends:
-            for view, _, _ in study.views(single_view):
-                legend = legends.get(view)
-                if legend:
-                    prefix = "prior " if view is View.PRIOR_FRONTAL else ""
-                    prompt = augment_som_prompt(prompt, legend, name_prefix=prefix)
-        return prompt
-
     def realize(self, study: StudyInput, strategy: Strategy, single_view: bool = False,
                 enc_out: dict[View, EncoderOutput] | None = None,
                 prompt: Prompt | None = None) -> Tensor:
         if enc_out is None:
             [enc_out] = self.encode_views([study], single_view)
         if prompt is None:
-            prompt = self.prompt_for(study, strategy, single_view)
+            prompt = build_prompt(study, strategy, single_view)
         pairs = self.seg_pairs(study, enc_out, strategy, single_view)
         return realize_embeddings(
             prompt, enc_out, pairs, self.text_embedder,
@@ -416,6 +403,16 @@ class TrainConfig:
         if self.precision not in ("float32", "float64"):
             raise ContractError(f"unsupported dtype {self.precision!r} for key 'precision'; "
                                 "expected 'float32' or 'float64'")
+        # each test is negated so that a NaN fails it too
+        if not self.batch_size >= 1:
+            raise ContractError(f"key 'batch_size' must be at least 1, got {self.batch_size}")
+        if not all(0 <= b < 1 for b in self.betas):
+            raise ContractError(f"key 'betas' must hold two numbers in [0, 1), "
+                                f"got {list(self.betas)}")
+        if not self.eps > 0:
+            raise ContractError(f"key 'eps' must be > 0, got {self.eps}")
+        if not self.base_lr >= 0:
+            raise ContractError(f"key 'base_lr' must be >= 0, got {self.base_lr}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -462,7 +459,7 @@ def train(model: ReportModel, dataset: list[StudyInput], tc: TrainConfig,
 
     encoder_frozen = "encoder" in tc.frozen
     enc_cache: list[dict[View, EncoderOutput]] = []
-    prompts = [model.prompt_for(s, tc.strategy, tc.single_view) for s in dataset]
+    prompts = [build_prompt(s, tc.strategy, tc.single_view) for s in dataset]
     if encoder_frozen:
         enc_cache = model.encode_views(dataset, tc.single_view)
 

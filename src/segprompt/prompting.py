@@ -98,8 +98,8 @@ class StudyInput:
     prior_report: str | None = None
     target_findings: str | None = None
     study_id: str = ""
-    # per-view mark legends when the images are set-of-marks overlays
-    som_legends: dict | None = None
+    # per-view (label, structure, intensity) marks when the images are overlays
+    som_legends: dict[View, list[tuple[str, StructureId, int]]] | None = None
 
     def views(self, single_view: bool = False) -> list[tuple[View, np.ndarray, MaskSet]]:
         out = [(View.CURRENT_FRONTAL, self.frontal_image, self.frontal_masks)]
@@ -145,9 +145,11 @@ def _view_seg_segments(view: View, positives: list[StructureId],
 
 def build_prompt(study: StudyInput, strategy: Strategy, single_view: bool = False) -> Prompt:
     """Assemble the segment sequence: system message, then per view its image
-    slot followed by that view's segmentation segments, then the instruction
-    and any textual context. A seg-token strategy on a study without any
-    positive mask degrades to the NS layout with a warning flag."""
+    slot followed by that view's segmentation segments, then the instruction,
+    one "mark <k>: <structure>" list per view with a set-of-marks legend, and
+    any textual context. A seg-token strategy on a study without any positive
+    mask degrades to the NS layout with a warning flag. The marks travel in
+    pixels, so a mark list adds no segmentation slot."""
     views = study.views(single_view)
     positives_by_view = {view: positive_structures(ms) for view, _, ms in views}
     degraded = False
@@ -167,6 +169,12 @@ def build_prompt(study: StudyInput, strategy: Strategy, single_view: bool = Fals
     has_prior = any(view is View.PRIOR_FRONTAL for view, _, _ in views)
     segments.append(TextSpan(INSTRUCTION_WITH_PRIOR if has_prior else INSTRUCTION,
                              role="instruction"))
+    legends = study.som_legends or {}
+    for view, _, _ in views:
+        if legends.get(view):
+            lines = [f"mark {label}: {_structure_label(s, view)}"
+                     for label, s, _ in legends[view]]
+            segments.append(TextSpan("\n".join(lines), role="som_legend"))
     if not single_view:
         for attr, header in CONTEXT_SECTIONS:
             value = getattr(study, attr)

@@ -1,5 +1,5 @@
-"""Set-of-marks rendering: grayscale contour overlays, numeric marks stamped
-from an embedded 5x7 bitmap font, and the mark-list prompt augmentation.
+"""Set-of-marks rendering: grayscale contour overlays and numeric marks stamped
+from an embedded 5x7 bitmap font.
 
 Images are float grids in [0, 1]; mark intensities are 8-bit values drawn at
 ``value / 255``. Pixels outside the contour and glyph footprints are left
@@ -14,7 +14,6 @@ import numpy as np
 
 from segprompt.errors import ContractError
 from segprompt.masks import (
-    STRUCTURE_NAMES,
     Mask,
     MaskSet,
     StructureId,
@@ -23,7 +22,6 @@ from segprompt.masks import (
     contour,
     positive_structures,
 )
-from segprompt.prompting import Prompt, TextSpan
 
 # 5x7 digit bitmaps; '1' cells are drawn.
 DIGIT_FONT: dict[str, tuple[str, ...]] = {
@@ -143,22 +141,3 @@ def overlay_footprint(ms: MaskSet, style: MarkStyle, shape: tuple[int, int]) -> 
             largest = connected_components(m)[0]
             fp |= glyph_mask(str(k), shape, centroid(largest))
     return fp
-
-
-def augment_som_prompt(base: Prompt, legend: list[LegendEntry],
-                       name_prefix: str = "") -> Prompt:
-    """Append a text span listing "mark <k>: <structure name>" lines after the
-    instruction (and any earlier mark lists), before the textual context. The
-    marks travel in pixels, so no segmentation slots are introduced."""
-    if not legend:
-        return base
-    lines = [f"mark {label}: {name_prefix}{STRUCTURE_NAMES[s]}" for label, s, _ in legend]
-    span = TextSpan("\n".join(lines), role="som_legend")
-    insert_at = None
-    for i, seg in enumerate(base.segments):
-        if isinstance(seg, TextSpan) and seg.role in ("instruction", "som_legend"):
-            insert_at = i + 1
-    if insert_at is None:
-        insert_at = len(base.segments)
-    segments = base.segments[:insert_at] + [span] + base.segments[insert_at:]
-    return Prompt(segments=segments, degraded_to_ns=base.degraded_to_ns)

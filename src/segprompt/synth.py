@@ -394,11 +394,15 @@ def generate_dataset(spec: SynthSpec, out_dir: str | Path) -> list[StudyRecord]:
                      "comparison": study.comparison, "prior_report": study.prior_report},
             target_findings=study.target_findings))
 
-    manifest = {"spec": asdict(spec), "studies": [asdict(r) for r in records]}
+    write_manifest(root, {"spec": asdict(spec), "studies": [asdict(r) for r in records]})
+    return records
+
+
+def write_manifest(root: Path, manifest: dict) -> None:
+    """``root/manifest.json``: sorted keys, two-space indent, final newline."""
     with open(root / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return records
 
 
 CONTEXT_KEYS = ("indication", "technique", "comparison", "prior_report")

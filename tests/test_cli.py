@@ -80,19 +80,51 @@ class TestConfigErrors:
         ("train", {"train": {"frozen": ["encoderr"]}}, "encoderr"),
         ("train", {"train": {"frozen": ["encoder"], "trainable": ["lm"]}}, "trainable"),
         ("train", {"train": {"trainable": 5}}, "trainable"),
+        # optimizer values that break training: a ZeroDivisionError, a
+        # checkpoint with non-finite entries, or an error naming no key
+        ("train", {"train": {"batch_size": 0}}, "'batch_size'"),
+        ("train", {"train": {"betas": [1.0, 0.999]}}, "'betas'"),
+        ("train", {"train": {"betas": [0.9, 1.0]}}, "'betas'"),
+        ("train", {"train": {"betas": [-0.1, 0.999]}}, "'betas'"),
+        ("train", {"train": {"eps": 0.0}}, "'eps'"),
+        ("train", {"train": {"base_lr": -1}}, "'base_lr'"),
     ])
     def test_bad_key_names_file_and_key(self, dataset, tmp_path, capsys, command,
                                         content, key):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(content))
-        out = str(tmp_path / "out")
+        out = tmp_path / "out"
         if command == "gen-data":
-            argv = ["gen-data", "--spec", str(path), "--out", out]
+            argv = ["gen-data", "--spec", str(path), "--out", str(out)]
         else:
-            argv = ["train", "--data", str(dataset), "--config", str(path), "--out", out]
+            argv = ["train", "--data", str(dataset), "--config", str(path), "--out", str(out),
+                    "--max-steps", "1"]
         assert run_command(argv) == 1
         err = capsys.readouterr().err
         assert str(path) in err and key in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "generate"])
+    def test_not_json_names_file(self, dataset, checkpoint, tmp_path, capsys, command):
+        """A ``--spec``, a ``--config`` or a checkpoint's ``train_config.json``
+        that is not JSON exits 1 naming the file."""
+        out = tmp_path / "out"
+        path = tmp_path / "config.json"
+        if command == "gen-data":
+            argv = ["gen-data", "--spec", str(path), "--out", str(out)]
+        elif command == "train":
+            argv = ["train", "--data", str(dataset), "--config", str(path), "--out", str(out)]
+        else:
+            ckpt = tmp_path / "ckpt"
+            shutil.copytree(checkpoint, ckpt)
+            path = ckpt / "train_config.json"
+            argv = ["generate", "--data", str(dataset), "--ckpt", str(ckpt),
+                    "--study", "study_00000"]
+        path.write_text("{not json")
+        assert run_command(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: not valid JSON" in err, err
+        assert not out.exists()
 
     def test_unknown_top_level_keys(self, dataset, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -399,6 +431,36 @@ class TestRenderSom:
         _, records = load_manifest(som)
         rel = records[0].views["current_frontal"]["image"]
         assert (data / rel).read_bytes() == (som / rel).read_bytes()
+
+    @pytest.mark.parametrize("strategy", ["SS", "NS"])
+    def test_build_prompt_lists_the_marks(self, dataset, tmp_path, strategy):
+        """``build-prompt`` on an overlaid tree dumps the mark lists the model
+        sees: one ``som_legend`` span per view with a legend, built from the
+        manifest's legend, and otherwise the plain tree's dump."""
+        som = tmp_path / "som"
+        assert run_command(["render-som", "--data", str(dataset), "--out", str(som)]) == 0
+        _, records = load_manifest(som)
+        with_prior = [r for r in records if "prior_frontal" in r.views]
+        for record in (records[0], with_prior[0]):
+            dumps = {}
+            for root in (dataset, som):
+                out = tmp_path / f"{root.name}_{record.study_id}.json"
+                assert run_command(["build-prompt", "--data", str(root), "--study",
+                                    record.study_id, "--strategy", strategy,
+                                    "--out", str(out)]) == 0
+                dumps[root] = json.loads(out.read_text())
+            expected = []
+            for view in ("current_frontal", "current_lateral", "prior_frontal"):
+                prefix = "prior " if view == "prior_frontal" else ""
+                legend = record.views.get(view, {}).get("legend")
+                if legend:
+                    expected.append("\n".join(
+                        f"mark {label}: {prefix}{M.STRUCTURE_NAMES[M.StructureId(s)]}"
+                        for label, s, _ in legend))
+            assert expected
+            legend_spans = [seg for seg in dumps[som] if seg.get("role") == "som_legend"]
+            assert [seg["text"] for seg in legend_spans] == expected
+            assert [seg for seg in dumps[som] if seg not in legend_spans] == dumps[dataset]
 
     def test_deterministic(self, dataset, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

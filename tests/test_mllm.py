@@ -41,7 +41,7 @@ from segprompt.nn import (
     precision,
     save_checkpoint,
 )
-from segprompt.prompting import ImageSlot, SegSlot, Strategy, TextSpan, View
+from segprompt.prompting import ImageSlot, SegSlot, Strategy, TextSpan, View, build_prompt
 from segprompt.prompting import ANNOTATION_ROLES
 from segprompt.nn import tensor as T
 from segprompt.synth import SynthSpec, make_study, vocabulary
@@ -737,7 +737,7 @@ class TestReportModel:
         study = tiny_studies(1)[0]
         ns = model.realize(study, Strategy.NS, single_view=True).data
         ss = model.realize(study, Strategy.SS, single_view=True).data
-        prompt = model.prompt_for(study, Strategy.SS, single_view=True)
+        prompt = build_prompt(study, Strategy.SS, single_view=True)
         seg_rows = []
         row = 0
         for seg in prompt.segments:

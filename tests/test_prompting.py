@@ -194,6 +194,61 @@ class TestBuildPrompt:
         assert {seg.structure for seg in slots} == {StructureId.HEART}
 
 
+class TestMarkList:
+    """A set-of-marks legend becomes one "mark <k>: <structure>" span per view,
+    after the instruction and before the context."""
+
+    @staticmethod
+    def legend_spans(prompt):
+        return [seg.text for seg in prompt.segments
+                if isinstance(seg, TextSpan) and seg.role == "som_legend"]
+
+    @pytest.mark.parametrize("legends", [None, {}, {View.CURRENT_FRONTAL: []}],
+                             ids=["none", "no-view", "empty"])
+    def test_no_legend_adds_no_span(self, legends):
+        s = study((StructureId.HEART,), context=True)
+        plain = prompt_dumps(build_prompt(s, Strategy.SS))
+        s.som_legends = legends
+        assert prompt_dumps(build_prompt(s, Strategy.SS)) == plain
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_mark_lines_after_instruction_before_context(self, strategy):
+        s = study((StructureId.LEFT_LUNG,), context=True)
+        plain = build_prompt(s, strategy).segments
+        s.som_legends = {View.CURRENT_FRONTAL: [("1", StructureId.LEFT_LUNG, 255),
+                                                ("2", StructureId.ETT, 0)]}
+        p = build_prompt(s, strategy)
+        roles = [seg.role for seg in p.segments if isinstance(seg, TextSpan)]
+        assert roles.index("som_legend") == roles.index("instruction") + 1
+        assert roles.index("som_legend") < roles.index("context")
+        assert self.legend_spans(p) == ["mark 1: left lung\nmark 2: endotracheal tube"]
+        # the marks travel in pixels: no other segment changes
+        assert [seg for seg in p.segments
+                if not (isinstance(seg, TextSpan) and seg.role == "som_legend")] == plain
+
+    def test_views_listed_in_order_with_prior_prefix(self):
+        s = study((StructureId.HEART,), lateral=(StructureId.HEART,),
+                  prior=(StructureId.HEART,), context=True)
+        s.som_legends = {View.PRIOR_FRONTAL: [("1", StructureId.HEART, 0),
+                                              ("2", StructureId.CVC, 255)],
+                         View.CURRENT_LATERAL: [("1", StructureId.HEART, 255)]}
+        p = build_prompt(s, Strategy.SS)
+        assert self.legend_spans(p) == [
+            "mark 1: heart", "mark 1: prior heart\nmark 2: prior central venous catheter"]
+        roles = [seg.role for seg in p.segments if isinstance(seg, TextSpan)]
+        first = roles.index("som_legend")
+        assert roles[first - 1:first + 3] == ["instruction", "som_legend", "som_legend",
+                                              "context"]
+
+    def test_single_view_lists_only_frontal(self):
+        s = study((StructureId.HEART,), lateral=(StructureId.HEART,),
+                  prior=(StructureId.HEART,))
+        s.som_legends = {view: [("1", StructureId.HEART, 255)] for view in View}
+        assert self.legend_spans(build_prompt(s, Strategy.SS, single_view=True)) == \
+            ["mark 1: heart"]
+        assert len(self.legend_spans(build_prompt(s, Strategy.SS))) == 3
+
+
 class TestCountTokens:
     def test_ns_is_text_plus_grid(self):
         p = build_prompt(study(), Strategy.NS, single_view=True)

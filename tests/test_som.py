@@ -1,16 +1,14 @@
-"""Set-of-marks rendering and prompt augmentation."""
+"""Set-of-marks rendering."""
 
 import numpy as np
 import pytest
 
 from segprompt.errors import ContractError
 from segprompt.masks import StructureId, contour
-from segprompt.prompting import Strategy, StudyInput, TextSpan, build_prompt
 from segprompt.som import (
     DIGIT_FONT,
     MarkStyle,
     assign_intensities,
-    augment_som_prompt,
     glyph_mask,
     overlay_footprint,
     render_overlay,
@@ -120,36 +118,3 @@ class TestRenderOverlay:
         one = sum(row.count("1") for row in DIGIT_FONT["1"])
         zero = sum(row.count("1") for row in DIGIT_FONT["0"])
         assert g.sum() == one + zero
-
-
-class TestAugmentPrompt:
-    def _base(self):
-        s = StudyInput(frontal_image=np.zeros((8, 8)), frontal_masks={},
-                       indication="Fever.")
-        return build_prompt(s, Strategy.NS)
-
-    def test_empty_legend_unchanged(self):
-        base = self._base()
-        assert augment_som_prompt(base, []) is base
-
-    def test_mark_lines_after_instruction_before_context(self):
-        base = self._base()
-        legend = [("1", StructureId.LEFT_LUNG, 255), ("2", StructureId.ETT, 0)]
-        out = augment_som_prompt(base, legend)
-        spans = [s for s in out.segments if isinstance(s, TextSpan)]
-        roles = [s.role for s in spans]
-        assert roles.index("som_legend") == roles.index("instruction") + 1
-        assert roles.index("som_legend") < roles.index("context")
-        legend_span = next(s for s in spans if s.role == "som_legend")
-        assert legend_span.text == "mark 1: left lung\nmark 2: endotracheal tube"
-        assert not any(seg for seg in out.segments
-                       if seg.__class__.__name__ == "SegSlot")
-
-    def test_repeated_augment_appends_in_order(self):
-        base = self._base()
-        out = augment_som_prompt(base, [("1", StructureId.HEART, 255)])
-        out = augment_som_prompt(out, [("1", StructureId.HEART, 255)],
-                                 name_prefix="prior ")
-        legends = [s.text for s in out.segments
-                   if isinstance(s, TextSpan) and s.role == "som_legend"]
-        assert legends == ["mark 1: heart", "mark 1: prior heart"]
