@@ -292,6 +292,19 @@ def cmd_eval(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+def _int_in(low: int, high: int | None = None):
+    """An argparse ``type``: an int in [low, high] (no upper bound without
+    ``high``). A value outside is argparse's usage error, naming the flag."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            bound = f"lie in [{low}, {high}]" if high is not None else f"be at least {low}"
+            raise argparse.ArgumentTypeError(f"must {bound}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse's message for a non-integer: "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="segprompt")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -310,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["contours+marks", "contours", "marks"])
     p.add_argument("--intensity-policy", default="contrast_max",
                    choices=["alternating", "contrast_max", "uniform"])
-    p.add_argument("--uniform-value", type=int, default=128)
+    p.add_argument("--uniform-value", type=_int_in(0, 255), default=128)
     p.set_defaults(fn=cmd_render_som)
 
     p = sub.add_parser("build-prompt", help="dump a study prompt as JSON")
@@ -337,15 +350,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--single-view", action="store_true")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--max-steps", type=int)
+    p.add_argument("--epochs", type=_int_in(1))
+    p.add_argument("--max-steps", type=_int_in(1))
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("generate", help="greedy-decode one study's report")
     p.add_argument("--data", required=True)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--study", required=True)
-    p.add_argument("--max-new", type=int, default=48)
+    p.add_argument("--max-new", type=_int_in(1), default=48)
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a split")
@@ -353,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--report", required=True)
     p.add_argument("--split", default="test", choices=["train", "val", "test"])
-    p.add_argument("--max-new", type=int, default=48)
+    p.add_argument("--max-new", type=_int_in(1), default=48)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_eval)
     return parser

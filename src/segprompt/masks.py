@@ -7,6 +7,7 @@ share one view's extents. All operations are pure.
 
 from __future__ import annotations
 
+import re
 from enum import Enum
 from pathlib import Path
 
@@ -148,6 +149,13 @@ def connected_components(m: Mask) -> list[Mask]:
 # -- PGM I/O -------------------------------------------------------------------
 # Binary PGM (P5), 8-bit. Masks: 0 background, nonzero foreground.
 
+# Whitespace and ``#`` comments before a header field. The lookahead ends a
+# comment only at a newline or the end of the file, so backtracking cannot
+# cut one short and read the rest of its line as a field.
+_GAP = rb"(?:\s|#[^\n]*(?=\n|\Z))*"
+_PGM_HEADER = re.compile(rb"P5" + _GAP + rb"(\d+)\s" + _GAP + rb"(\d+)\s" + _GAP
+                         + rb"(\d+)(?:\s|\Z)")
+
 
 def write_pgm(path: str | Path, pixels: np.ndarray) -> None:
     arr = np.asarray(pixels)
@@ -157,34 +165,30 @@ def write_pgm(path: str | Path, pixels: np.ndarray) -> None:
         raise ContractError(f"PGM writer expects uint8 or bool, got {arr.dtype}")
     h, w = arr.shape
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(arr.tobytes())
+        fh.write(b"P5\n%d %d\n255\n" % (w, h) + arr.tobytes())
 
 
 def read_pgm(path: str | Path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if not raw.startswith(b"P5"):
-        raise ContractError(f"{path}: not a binary PGM (P5) file")
-    fields: list[int] = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(raw) and raw[pos:pos + 1].isspace():
-            pos += 1
-        if raw[pos:pos + 1] == b"#":
-            while pos < len(raw) and raw[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        token = raw[start:pos]
-        if not token.isdigit():
-            raise ContractError(f"{path}: malformed PGM header field {token!r}")
-        fields.append(int(token))
-    pos += 1  # single whitespace byte after maxval
-    w, h, maxval = fields
+    """An 8-bit binary PGM's pixels as a (height, width) uint8 array.
+
+    The header is ``P5``, then width, height and maxval in decimal, each
+    preceded by any whitespace and ``#`` comments (to the end of the line),
+    and one whitespace byte before the pixels. maxval must be 255 and both
+    extents positive. A malformed header or too few pixel bytes raises a
+    ContractError naming the file."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    header = _PGM_HEADER.match(raw)
+    if header is None:
+        if not raw.startswith(b"P5"):
+            raise ContractError(f"{path}: not a binary PGM (P5) file")
+        raise ContractError(f"{path}: malformed PGM header")
+    w, h, maxval = map(int, header.groups())
     if maxval != 255:
         raise ContractError(f"{path}: only 8-bit PGM supported, maxval={maxval}")
+    if not (w and h):
+        raise ContractError(f"{path}: PGM extents {w}x{h} must be positive")
+    pos = header.end(3) + 1  # single whitespace byte after maxval
     if len(raw) - pos < h * w:
         raise ContractError(f"{path}: truncated PGM pixel data, {w}x{h} needs {h * w} bytes")
     data = np.frombuffer(raw, dtype=np.uint8, count=h * w, offset=pos)

@@ -413,6 +413,16 @@ class TrainConfig:
             raise ContractError(f"key 'eps' must be > 0, got {self.eps}")
         if not self.base_lr >= 0:
             raise ContractError(f"key 'base_lr' must be >= 0, got {self.base_lr}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ContractError(f"key 'weight_decay' must be finite and >= 0, "
+                                f"got {self.weight_decay}")
+        if not 0 <= self.warmup_ratio < 1:
+            raise ContractError(f"key 'warmup_ratio' must lie in [0, 1), got {self.warmup_ratio}")
+        if not self.epochs >= 1:
+            raise ContractError(f"key 'epochs' must be at least 1, got {self.epochs}")
+        if self.max_steps is not None and not self.max_steps >= 1:
+            raise ContractError(f"key 'max_steps' must be at least 1 or null, "
+                                f"got {self.max_steps}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":

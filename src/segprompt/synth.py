@@ -11,6 +11,7 @@ its finding sentence depend on the mask alone.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -401,8 +402,7 @@ def generate_dataset(spec: SynthSpec, out_dir: str | Path) -> list[StudyRecord]:
 def write_manifest(root: Path, manifest: dict) -> None:
     """``root/manifest.json``: sorted keys, two-space indent, final newline."""
     with open(root / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 CONTEXT_KEYS = ("indication", "technique", "comparison", "prior_report")
@@ -472,24 +472,26 @@ def load_manifest(data_dir: str | Path) -> tuple[dict, list[StudyRecord]]:
     return manifest, [StudyRecord(**entry) for entry in studies]
 
 
-def _read_named(path: Path, read):
+def _read_named(path: str, read):
     try:
         return read(path)
     except FileNotFoundError:
         raise ContractError(f"{path}: file named in the manifest is missing") from None
 
 
-def read_view(root: Path, entry: dict) -> tuple[np.ndarray, MaskSet, list | None]:
+def read_view(root: str | Path, entry: dict) -> tuple[np.ndarray, MaskSet, list | None]:
     """One manifest view's image, masks and legend (``None`` without one).
     A missing file, or a mask whose extent differs from the image's, raises
     a ContractError naming the file."""
-    image = _read_named(root / entry["image"], read_image)
+    image_path = os.path.join(root, entry["image"])
+    image = _read_named(image_path, read_image)
     masks = {}
     for name, rel in entry["masks"].items():
-        mask = masks[StructureId(name)] = _read_named(root / rel, read_mask)
+        path = os.path.join(root, rel)
+        mask = masks[StructureId(name)] = _read_named(path, read_mask)
         if mask.shape != image.shape:
-            raise ContractError(f"{root / rel}: mask extent {mask.shape} != image extent "
-                                f"{image.shape} of {root / entry['image']}")
+            raise ContractError(f"{path}: mask extent {mask.shape} != image extent "
+                                f"{image.shape} of {image_path}")
     legend = None
     if entry.get("legend"):
         legend = [(label, StructureId(sv), int(iv)) for label, sv, iv in entry["legend"]]
@@ -497,7 +499,7 @@ def read_view(root: Path, entry: dict) -> tuple[np.ndarray, MaskSet, list | None
 
 
 def load_study(record: StudyRecord, root: str | Path) -> StudyInput:
-    root = Path(root)
+    root = str(Path(root))  # normalized once; read_view joins it to each file
     parts = {View(name): read_view(root, entry) for name, entry in record.views.items()}
     absent = (None, None, None)
     f_img, f_masks, _ = parts[View.CURRENT_FRONTAL]

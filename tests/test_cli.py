@@ -66,6 +66,42 @@ class TestUsage:
         assert run_command(["build-prompt", "--data", str(tmp_path / "nope"),
                             "--study", "study_00000"]) == 1
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("train", "--max-steps", "0"),
+        ("train", "--max-steps", "-3"),
+        ("train", "--epochs", "0"),
+        ("generate", "--max-new", "-1"),
+        ("generate", "--max-new", "0"),
+        ("eval", "--max-new", "0"),
+        ("render-som", "--uniform-value", "999"),
+        ("render-som", "--uniform-value", "-1"),
+    ])
+    def test_number_out_of_range_names_flag(self, dataset, checkpoint, tmp_path, capsys,
+                                            command, flag, value):
+        """A numeric flag out of range is a usage error naming the flag, and
+        the command writes nothing."""
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--data", str(dataset), "--out", str(out)],
+            "generate": ["generate", "--data", str(dataset), "--ckpt", str(checkpoint),
+                         "--study", "study_00000"],
+            "eval": ["eval", "--data", str(dataset), "--ckpt", str(checkpoint),
+                     "--report", str(out)],
+            "render-som": ["render-som", "--data", str(dataset), "--out", str(out),
+                           "--intensity-policy", "uniform"],
+        }[command]
+        assert run_command(argv + [flag, value]) == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}: must" in captured.err and value in captured.err, captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_number_in_range_accepted(self, dataset, tmp_path):
+        """The bounds themselves are accepted."""
+        for value in ("0", "255"):
+            assert run_command(["render-som", "--data", str(dataset), "--out",
+                                str(tmp_path / value), "--intensity-policy", "uniform",
+                                "--uniform-value", value]) == 0
+
 
 class TestConfigErrors:
     """A config with a key no dataclass field matches exits 1, and the message
@@ -88,6 +124,15 @@ class TestConfigErrors:
         ("train", {"train": {"betas": [-0.1, 0.999]}}, "'betas'"),
         ("train", {"train": {"eps": 0.0}}, "'eps'"),
         ("train", {"train": {"base_lr": -1}}, "'base_lr'"),
+        # schedule and decay values: a non-finite checkpoint, or the
+        # schedule's error naming no key
+        ("train", {"train": {"weight_decay": float("nan")}}, "'weight_decay'"),
+        ("train", {"train": {"weight_decay": float("inf")}}, "'weight_decay'"),
+        ("train", {"train": {"weight_decay": -0.01}}, "'weight_decay'"),
+        ("train", {"train": {"warmup_ratio": 1.0}}, "'warmup_ratio'"),
+        ("train", {"train": {"warmup_ratio": -0.1}}, "'warmup_ratio'"),
+        ("train", {"train": {"epochs": 0}}, "'epochs'"),
+        ("train", {"train": {"max_steps": 0}}, "'max_steps'"),
     ])
     def test_bad_key_names_file_and_key(self, dataset, tmp_path, capsys, command,
                                         content, key):

@@ -1,6 +1,7 @@
 """Mask operations: positivity, grid resampling, contours, centroids,
 components, and PGM round trips."""
 
+import re
 from collections import deque
 
 import numpy as np
@@ -279,6 +280,120 @@ class TestStructures:
         assert M.positive_structures(ms) == [StructureId.LEFT_LUNG, StructureId.HEART]
 
 
+def _read_pgm_bytes_oracle(raw: bytes, path) -> np.ndarray:
+    """The byte-by-byte header loop that read_pgm's compiled pattern
+    replaced: the oracle for which headers it accepts and what it reads."""
+    if not raw.startswith(b"P5"):
+        raise ContractError(f"{path}: not a binary PGM (P5) file")
+    fields: list[int] = []
+    pos = 2
+    while len(fields) < 3:
+        while pos < len(raw) and raw[pos:pos + 1].isspace():
+            pos += 1
+        if raw[pos:pos + 1] == b"#":
+            while pos < len(raw) and raw[pos] != 0x0A:
+                pos += 1
+            continue
+        start = pos
+        while pos < len(raw) and not raw[pos:pos + 1].isspace():
+            pos += 1
+        token = raw[start:pos]
+        if not token.isdigit():
+            raise ContractError(f"{path}: malformed PGM header field {token!r}")
+        fields.append(int(token))
+    pos += 1  # single whitespace byte after maxval
+    w, h, maxval = fields
+    if maxval != 255:
+        raise ContractError(f"{path}: only 8-bit PGM supported, maxval={maxval}")
+    if len(raw) - pos < h * w:
+        raise ContractError(f"{path}: truncated PGM pixel data, {w}x{h} needs {h * w} bytes")
+    data = np.frombuffer(raw, dtype=np.uint8, count=h * w, offset=pos)
+    return data.reshape(h, w).copy()
+
+
+def _assert_read_matches_oracle(path, raw: bytes):
+    """read_pgm accepts and rejects what the oracle does, with the same
+    pixels; the one exception is a zero extent, which only read_pgm rejects."""
+    path.write_bytes(raw)
+    try:
+        want = _read_pgm_bytes_oracle(raw, path)
+    except ContractError:
+        with pytest.raises(ContractError, match=re.escape(str(path))):
+            M.read_pgm(path)
+        return
+    if want.size == 0:
+        with pytest.raises(ContractError,
+                           match=re.escape(str(path)) + ": PGM extents .* must be positive"):
+            M.read_pgm(path)
+        return
+    got = M.read_pgm(path)
+    assert got.dtype == np.uint8 and got.shape == want.shape, raw
+    assert np.array_equal(got, want), raw
+
+
+# A header is built from parts: the magic, then a gap, a field and a
+# separator three times. Each part is drawn valid, and then at most one is
+# swapped for a bad one: NUL, NBSP or NEL (not ASCII whitespace), a comment
+# with no newline, a field that is zero, signed or not a number.
+_WHITESPACE = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]
+_gap = st.lists(st.sampled_from(_WHITESPACE + [b"#\n", b"# c\n", b"#2 2\n", b"# 1 255\n"]),
+                max_size=3).map(b"".join)
+_BAD_GAPS = [b"\x00", b"\xa0", b"\x85", b"#", b"# 255 ", b" # 1 255"]
+_BAD_SEPS = [b"", b"#", b"\x00", b"\xa0", b"\x85"]
+_BAD_EXTENTS = [b"0", b"-1", b"+2", b"x", b"2x", b""]
+_PARTS = [  # (valid values, bad values)
+    (st.just(b"P5"), [b"P6", b"P", b"p5"]),
+    (_gap, _BAD_GAPS), (st.sampled_from([b"1", b"2", b"3", b"02"]), _BAD_EXTENTS),
+    (st.sampled_from(_WHITESPACE), _BAD_SEPS),
+    (_gap, _BAD_GAPS), (st.sampled_from([b"1", b"2", b"3", b"02"]), _BAD_EXTENTS),
+    (st.sampled_from(_WHITESPACE), _BAD_SEPS),
+    (_gap, _BAD_GAPS), (st.sampled_from([b"255", b"0255"]), [b"254", b"256", b"x", b""]),
+    (st.sampled_from(_WHITESPACE), _BAD_SEPS),
+]
+
+
+@st.composite
+def _pgm_files(draw) -> bytes:
+    parts = [draw(valid) for valid, _ in _PARTS]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(_PARTS) - 1))
+        parts[i] = draw(st.sampled_from(_PARTS[i][1]))
+    return b"".join(parts) + draw(st.binary(max_size=12))
+
+
+class TestPgmHeaderOracle:
+    @settings(deadline=None)
+    @given(_pgm_files())
+    def test_random_headers_match_byte_loop(self, tmp_path_factory, raw):
+        _assert_read_matches_oracle(tmp_path_factory.mktemp("pgm") / "h.pgm", raw)
+
+    @pytest.mark.parametrize("raw", [
+        b"P5\n2 1\n255\n\x01\x02",
+        b"P52 1 255 \x01\x02",                # no gap after the magic
+        b"P5#c\n2#c\n 1\n#c 9\n255\n\x01\x02",  # comments in every gap
+        b"P5\n# 7 7\n2 1\n255\n\x01\x02",     # a comment holding digits
+        b"P5 2 1 255#\x01\x02",               # no whitespace after maxval
+        b"P5 2 1 255",                         # maxval at the end of the file
+        b"P5 2 1\n# only a comment",
+        b"P5 2 1\n# 255 \x01\x02",            # a field inside a comment that ends the file
+        b"P5 2 1\n# 255\n\x01\x02",           # ... or a line
+        b"P5 1\n# 1 255\n \n",                # two fields inside a comment
+        b"P5\x0b2\x0c1\x0b\x0c255\n\x01\x02",  # vertical tab and form feed in the gaps
+        b"P5 2\x001 255 ab",                   # NUL is not whitespace
+        b"P5 2\xa01 255 ab",                   # nor is NBSP
+        b"P5 2\x851 255 ab",                   # nor is NEL
+        b"P5\r\n2\x0b1\x0c255\r\x01\x02",
+        b"P5 02 001 0255\n\x01\x02",          # leading zeros
+        b"P5 +2 1 255\n\x01\x02",
+        b"P5 2 1 255\n\x01",                  # truncated
+        b"P5\n0 0\n255\n",                    # zero extents: only read_pgm rejects them
+        b"P5\n0 64\n255\n",
+        b"P5\n64 0\n255\n" + bytes(64),
+    ])
+    def test_edge_headers_match_byte_loop(self, tmp_path, raw):
+        _assert_read_matches_oracle(tmp_path / "e.pgm", raw)
+
+
 class TestPgm:
     def test_mask_roundtrip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -324,3 +439,11 @@ class TestPgm:
         path.write_bytes(header + bytes(16))
         with pytest.raises(ContractError, match="bad.pgm.*header"):
             M.read_pgm(path)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (64, 64)])
+    def test_written_bytes(self, tmp_path, shape):
+        arr = np.random.default_rng(9).integers(0, 256, shape, dtype=np.uint8)
+        path = tmp_path / "w.pgm"
+        M.write_pgm(path, arr)
+        h, w = shape
+        assert path.read_bytes() == b"P5\n%d %d\n255\n" % (w, h) + arr.tobytes()

@@ -27,6 +27,7 @@ from segprompt.synth import (
     read_view,
     split_of,
     vocabulary,
+    write_manifest,
 )
 
 
@@ -269,6 +270,29 @@ class TestManifest:
         for read in (lambda: read_view(tmp_path, entry), lambda: load_study(records[0], tmp_path)):
             with pytest.raises(ContractError, match=re.escape(str(tmp_path / rel))):
                 read()
+
+    def test_absolute_paths_read_as_given(self, tmp_path):
+        """An absolute image or mask path in a manifest is read as it stands,
+        whatever the dataset root."""
+        generate_dataset(SynthSpec(seed=11, n_studies=2, image_size=32), tmp_path)
+        _, records = load_manifest(tmp_path)
+        entry = records[0].views["current_frontal"]
+        absolute = {"image": str(tmp_path / entry["image"]),
+                    "masks": {s: str(tmp_path / rel) for s, rel in entry["masks"].items()}}
+        image, masks, _ = read_view(tmp_path / "elsewhere", absolute)
+        want_image, want_masks, _ = read_view(tmp_path, entry)
+        assert np.array_equal(image, want_image)
+        assert masks.keys() == want_masks.keys()
+        assert all(np.array_equal(masks[s], want_masks[s]) for s in masks)
+
+    def test_manifest_bytes(self, tmp_path):
+        """``manifest.json`` is the manifest's JSON with sorted keys, a
+        two-space indent and a final newline."""
+        manifest = {"studies": [{"split": "test", "context": {"b": None, "a": "\u00e9"}}],
+                    "spec": {"seed": 3, "structure_probs": {"heart": 1.0}}}
+        write_manifest(tmp_path, manifest)
+        assert (tmp_path / "manifest.json").read_bytes() == (
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
     def test_manifest_not_json(self, tmp_path):
         (tmp_path / "manifest.json").write_text('{"studies": [')
