@@ -29,6 +29,10 @@ SYNTH_SPEC = {"seed": 5, "n_studies": 10, "image_size": 32,
               "heart_area_threshold": 50, "lateral_prob": 0.2, "prior_prob": 0.3}
 
 
+# one value of each JSON kind
+JSON_KINDS = {"null": None, "bool": True, "number": 3, "string": "x", "list": [], "object": {}}
+
+
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -133,6 +137,10 @@ class TestConfigErrors:
         ("train", {"train": {"warmup_ratio": -0.1}}, "'warmup_ratio'"),
         ("train", {"train": {"epochs": 0}}, "'epochs'"),
         ("train", {"train": {"max_steps": 0}}, "'max_steps'"),
+        # each top-level key set to each JSON kind but an object
+        *(pytest.param("train", {key: value}, repr(key), id=f"{kind}-{key}")
+          for key in ("train", "model") for kind, value in JSON_KINDS.items()
+          if kind != "object"),
     ])
     def test_bad_key_names_file_and_key(self, dataset, tmp_path, capsys, command,
                                         content, key):
@@ -205,6 +213,13 @@ class TestConfigErrors:
         (lambda d: d["train"].update(strategy="XX"), ["'strategy'", "'XX'"]),
         (lambda d: d["model"]["encoder"].update(image_size="32"), []),
         (lambda d: d.clear() or d.update(echo=[1]), ["missing key 'train'"]),
+        # each top-level key deleted, and set to each JSON kind that does not fit it
+        *(pytest.param(lambda d, key=key: d.pop(key), [repr(key)], id=f"delete-{key}")
+          for key in ("train", "model", "vocab")),
+        *(pytest.param(lambda d, key=key, value=value: d.update({key: value}), [repr(key)],
+                       id=f"{kind}-{key}")
+          for key, fits in (("train", "object"), ("model", "object"), ("vocab", "list"))
+          for kind, value in JSON_KINDS.items() if kind != fits),
     ])
     def test_malformed_checkpoint_config(self, dataset, checkpoint, tmp_path, capsys,
                                          mutate, words):

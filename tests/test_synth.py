@@ -40,6 +40,49 @@ def tree_digest(root: Path) -> str:
     return h.hexdigest()
 
 
+# one value of each JSON kind
+JSON_KINDS = {"null": None, "bool": True, "number": 3, "string": "x", "list": [], "object": {}}
+# every field of a manifest entry: its path in the entry, the JSON kinds that
+# fit it, and whether it may be left out
+ENTRY_FIELDS = [
+    (("study_id",), {"string"}, False),
+    (("split",), {"string"}, False),
+    (("views",), {"object"}, False),
+    (("views", "current_frontal", "image"), {"string"}, False),
+    (("views", "current_frontal", "masks"), {"object"}, False),
+    (("views", "current_frontal", "legend"), {"list"}, True),
+    (("context",), {"object"}, False),
+    *((("context", key), {"string", "null"}, True)
+      for key in ("indication", "technique", "comparison", "prior_report")),
+    (("target_findings",), {"string"}, False),
+]
+
+
+def _edit_entry(path: tuple, kind: str | None):
+    """A manifest edit that deletes ``studies[1]``'s field at ``path``
+    (``kind`` None) or sets it to the ``kind`` value of JSON_KINDS."""
+    def edit(manifest):
+        *parents, last = path
+        node = manifest["studies"][1]
+        for key in parents:
+            node = node[key]
+        if kind is None:
+            del node[last]
+        else:
+            node[last] = JSON_KINDS[kind]
+    return edit
+
+
+# deleting each required entry field, and setting each field to each JSON
+# kind that does not fit it
+BAD_ENTRY_FIELDS = [
+    pytest.param(_edit_entry(path, kind), ["studies[1]", repr(path[-1])],
+                 id=f"{kind or 'delete'}-{'.'.join(path)}")
+    for path, fits, optional in ENTRY_FIELDS
+    for kind in [None] * (not optional) + [k for k in JSON_KINDS if k not in fits]
+]
+
+
 def make_studies(spec: SynthSpec) -> list:
     return [make_study(spec, i) for i in range(spec.n_studies)]
 
@@ -229,6 +272,7 @@ class TestManifest:
         (lambda m: m["studies"][2]["context"].update(history="x"),
          ["studies[2]", "'context'", "'history'"]),
         (lambda m: m["studies"][3].update(study_id=3), ["studies[3]", "'study_id'", "string"]),
+        *BAD_ENTRY_FIELDS,
     ])
     def test_malformed_manifest_names_file_and_entry(self, tmp_path, edit, names):
         generate_dataset(SynthSpec(seed=11, n_studies=4, image_size=32), tmp_path)
