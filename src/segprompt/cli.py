@@ -16,13 +16,14 @@ import numpy as np
 
 from segprompt import metrics, synth
 from segprompt.encoder import VitConfig
-from segprompt.errors import ContractError, json_field
+from segprompt.errors import ContractError, checked_fields
 from segprompt.masks import write_image
-from segprompt.mllm import ModelConfig, ReportModel, TrainConfig, train
+from segprompt.mllm import ModelConfig, ReportModel, TrainConfig, TrainEcho, TrainFile, train
 from segprompt.nn import load_into, no_grad, precision
 from segprompt.prompting import Strategy, build_prompt, prompt_dumps
 from segprompt.som import MarkStyle, render_overlay
 from segprompt.synth import (
+    Split,
     SynthSpec,
     findings_to_labels,
     generate_dataset,
@@ -38,10 +39,10 @@ def log(message: str) -> None:
     print(f"[segprompt] {message}", file=sys.stderr)
 
 
-def _read_config(path: str | Path | None, parse):
-    """``parse`` the JSON object in ``path`` (``{}`` without a path); a
-    ContractError it raises names the file, and so does a TypeError, which
-    a value of the wrong type gives deeper down."""
+def _read_config(path: str | Path | None, cls):
+    """The JSON object in ``path`` (``{}`` without a path) as a ``cls``, which
+    checked_fields checks; a ContractError names the file, and so does a
+    TypeError, which a value of the wrong type gives deeper down."""
     data = {}
     if path:
         with open(path, encoding="utf-8") as fh:
@@ -50,13 +51,13 @@ def _read_config(path: str | Path | None, parse):
             except json.JSONDecodeError as exc:
                 raise ContractError(f"{path}: not valid JSON ({exc})") from exc
     try:
-        return parse(data)
+        return cls(**checked_fields(data, cls))
     except (ContractError, TypeError) as exc:
         raise ContractError(f"{path}: {exc}") from exc
 
 
 def _load_synth_spec(path: str | None, seed: int | None, count: int | None) -> SynthSpec:
-    spec = _read_config(path, SynthSpec.from_dict)
+    spec = _read_config(path, SynthSpec)
     if seed is not None:
         spec.seed = seed
     if count is not None:
@@ -64,35 +65,13 @@ def _load_synth_spec(path: str | None, seed: int | None, count: int | None) -> S
     return spec
 
 
-def _parse_train_config(d: dict) -> tuple[TrainConfig, ModelConfig]:
-    train, model = (json_field(d, key, dict, required=False) for key in ("train", "model"))
-    unknown = sorted(set(d) - {"train", "model"})
-    if unknown:
-        raise ContractError(f"unknown top-level key(s): {', '.join(map(repr, unknown))}; "
-                            "expected 'train' and 'model'")
-    return TrainConfig.from_dict(train), ModelConfig.from_dict(model)
-
-
-def _load_train_config(path: str | None) -> tuple[TrainConfig, ModelConfig]:
-    return _read_config(path, _parse_train_config)
-
-
-def _parse_echo(d: dict) -> tuple[TrainConfig, ModelConfig, list[str]]:
-    """The ``train_config.json`` that ``train`` writes: both configs and the vocabulary."""
-    train, model, vocab = (json_field(d, key, kind) for key, kind in
-                           (("train", dict), ("model", dict), ("vocab", list)))
-    if not all(isinstance(word, str) for word in vocab):
-        raise ContractError("key 'vocab' must be a list of strings")
-    return TrainConfig.from_dict(train), ModelConfig.from_dict(model), vocab
-
-
 def _load_model(ckpt_dir: str | Path) -> tuple[ReportModel, TrainConfig]:
     ckpt_dir = Path(ckpt_dir)
-    tc, model_cfg, vocab = _read_config(ckpt_dir / "train_config.json", _parse_echo)
-    with precision(tc.precision):
-        model = ReportModel(model_cfg, vocab, init=False)
+    echo = _read_config(ckpt_dir / "train_config.json", TrainEcho)
+    with precision(echo.train.precision):
+        model = ReportModel(echo.model, echo.vocab, init=False)
         load_into(ckpt_dir / "model.ckpt", model.named_params())
-    return model, tc
+    return model, echo.train
 
 
 def _studies_for_split(data_dir: str | Path, split: str | None):
@@ -134,30 +113,17 @@ def cmd_render_som(args) -> int:
     dst = Path(args.out)
     (dst / "images").mkdir(parents=True, exist_ok=True)
     (dst / "masks").mkdir(parents=True, exist_ok=True)
-    out_records = []
     for record in records:
-        new_views = {}
-        for view_name, entry in record.views.items():
+        for entry in record.views.values():
             image, masks, _ = read_view(src, entry)
             overlay = render_overlay(image, masks, style)
             write_image(dst / entry["image"], overlay.image)
-            legend = [[label, s.value, value] for label, s, value in overlay.legend]
-            legend_rel = entry["image"].replace(".pgm", ".legend.json")
-            with open(dst / legend_rel, "w", encoding="utf-8") as fh:
-                json.dump(legend, fh, indent=2)
-                fh.write("\n")
             for rel in entry["masks"].values():
                 shutil.copyfile(src / rel, dst / rel)
-            new_views[view_name] = {"image": entry["image"], "masks": entry["masks"],
-                                    "legend": legend}
-        rec = asdict(record)
-        rec["views"] = new_views
-        out_records.append(rec)
-    out_manifest = dict(manifest)
-    out_manifest["studies"] = out_records
-    out_manifest["som_style"] = asdict(style)
-    write_manifest(dst, out_manifest)
-    log(f"rendered {len(out_records)} studies to {dst}")
+            entry["legend"] = tuple(overlay.legend)
+    write_manifest(dst, dict(manifest, studies=[asdict(r) for r in records],
+                             som_style=asdict(style)))
+    log(f"rendered {len(records)} studies to {dst}")
     return 0
 
 
@@ -204,7 +170,8 @@ def cmd_extract_tokens(args) -> int:
 
 
 def cmd_train(args) -> int:
-    tc, model_cfg = _load_train_config(args.config)
+    config = _read_config(args.config, TrainFile)
+    tc, model_cfg = config.train, config.model
     if args.strategy:
         tc.strategy = Strategy(args.strategy)
     if args.seed is not None:
@@ -365,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--report", required=True)
-    p.add_argument("--split", default="test", choices=["train", "val", "test"])
+    p.add_argument("--split", default="test", choices=[s.value for s in Split])
     p.add_argument("--max-new", type=_int_in(1), default=48)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_eval)

@@ -1,13 +1,14 @@
 """Shared exception types, and the checks on JSON objects read into
-dataclasses."""
+dataclasses and ``TypedDict``s."""
 
 import dataclasses
 import functools
+import itertools
 import reprlib
 import types
 from dataclasses import MISSING, fields
 from enum import Enum
-from typing import get_args, get_origin, get_type_hints
+from typing import get_args, get_origin, get_type_hints, is_typeddict
 
 
 class ContractError(ValueError):
@@ -19,27 +20,21 @@ class OracleError(RuntimeError):
 
 
 class _Mismatch(Exception):
-    """A JSON value that does not fit a field's type."""
+    """A JSON value that does not fit its type: ``path`` leads to it from
+    the field that holds it (``['heart']``), ``why`` says how it does not
+    fit, and ``whole`` is true when it is of the wrong kind altogether."""
+
+    def __init__(self, why: str, whole: bool = False):
+        self.why, self.path, self.whole = why, "", whole
+
+
+def _not(tp, value) -> _Mismatch:
+    return _Mismatch(f" must be {_describe(tp)}, got {reprlib.repr(value)}", whole=True)
 
 
 # plain field types: the Python types of the JSON values that fit, and a name
 _PLAIN = {bool: ((bool,), "a boolean"), int: ((int,), "an integer"),
-          float: ((int, float), "a number"), str: ((str,), "a string"),
-          dict: ((dict,), "an object"), list: ((list,), "a list")}
-
-
-def json_field(d, key: str, kind: type, required: bool = True):
-    """``d[key]`` checked to be a ``kind``; an absent optional key is empty."""
-    if not isinstance(d, dict):
-        raise ContractError(f"expected a JSON object, got a {type(d).__name__}")
-    if key not in d:
-        if required:
-            raise ContractError(f"missing key {key!r}")
-        return kind()
-    if not isinstance(d[key], kind):
-        raise ContractError(f"key {key!r} must be {_PLAIN[kind][1]}, "
-                            f"got a {type(d[key]).__name__}")
-    return d[key]
+          float: ((int, float), "a number"), str: ((str,), "a string")}
 
 
 def _describe(tp) -> str:
@@ -47,94 +42,124 @@ def _describe(tp) -> str:
     if origin is types.UnionType:
         return " or ".join("null" if a is type(None) else _describe(a) for a in args)
     if origin is tuple:
-        count = "" if args[-1] is Ellipsis else f" of {len(args)} items"
-        return f"a list{count}, each {_describe(args[0])}"
+        if args[-1] is Ellipsis:
+            return f"a list, each {_describe(args[0])}"
+        return f"a list of {len(args)} items: {', '.join(map(_describe, args))}"
     if origin is dict:
         return f"an object, each value {_describe(args[1])}"
     if isinstance(tp, type) and issubclass(tp, Enum):
         return f"one of {[m.value for m in tp]}"
-    if dataclasses.is_dataclass(tp):
+    if dataclasses.is_dataclass(tp) or is_typeddict(tp):
         return "an object"
     return _PLAIN[tp][1]
 
 
 @functools.cache
 def _converter(tp):
-    """A function that reads a JSON value as the field type ``tp``: lists
-    become tuples, strings enum members and objects nested dataclasses. A
-    bool is not an integer, and a number accepts an integer. A value that
-    does not fit raises ``_Mismatch``. Built once per type."""
+    """A function that reads a JSON value as the type ``tp``: lists become
+    tuples, strings (object keys too) enum members, and objects nested
+    dataclasses or, for a ``TypedDict``, checked dicts. A bool is not an
+    integer, and a number accepts an integer. A value that does not fit
+    raises ``_Mismatch``. Built once per type."""
     origin, args = get_origin(tp), get_args(tp)
     if origin is types.UnionType:  # X | None
         [inner] = [a for a in args if a is not type(None)]
         convert = _converter(inner)
-        return lambda v: None if v is None else convert(v)
+
+        def optional(v):
+            try:
+                return None if v is None else convert(v)
+            except _Mismatch as exc:  # of v itself: name both kinds that fit
+                raise _not(tp, v) if exc.whole and not exc.path else exc
+        return optional
     if origin is tuple:
-        item, n = _converter(args[0]), None if args[-1] is Ellipsis else len(args)
+        items = [_converter(a) for a in args if a is not Ellipsis]
 
         def tuple_of(v):
-            if not isinstance(v, (list, tuple)) or (n is not None and len(v) != n):
-                raise _Mismatch
-            return tuple(map(item, v))
+            if isinstance(v, (list, tuple)) and (args[-1] is Ellipsis or len(v) == len(items)):
+                try:
+                    return tuple(f(x) for f, x in zip(itertools.cycle(items), v))
+                except _Mismatch:
+                    pass  # a wrong item: name the whole list
+            raise _not(tp, v)
         return tuple_of
     if origin is dict:
-        value = _converter(args[1])
+        key, value = _converter(args[0]), _converter(args[1])
 
         def dict_of(v):
-            if not isinstance(v, dict):  # a JSON object's keys are strings
-                raise _Mismatch
-            return {k: value(x) for k, x in v.items()}
+            if not isinstance(v, dict):
+                raise _not(tp, v)
+            out = {}
+            for k, x in v.items():  # a JSON object's keys are strings
+                try:
+                    member = key(k)
+                except _Mismatch:
+                    raise _Mismatch(f" has unknown key {k!r}; expected "
+                                    f"{_describe(args[0])}") from None
+                try:
+                    out[member] = value(x)
+                except _Mismatch as exc:
+                    exc.path = f"[{k!r}]{exc.path}"
+                    raise
+            return out
         return dict_of
     if isinstance(tp, type) and issubclass(tp, Enum):
+        members = {m.value: m for m in tp}  # a lookup costs a tenth of tp(v)
+
         def member(v):
             try:
-                return tp(v)
-            except ValueError:
-                raise _Mismatch from None
+                return members[v]
+            except (KeyError, TypeError):  # TypeError: a list or an object
+                raise _not(tp, v) from None
         return member
-    if dataclasses.is_dataclass(tp):
-        def nested(v):
-            if not isinstance(v, dict):
-                raise _Mismatch
-            return tp(**checked_fields(v, tp))
-        return nested
+    if dataclasses.is_dataclass(tp) or is_typeddict(tp):
+        build = (lambda kw: kw) if is_typeddict(tp) else (lambda kw: tp(**kw))
+
+        def record(v):
+            try:
+                return build(checked_fields(v, tp))
+            except ContractError as exc:  # a field's, or the constructor's
+                raise _Mismatch(f": {exc}") from None
+        return record
     kinds, no_bool = _PLAIN[tp][0], tp is not bool
 
     def plain(v):
         if not isinstance(v, kinds) or (no_bool and isinstance(v, bool)):
-            raise _Mismatch
+            raise _not(tp, v)
         return v
     return plain
 
 
 @functools.cache
-def _schema(cls) -> tuple[dict, list[str]]:
-    """The field types of the dataclass ``cls`` and its fields without a
-    default; resolving the string annotations costs about 0.1 ms, so once
-    per class."""
-    required = [f.name for f in fields(cls)
-                if f.default is MISSING and f.default_factory is MISSING]
-    return get_type_hints(cls), required
+def _schema(cls) -> tuple[frozenset, dict]:
+    """The required keys of the dataclass or ``TypedDict`` ``cls``, and a
+    converter per key; resolving the string annotations costs about 0.1 ms,
+    so once per class."""
+    required = cls.__required_keys__ if is_typeddict(cls) else frozenset(
+        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING)
+    return required, {key: _converter(tp) for key, tp in get_type_hints(cls).items()}
 
 
 def checked_fields(d, cls) -> dict:
-    """``d``, a JSON object, as keyword arguments for the dataclass ``cls``.
-    Every key must name a field, every field without a default must be
-    there, and every value must fit its field's type; JSON lists become
-    tuples, strings enum members and objects nested dataclasses, which are
-    checked the same way. A violation names the class and the keys."""
+    """``d``, a JSON object, as keyword arguments for the dataclass or
+    ``TypedDict`` ``cls``. Every key must name a field, every required field
+    must be there, and every value must fit its field's type; nested
+    objects are checked the same way. A violation names the class and the
+    keys, and the path to a value inside a field, e.g. ``StudyRecord key
+    'views'['current_frontal']: missing ViewEntry key(s): 'image'``."""
     if not isinstance(d, dict):
         raise ContractError(f"{cls.__name__} must be a JSON object, got a {type(d).__name__}")
-    types_, required = _schema(cls)
-    for problem, keys in (("unknown", sorted(set(d) - types_.keys())),
-                          ("missing", [k for k in required if k not in d])):
-        if keys:
-            raise ContractError(f"{problem} {cls.__name__} key(s): {', '.join(map(repr, keys))}")
+    required, converters = _schema(cls)
+    if not (d.keys() <= converters.keys() and required <= d.keys()):
+        for problem, keys in (("unknown", d.keys() - converters.keys()),
+                              ("missing", required - d.keys())):
+            if keys:
+                raise ContractError(f"{problem} {cls.__name__} key(s): "
+                                    f"{', '.join(map(repr, sorted(keys)))}")
     out = {}
     for key, value in d.items():
         try:
-            out[key] = _converter(types_[key])(value)
-        except _Mismatch:
-            raise ContractError(f"{cls.__name__} key {key!r} must be {_describe(types_[key])}, "
-                                f"got {reprlib.repr(value)}") from None
+            out[key] = converters[key](value)
+        except _Mismatch as exc:
+            raise ContractError(f"{cls.__name__} key {key!r}{exc.path}{exc.why}") from None
     return out

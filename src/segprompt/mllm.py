@@ -432,6 +432,23 @@ class TrainConfig:
 
 
 @dataclass
+class TrainFile:
+    """A ``train --config`` file; a section left out keeps its defaults."""
+
+    train: TrainConfig = field(default_factory=TrainConfig)
+    model: ModelConfig = field(default_factory=ModelConfig)
+
+
+@dataclass
+class TrainEcho:
+    """``train_config.json``, which ``train`` writes beside its checkpoint."""
+
+    train: TrainConfig
+    model: ModelConfig
+    vocab: tuple[str, ...]
+
+
+@dataclass
 class TrainResult:
     curve: list[tuple[int, float, float]]  # (step, lr, loss)
     total_steps: int
@@ -509,9 +526,8 @@ def train(model: ReportModel, dataset: list[StudyInput], tc: TrainConfig,
             fh.write("step,lr,loss\n")
             for step, lr, loss_value in curve:
                 fh.write(f"{step},{lr:.10g},{loss_value:.10g}\n")
-        echo = {"train": asdict(tc), "model": asdict(model.cfg),
-                "vocab": model.tokenizer.vocab}
+        echo = TrainEcho(tc, model.cfg, tuple(model.tokenizer.vocab))
         with open(out / "train_config.json", "w", encoding="utf-8") as fh:
-            json.dump(echo, fh, indent=2, sort_keys=True)
+            json.dump(asdict(echo), fh, indent=2, sort_keys=True)
             fh.write("\n")
     return result

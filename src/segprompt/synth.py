@@ -13,11 +13,13 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, asdict
+from enum import Enum
 from pathlib import Path
+from typing import TypedDict
 
 import numpy as np
 
-from segprompt.errors import ContractError, checked_fields, json_field
+from segprompt.errors import ContractError, checked_fields
 from segprompt.masks import (
     STRUCTURE_NAMES,
     STRUCTURE_ORDER,
@@ -352,20 +354,49 @@ def make_study(spec: SynthSpec, index: int) -> StudyInput:
     )
 
 
-def split_of(index: int) -> str:
+class Split(str, Enum):
+    TRAIN = "train"
+    VAL = "val"
+    TEST = "test"
+
+
+def split_of(index: int) -> Split:
     r = index % 10
-    return "train" if r < 8 else ("val" if r == 8 else "test")
+    return Split.TRAIN if r < 8 else (Split.VAL if r == 8 else Split.TEST)
 
 
-# -- manifest -----------------------------------------------------------------
+# -- manifest: the generator's ``spec`` and a list of StudyRecord entries -----
+
+
+class _ViewFiles(TypedDict):
+    image: str
+    masks: dict[StructureId, str]
+
+
+class ViewEntry(_ViewFiles, total=False):
+    """One view's image and mask paths, relative to the dataset root, and
+    after ``render-som`` its ``(label, structure, value)`` marks; a plain
+    dict, read and written as the JSON object it is."""
+
+    legend: tuple[tuple[str, StructureId, int], ...]
+
+
+@dataclass
+class StudyContext:
+    """The text sections a prompt may carry besides the images."""
+
+    indication: str | None = None
+    technique: str | None = None
+    comparison: str | None = None
+    prior_report: str | None = None
 
 
 @dataclass
 class StudyRecord:
     study_id: str
-    split: str
-    views: dict[str, dict]
-    context: dict[str, str | None]
+    split: Split
+    views: dict[View, ViewEntry]  # current_frontal among them
+    context: StudyContext
     target_findings: str
 
 
@@ -379,7 +410,7 @@ def generate_dataset(spec: SynthSpec, out_dir: str | Path) -> list[StudyRecord]:
     for index in range(spec.n_studies):
         study = make_study(spec, index)
         sid = study.study_id
-        views: dict[str, dict] = {}
+        views: dict[View, ViewEntry] = {}
         for view, image, masks in study.views():
             img_rel = f"images/{sid}_{view.value}.pgm"
             write_image(root / img_rel, image)
@@ -387,12 +418,12 @@ def generate_dataset(spec: SynthSpec, out_dir: str | Path) -> list[StudyRecord]:
             for structure, m in masks.items():
                 rel = f"masks/{sid}_{view.value}_{structure.value}.pgm"
                 write_mask(root / rel, m)
-                mask_rels[structure.value] = rel
-            views[view.value] = {"image": img_rel, "masks": mask_rels}
+                mask_rels[structure] = rel
+            views[view] = ViewEntry(image=img_rel, masks=mask_rels)
         records.append(StudyRecord(
             study_id=sid, split=split_of(index), views=views,
-            context={"indication": study.indication, "technique": study.technique,
-                     "comparison": study.comparison, "prior_report": study.prior_report},
+            context=StudyContext(study.indication, study.technique, study.comparison,
+                                 study.prior_report),
             target_findings=study.target_findings))
 
     write_manifest(root, {"spec": asdict(spec), "studies": [asdict(r) for r in records]})
@@ -405,57 +436,11 @@ def write_manifest(root: Path, manifest: dict) -> None:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-CONTEXT_KEYS = ("indication", "technique", "comparison", "prior_report")
-STRUCTURE_VALUES = frozenset(s.value for s in StructureId)
-VIEW_VALUES = frozenset(v.value for v in View)
-
-
-def _check_views(views: dict) -> None:
-    """A manifest entry's ``views``: known view names, ``current_frontal``
-    among them, each with an ``image`` path, a ``masks`` object from
-    structure names to paths and an optional ``legend`` of
-    ``[label, structure, value]``; a violation names the field."""
-    if View.CURRENT_FRONTAL.value not in views:
-        raise ContractError(f"key 'views' lacks {View.CURRENT_FRONTAL.value!r}")
-    for name, entry in views.items():
-        where = f"key 'views'[{name!r}]"
-        if name not in VIEW_VALUES:
-            raise ContractError(f"{where}: unknown view; expected one of "
-                                f"{sorted(VIEW_VALUES)}")
-        try:
-            unknown = sorted(set(entry) - {"image", "masks", "legend"})
-            if unknown:
-                raise ContractError(f"unknown key(s): {', '.join(map(repr, unknown))}")
-            json_field(entry, "image", str)
-            for structure, rel in json_field(entry, "masks", dict).items():
-                if structure not in STRUCTURE_VALUES or not isinstance(rel, str):
-                    raise ContractError(f"key 'masks' must map structure names to path strings, "
-                                        f"got {structure!r}: {rel!r}")
-            for item in json_field(entry, "legend", list, required=False):
-                if not (isinstance(item, list) and len(item) == 3 and isinstance(item[0], str)
-                        and item[1] in STRUCTURE_VALUES
-                        and type(item[2]) is int):
-                    raise ContractError(f"key 'legend' holds {item!r}, not "
-                                        f"[label, structure, value]")
-        except ContractError as exc:
-            raise ContractError(f"{where}: {exc}") from None
-
-
-def _check_entry(entry: dict) -> None:
-    """One manifest study entry's keys and field types (the views' and
-    context's inner ones too); a violation names the field."""
-    checked_fields(entry, StudyRecord)
-    _check_views(entry["views"])
-    unknown = sorted(set(entry["context"]) - set(CONTEXT_KEYS))
-    if unknown:
-        raise ContractError(f"key 'context' has unknown key(s): "
-                            f"{', '.join(map(repr, unknown))}; expected {list(CONTEXT_KEYS)}")
-
-
 def load_manifest(data_dir: str | Path) -> tuple[dict, list[StudyRecord]]:
-    """The manifest and its study records; a malformed manifest, a missing or
-    unknown key or a value of the wrong type in an entry, raises a
-    ContractError naming the file, the entry and the field."""
+    """The manifest and its study records. A malformed manifest, an entry
+    that does not fit StudyRecord or lacks a ``current_frontal`` view, or two
+    entries with one ``study_id`` raise a ContractError naming the file, the
+    entry and the field."""
     path = Path(data_dir) / "manifest.json"
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
@@ -464,12 +449,20 @@ def load_manifest(data_dir: str | Path) -> tuple[dict, list[StudyRecord]]:
     studies = manifest.get("studies") if isinstance(manifest, dict) else None
     if not isinstance(studies, list):
         raise ContractError(f"{path}: 'studies' must be a list of study entries")
+    records, index_of = [], {}
     for index, entry in enumerate(studies):
         try:
-            _check_entry(entry)
+            record = StudyRecord(**checked_fields(entry, StudyRecord))
+            if View.CURRENT_FRONTAL not in record.views:
+                raise ContractError(f"key 'views' lacks {View.CURRENT_FRONTAL.value!r}")
         except ContractError as exc:
             raise ContractError(f"{path}: studies[{index}]: {exc}") from exc
-    return manifest, [StudyRecord(**entry) for entry in studies]
+        first = index_of.setdefault(record.study_id, index)
+        if first != index:
+            raise ContractError(f"{path}: studies[{first}] and studies[{index}] share "
+                                f"study_id {record.study_id!r}")
+        records.append(record)
+    return manifest, records
 
 
 def _read_named(path: str, read):
@@ -479,41 +472,37 @@ def _read_named(path: str, read):
         raise ContractError(f"{path}: file named in the manifest is missing") from None
 
 
-def read_view(root: str | Path, entry: dict) -> tuple[np.ndarray, MaskSet, list | None]:
+def read_view(root: str | Path, entry: ViewEntry) -> tuple[np.ndarray, MaskSet, list | None]:
     """One manifest view's image, masks and legend (``None`` without one).
     A missing file, or a mask whose extent differs from the image's, raises
     a ContractError naming the file."""
     image_path = os.path.join(root, entry["image"])
     image = _read_named(image_path, read_image)
     masks = {}
-    for name, rel in entry["masks"].items():
+    for structure, rel in entry["masks"].items():
         path = os.path.join(root, rel)
-        mask = masks[StructureId(name)] = _read_named(path, read_mask)
+        mask = masks[structure] = _read_named(path, read_mask)
         if mask.shape != image.shape:
             raise ContractError(f"{path}: mask extent {mask.shape} != image extent "
                                 f"{image.shape} of {image_path}")
-    legend = None
-    if entry.get("legend"):
-        legend = [(label, StructureId(sv), int(iv)) for label, sv, iv in entry["legend"]]
-    return image, masks, legend
+    return image, masks, list(entry.get("legend", ())) or None
 
 
 def load_study(record: StudyRecord, root: str | Path) -> StudyInput:
     root = str(Path(root))  # normalized once; read_view joins it to each file
-    parts = {View(name): read_view(root, entry) for name, entry in record.views.items()}
+    parts = {view: read_view(root, entry) for view, entry in record.views.items()}
     absent = (None, None, None)
     f_img, f_masks, _ = parts[View.CURRENT_FRONTAL]
     l_img, l_masks, _ = parts.get(View.CURRENT_LATERAL, absent)
     p_img, p_masks, _ = parts.get(View.PRIOR_FRONTAL, absent)
     legends = {view: legend for view, (_, _, legend) in parts.items() if legend}
+    context = record.context
     return StudyInput(
         frontal_image=f_img, frontal_masks=f_masks,
         lateral_image=l_img, lateral_masks=l_masks,
         prior_image=p_img, prior_masks=p_masks,
-        indication=record.context.get("indication"),
-        technique=record.context.get("technique"),
-        comparison=record.context.get("comparison"),
-        prior_report=record.context.get("prior_report"),
+        indication=context.indication, technique=context.technique,
+        comparison=context.comparison, prior_report=context.prior_report,
         target_findings=record.target_findings,
         study_id=record.study_id,
         som_legends=legends or None,

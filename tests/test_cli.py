@@ -201,18 +201,18 @@ class TestConfigErrors:
         assert "'split'" in err
 
     @pytest.mark.parametrize("mutate,words", [
-        (lambda d: d.pop("train"), ["missing key 'train'"]),
-        (lambda d: d.pop("model"), ["missing key 'model'"]),
-        (lambda d: d.pop("vocab"), ["missing key 'vocab'"]),
+        (lambda d: d.pop("train"), ["missing TrainEcho key(s): 'train'"]),
+        (lambda d: d.pop("model"), ["missing TrainEcho key(s): 'model'"]),
+        (lambda d: d.pop("vocab"), ["missing TrainEcho key(s): 'vocab'"]),
         (lambda d: d.update(train=[]), ["key 'train'", "object", "list"]),
         (lambda d: d.update(model="tiny"), ["key 'model'", "object", "str"]),
-        (lambda d: d.update(vocab={"a": 1}), ["key 'vocab'", "list", "dict"]),
-        (lambda d: d.update(vocab=[1, 2]), ["key 'vocab'", "strings"]),
+        (lambda d: d.update(vocab={"a": 1}), ["key 'vocab'", "list", "{'a': 1}"]),
+        (lambda d: d.update(vocab=[1, 2]), ["key 'vocab'", "each a string", "[1, 2]"]),
         (lambda d: d["model"].update(encoder=[]), ["'encoder'", "object"]),
         (lambda d: d["train"].update(frozen=5), ["'frozen'", "list"]),
         (lambda d: d["train"].update(strategy="XX"), ["'strategy'", "'XX'"]),
         (lambda d: d["model"]["encoder"].update(image_size="32"), []),
-        (lambda d: d.clear() or d.update(echo=[1]), ["missing key 'train'"]),
+        (lambda d: d.clear() or d.update(echo=[1]), ["unknown TrainEcho key(s): 'echo'"]),
         # each top-level key deleted, and set to each JSON kind that does not fit it
         *(pytest.param(lambda d, key=key: d.pop(key), [repr(key)], id=f"delete-{key}")
           for key in ("train", "model", "vocab")),
@@ -286,7 +286,7 @@ class TestConfigErrors:
         ("eval", 9, lambda e: e.update(target_findings=None),
          ["'target_findings'", "string", "None"]),
         ("generate", 0, lambda e: e["views"].update(side_view=e["views"]["current_frontal"]),
-         ["'views'['side_view']", "unknown view"]),
+         ["'views'", "unknown key 'side_view'"]),
     ])
     def test_malformed_manifest_field_types(self, dataset, checkpoint, tmp_path, capsys,
                                             command, index, mutate, words):
@@ -474,7 +474,7 @@ class TestRenderSom:
         entry = records[0].views["current_frontal"]
         assert "legend" in entry
         assert (out / entry["image"]).exists()
-        assert (out / entry["image"].replace(".pgm", ".legend.json")).exists()
+        assert not list(out.rglob("*.legend.json"))
         legend = entry["legend"]
         assert len(legend) == len(entry["masks"])
 

@@ -256,7 +256,7 @@ class TestManifest:
         (lambda m: m["studies"][1]["views"].pop("current_frontal"),
          ["studies[1]", "'views'", "lacks 'current_frontal'"]),
         (lambda m: m["studies"][0]["views"]["current_frontal"].pop("image"),
-         ["studies[0]", "'views'['current_frontal']", "missing key 'image'"]),
+         ["studies[0]", "'views'['current_frontal']", "missing ViewEntry key(s): 'image'"]),
         (lambda m: m["studies"][0]["views"]["current_frontal"].update(image=3),
          ["'views'['current_frontal']", "'image'", "string"]),
         (lambda m: m["studies"][0]["views"]["current_frontal"].update(images="x.pgm"),
@@ -266,13 +266,16 @@ class TestManifest:
         (lambda m: m["studies"][0]["views"]["current_frontal"]["masks"].update(heart=None),
          ["'views'['current_frontal']", "'heart'", "string"]),
         (lambda m: m["studies"][0]["views"]["current_frontal"].update(legend=[["1", "heart"]]),
-         ["'views'['current_frontal']", "'legend'", "[label, structure, value]"]),
+         ["'views'['current_frontal']", "'legend'", "3 items"]),
         (lambda m: m["studies"][2]["context"].update(indication=7),
          ["studies[2]", "'context'", "string or null"]),
         (lambda m: m["studies"][2]["context"].update(history="x"),
          ["studies[2]", "'context'", "'history'"]),
         (lambda m: m["studies"][3].update(study_id=3), ["studies[3]", "'study_id'", "string"]),
         *BAD_ENTRY_FIELDS,
+        (lambda m: m["studies"][1].update(split="bogus"), ["studies[1]", "'split'", "'bogus'"]),
+        (lambda m: m["studies"][3].update(study_id="study_00001"),
+         ["studies[1] and studies[3]", "'study_00001'"]),
     ])
     def test_malformed_manifest_names_file_and_entry(self, tmp_path, edit, names):
         generate_dataset(SynthSpec(seed=11, n_studies=4, image_size=32), tmp_path)
