@@ -40,9 +40,9 @@ def log(message: str) -> None:
 
 
 def _read_config(path: str | Path | None, cls):
-    """The JSON object in ``path`` (``{}`` without a path) as a ``cls``, which
-    checked_fields checks; a ContractError names the file, and so does a
-    TypeError, which a value of the wrong type gives deeper down."""
+    """The JSON object in ``path`` (``{}`` without a path), checked and read
+    as a ``cls`` by checked_fields; a ContractError or a TypeError it or
+    ``cls`` raises becomes a ContractError naming the file."""
     data = {}
     if path:
         with open(path, encoding="utf-8") as fh:

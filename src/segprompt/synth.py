@@ -76,7 +76,7 @@ class SynthSpec:
     seed: int = 0
     n_studies: int = 32
     image_size: int = 64
-    structure_probs: dict[str, float] = field(
+    structure_probs: dict[StructureId, float] = field(
         default_factory=lambda: dict(DEFAULT_STRUCTURE_PROBS))
     enlarged_heart_prob: float = 0.4
     heart_area_threshold: int = 200  # pixels; tuned for image_size 64
@@ -365,7 +365,7 @@ def split_of(index: int) -> Split:
     return Split.TRAIN if r < 8 else (Split.VAL if r == 8 else Split.TEST)
 
 
-# -- manifest: the generator's ``spec`` and a list of StudyRecord entries -----
+# -- manifest: the generator's spec and a list of StudyRecord entries ----------
 
 
 class _ViewFiles(TypedDict):

@@ -137,6 +137,7 @@ class TestConfigErrors:
         ("train", {"train": {"warmup_ratio": -0.1}}, "'warmup_ratio'"),
         ("train", {"train": {"epochs": 0}}, "'epochs'"),
         ("train", {"train": {"max_steps": 0}}, "'max_steps'"),
+        ("gen-data", {"structure_probs": {"spleen": 0.5}}, "'spleen'"),
         # each top-level key set to each JSON kind but an object
         *(pytest.param("train", {key: value}, repr(key), id=f"{kind}-{key}")
           for key in ("train", "model") for kind, value in JSON_KINDS.items()
