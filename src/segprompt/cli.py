@@ -279,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="generate a synthetic dataset")
     p.add_argument("--spec", help="SynthSpec JSON file")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--count", type=int)
+    p.add_argument("--seed", type=_int_in(0))
+    p.add_argument("--count", type=_int_in(0))
     p.set_defaults(fn=cmd_gen_data)
 
     p = sub.add_parser("render-som", help="overlay set-of-marks on a dataset")
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--study", required=True)
     p.add_argument("--ckpt")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_in(0), default=0)
     p.add_argument("--single-view", action="store_true")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_extract_tokens)
@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="train/model config JSON")
     p.add_argument("--strategy", choices=[s.value for s in Strategy])
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_int_in(0))
     p.add_argument("--single-view", action="store_true")
     p.add_argument("--epochs", type=_int_in(1))
     p.add_argument("--max-steps", type=_int_in(1))
@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True)
     p.add_argument("--split", default="test", choices=[s.value for s in Split])
     p.add_argument("--max-new", type=_int_in(1), default=48)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_in(0), default=0)
     p.set_defaults(fn=cmd_eval)
     return parser
 

@@ -2,7 +2,7 @@
 
 Random seeded weights stand in for a pretrained domain encoder; the taps and
 the final feature grid exercise the same plumbing. Taps are the residual
-stream after each block (1-based), recorded in the config as ``tap_point``.
+stream after each block (1-based).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from segprompt.errors import ContractError
+from segprompt.errors import ContractError, check_at_least
 from segprompt.nn import Tensor, TransformerBlock, init_uniform
 from segprompt.nn.layers import LinearLayer
 
@@ -25,15 +25,17 @@ class VitConfig:
     dim: int = 64
     heads: int = 4
     tap_layers: tuple[int, ...] = (2, 4, 6, 8)
-    tap_point: str = "post_block"
 
     def __post_init__(self):
+        check_at_least(self, 1, "image_size", "patch_size", "depth", "dim", "heads")
         if self.image_size % self.patch_size:
-            raise ContractError("image_size must be divisible by patch_size")
+            raise ContractError(f"key 'patch_size' ({self.patch_size}) must divide "
+                                f"key 'image_size' ({self.image_size})")
         if self.dim % self.heads:
-            raise ContractError("heads must divide dim")
+            raise ContractError(f"key 'heads' ({self.heads}) must divide key 'dim' ({self.dim})")
         if not self.tap_layers or any(t < 1 or t > self.depth for t in self.tap_layers):
-            raise ContractError(f"tap layers {self.tap_layers} must lie in [1, depth]")
+            raise ContractError(f"key 'tap_layers' {list(self.tap_layers)} must be nonempty "
+                                f"and lie in [1, depth {self.depth}]")
 
     @property
     def grid_side(self) -> int:

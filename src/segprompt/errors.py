@@ -19,6 +19,15 @@ class OracleError(RuntimeError):
     """A test oracle (e.g. finite differences) hit a non-finite evaluation."""
 
 
+def check_at_least(cfg, low: int, *keys: str) -> None:
+    """Raise naming the first of the config ``cfg``'s fields ``keys`` whose
+    value is not at least ``low`` (a NaN is not)."""
+    for key in keys:
+        value = getattr(cfg, key)
+        if not value >= low:
+            raise ContractError(f"key {key!r} must be at least {low}, got {value}")
+
+
 class _Mismatch(Exception):
     """A JSON value that does not fit its type: ``path`` leads to it from
     the field that holds it (``['heart']``), ``why`` says how it does not

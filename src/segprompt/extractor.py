@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from segprompt.errors import ContractError
+from segprompt.errors import ContractError, check_at_least
 from segprompt.encoder import FeatureGrid
 from segprompt.masks import Mask, MaskSet, StructureId, is_positive, positive_structures, to_grid
 from segprompt.nn import MlpBlock, Tensor
@@ -28,9 +28,8 @@ class ExtractorConfig:
 
     def __post_init__(self):
         if not self.tap_layers:
-            raise ContractError("tap_layers must be nonempty")
-        if self.dim <= 0 or self.spatial_side <= 0:
-            raise ContractError("dim and spatial_side must be positive")
+            raise ContractError("key 'tap_layers' must be nonempty")
+        check_at_least(self, 1, "dim", "spatial_side", "mlp_depth")
 
 
 @dataclass
@@ -62,16 +61,16 @@ class SegTokenExtractor:
 
 def mask_pool(fg: FeatureGrid, gm: Mask) -> Tensor:
     """Mean of the feature vectors over the grid mask's set cells, as one
-    weight vector @ features. A stack of S grid masks (S, rows, cols) pools
-    to (S, dim) with one (S, cells) weight matrix."""
+    (S, cells) weight matrix @ features for a stack of S grid masks
+    (S, rows, cols), which pools to (S, dim); a grid mask pools to (dim,)."""
     if gm.ndim not in (2, 3) or gm.shape[-2:] != (fg.rows, fg.cols):
         raise ContractError(f"grid mask {gm.shape} != feature grid ({fg.rows}, {fg.cols})")
     sel = gm.reshape(-1, fg.rows * fg.cols)
     counts = sel.sum(axis=1, keepdims=True)
     if not counts.all():
         raise ContractError("mask_pool over an empty grid mask; gate on positivity first")
-    weights = sel / counts
-    return Tensor(weights if gm.ndim == 3 else weights[0]) @ fg.features
+    pooled = Tensor(sel / counts) @ fg.features
+    return pooled if gm.ndim == 3 else pooled[0]
 
 
 def mask_token(features: dict[int, FeatureGrid], gm: Mask,

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from segprompt.errors import ContractError, checked_fields
+from segprompt.errors import ContractError, check_at_least
 from segprompt.encoder import EncoderOutput, FeatureGrid, VitConfig, VitEncoder
 from segprompt.extractor import ExtractorConfig, SegTokenExtractor, SegTokenPair, extract_tokens
 from segprompt.nn import (
@@ -167,14 +167,12 @@ def adapt(fg: FeatureGrid, adapter: MlpBlock) -> Tensor:
     return adapter(fg.features)
 
 
-def forward_loss(lm: DecoderLm, prompt_embeddings: Tensor, target_ids: Sequence[int],
-                 logit_bias: np.ndarray | None = None) -> Tensor:
+def forward_loss(lm: DecoderLm, prompt_embeddings: Tensor, target_ids: Sequence[int]) -> Tensor:
     """Mean autoregressive cross-entropy over the target positions only.
 
     The input sequence is the prompt followed by all but the last target
     embedding; the logit at the last prompt position predicts the first
-    target token. ``logit_bias`` (input_len, vocab) is a test hook added to
-    the logits before the loss.
+    target token.
     """
     p_len = prompt_embeddings.shape[0]
     t_len = len(target_ids)
@@ -190,8 +188,6 @@ def forward_loss(lm: DecoderLm, prompt_embeddings: Tensor, target_ids: Sequence[
     else:
         inputs = prompt_embeddings
     logits = lm.forward(inputs)
-    if logit_bias is not None:
-        logits = logits + np.asarray(logit_bias)
     return cross_entropy(logits[p_len - 1:p_len - 1 + t_len], targets)
 
 
@@ -264,11 +260,17 @@ class ModelConfig:
     max_seq_len: int = 256
     seed: int = 0
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        """Inverse of ``asdict``; every key and value type is checked, the
-        ``encoder`` and ``extractor`` objects' too."""
-        return cls(**checked_fields(d, cls))
+    def __post_init__(self):
+        check_at_least(self, 1, "lm_dim", "lm_depth", "lm_heads", "max_seq_len")
+        check_at_least(self, 0, "seed")
+        if self.lm_dim % self.lm_heads:
+            raise ContractError(f"key 'lm_heads' ({self.lm_heads}) must divide "
+                                f"key 'lm_dim' ({self.lm_dim})")
+        for key in ("tap_layers", "dim"):
+            ours, theirs = getattr(self.extractor, key), getattr(self.encoder, key)
+            if ours != theirs:
+                raise ContractError(f"extractor key {key!r} {ours} must equal "
+                                    f"encoder key {key!r} {theirs}")
 
 
 class ReportModel:
@@ -277,10 +279,6 @@ class ReportModel:
     def __init__(self, cfg: ModelConfig, vocab_words: Iterable[str], init: bool = True):
         """``init=False`` draws no random init (zero weights): for a model that
         a checkpoint fills, which ``load_into`` checks name by name."""
-        if cfg.extractor.tap_layers != cfg.encoder.tap_layers:
-            raise ContractError("extractor taps must match encoder taps")
-        if cfg.extractor.dim != cfg.encoder.dim:
-            raise ContractError("extractor width must match encoder feature width")
         self.cfg = cfg
         self.tokenizer = Tokenizer(vocab_words)
         def seed(offset: int) -> int | None:
@@ -403,32 +401,24 @@ class TrainConfig:
         if self.precision not in ("float32", "float64"):
             raise ContractError(f"unsupported dtype {self.precision!r} for key 'precision'; "
                                 "expected 'float32' or 'float64'")
+        check_at_least(self, 1, "batch_size", "epochs")
+        check_at_least(self, 0, "seed")
         # each test is negated so that a NaN fails it too
-        if not self.batch_size >= 1:
-            raise ContractError(f"key 'batch_size' must be at least 1, got {self.batch_size}")
         if not all(0 <= b < 1 for b in self.betas):
             raise ContractError(f"key 'betas' must hold two numbers in [0, 1), "
                                 f"got {list(self.betas)}")
-        if not self.eps > 0:
-            raise ContractError(f"key 'eps' must be > 0, got {self.eps}")
-        if not self.base_lr >= 0:
-            raise ContractError(f"key 'base_lr' must be >= 0, got {self.base_lr}")
+        if not 0 < self.eps < math.inf:
+            raise ContractError(f"key 'eps' must be finite and > 0, got {self.eps}")
+        if not 0 <= self.base_lr < math.inf:
+            raise ContractError(f"key 'base_lr' must be finite and >= 0, got {self.base_lr}")
         if not 0 <= self.weight_decay < math.inf:
             raise ContractError(f"key 'weight_decay' must be finite and >= 0, "
                                 f"got {self.weight_decay}")
         if not 0 <= self.warmup_ratio < 1:
             raise ContractError(f"key 'warmup_ratio' must lie in [0, 1), got {self.warmup_ratio}")
-        if not self.epochs >= 1:
-            raise ContractError(f"key 'epochs' must be at least 1, got {self.epochs}")
         if self.max_steps is not None and not self.max_steps >= 1:
             raise ContractError(f"key 'max_steps' must be at least 1 or null, "
                                 f"got {self.max_steps}")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        """Inverse of ``asdict``: every key and value type is checked, JSON
-        lists become tuples and the strategy an enum."""
-        return cls(**checked_fields(d, cls))
 
 
 @dataclass

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,55 +11,45 @@ from segprompt.errors import ContractError
 from segprompt.nn.tensor import Tensor
 
 
-@dataclass
-class OptimState:
-    """Per-parameter Adam moments keyed by parameter name."""
-
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
-    weight_decay: float = 0.0
-    step_count: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-
-
-def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
-               state: OptimState, lr: float) -> None:
-    """One AdamW update in place: p -= lr * (m_hat/(sqrt(v_hat)+eps) + wd*p)."""
-    if lr < 0:
-        raise ContractError("lr must be >= 0")
-    state.step_count += 1
-    t = state.step_count
-    b1, b2 = state.betas
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p.data)
-        if g.shape != p.data.shape:
-            raise ContractError(f"grad shape {g.shape} != param shape {p.data.shape} for {name}")
-        m = state.m.setdefault(name, np.zeros_like(p.data))
-        v = state.v.setdefault(name, np.zeros_like(p.data))
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        m_hat = m / (1 - b1 ** t)
-        v_hat = v / (1 - b2 ** t)
-        p.data -= lr * (m_hat / (np.sqrt(v_hat) + state.eps) + state.weight_decay * p.data)
-
-
 class AdamW:
-    """AdamW over the named parameters it is given. Frozen parameters are
-    left out by the caller: they are never updated and keep no moments."""
+    """AdamW over the named parameters it is given, holding their moments
+    ``m`` and ``v`` and the step count. Frozen parameters are left out by the
+    caller: they are never updated and keep no moments."""
 
     def __init__(self, params: dict[str, Tensor], betas=(0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.0):
         self.params = params
-        self.state = OptimState(betas=betas, eps=eps, weight_decay=weight_decay)
+        self.betas = betas
+        self.eps = eps
+        self.weight_decay = weight_decay
+        self.step_count = 0
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
 
     def step(self, lr: float) -> None:
-        grads = {name: p.grad for name, p in self.params.items() if p.grad is not None}
-        adamw_step(self.params, grads, self.state, lr)
+        """One update in place from each ``p.grad`` (zero where it is None):
+        p -= lr * (m_hat/(sqrt(v_hat)+eps) + wd*p)."""
+        if lr < 0:
+            raise ContractError("lr must be >= 0")
+        self.step_count += 1
+        t = self.step_count
+        b1, b2 = self.betas
+        for name, p in self.params.items():
+            g = p.grad
+            if g is None:
+                g = np.zeros_like(p.data)
+            if g.shape != p.data.shape:
+                raise ContractError(
+                    f"grad shape {g.shape} != param shape {p.data.shape} for {name}")
+            m = self.m.setdefault(name, np.zeros_like(p.data))
+            v = self.v.setdefault(name, np.zeros_like(p.data))
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            m_hat = m / (1 - b1 ** t)
+            v_hat = v / (1 - b2 ** t)
+            p.data -= lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p.data)
 
     def zero_grad(self) -> None:
         for p in self.params.values():

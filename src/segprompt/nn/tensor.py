@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -76,13 +76,12 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, _parents: tuple = (),
-                 _backward: Callable[[np.ndarray], None] | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents = _parents
-        self._backward = _backward
+        self._parents: tuple = ()
+        self._backward: Callable[[np.ndarray], None] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -159,9 +158,6 @@ class Tensor:
     def __sub__(self, other):
         return add(self, -as_tensor(other))
 
-    def __rsub__(self, other):
-        return add(-self, other)
-
     def __neg__(self):
         out = _make(-self.data, (self,))
         if out.requires_grad:
@@ -172,11 +168,6 @@ class Tensor:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise ContractError("tensor/tensor division unsupported; use mul by reciprocal")
-        return mul(self, 1.0 / other)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -189,9 +180,6 @@ class Tensor:
 
     def reshape(self, *shape):
         return reshape(self, shape)
-
-    def transpose(self, axes: Sequence[int]):
-        return transpose(self, axes)
 
     def __getitem__(self, idx):
         return take(self, idx)
@@ -236,9 +224,9 @@ def add(a: Tensor, b) -> Tensor:
     out = _make(a.data + b.data, (a, b))
     if out.requires_grad:
         def bw(g):
-            if a.requires_grad or a._parents:
+            if a.requires_grad:
                 a._accumulate(_unbroadcast(g, a.shape))
-            if b.requires_grad or b._parents:
+            if b.requires_grad:
                 b._accumulate(_unbroadcast(g, b.shape))
         out._backward = bw
     return out
@@ -249,52 +237,26 @@ def mul(a: Tensor, b) -> Tensor:
     out = _make(a.data * b.data, (a, b))
     if out.requires_grad:
         def bw(g):
-            if a.requires_grad or a._parents:
+            if a.requires_grad:
                 a._accumulate(_unbroadcast(g * b.data, a.shape))
-            if b.requires_grad or b._parents:
+            if b.requires_grad:
                 b._accumulate(_unbroadcast(g * a.data, b.shape))
         out._backward = bw
     return out
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b with numpy matmul semantics; 1-d operands are lifted internally."""
+    """a @ b with numpy matmul semantics over operands of two or more axes."""
     a, b = as_tensor(a), as_tensor(b)
-    lift_a = a.ndim == 1
-    lift_b = b.ndim == 1
-    ad = a.data[None, :] if lift_a else a.data
-    bd = b.data[:, None] if lift_b else b.data
-    y = ad @ bd
-    if lift_a:
-        y = y[..., 0, :]
-    if lift_b:
-        y = y[..., 0]
-    out = _make(y, (a, b))
+    if a.ndim < 2 or b.ndim < 2:
+        raise ContractError(f"matmul takes operands of two or more axes, got {a.shape} @ {b.shape}")
+    out = _make(a.data @ b.data, (a, b))
     if out.requires_grad:
         def bw(g):
-            gd = g
-            if lift_a and lift_b:
-                gd = gd[None, None]
-            elif lift_a:
-                gd = gd[..., None, :]
-            elif lift_b:
-                gd = gd[..., None]
-            if a.requires_grad or a._parents:
-                ga = gd @ bd.swapaxes(-1, -2)
-                if lift_a:
-                    ga = ga.reshape(a.shape) if ga.ndim <= 2 else ga.sum(
-                        axis=tuple(range(ga.ndim - 2)))[0]
-                else:
-                    ga = _unbroadcast(ga, a.shape)
-                a._accumulate(ga.reshape(a.shape))
-            if b.requires_grad or b._parents:
-                gb = ad.swapaxes(-1, -2) @ gd
-                if lift_b:
-                    gb = gb.reshape(b.shape) if gb.ndim <= 2 else gb.sum(
-                        axis=tuple(range(gb.ndim - 2)))[:, 0]
-                else:
-                    gb = _unbroadcast(gb, b.shape)
-                b._accumulate(gb.reshape(b.shape))
+            if a.requires_grad:
+                a._accumulate(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
+            if b.requires_grad:
+                b._accumulate(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
         out._backward = bw
     return out
 
@@ -311,12 +273,12 @@ def linear(x: Tensor | np.ndarray, w: Tensor, b: Tensor) -> Tensor | np.ndarray:
     out = _make(x.data @ w.data.T + b.data, (x, w, b))
     if out.requires_grad:
         def bw(g):
-            if x.requires_grad or x._parents:
+            if x.requires_grad:
                 x._accumulate(g @ w.data)
             g2 = g.reshape(-1, g.shape[-1])
-            if w.requires_grad or w._parents:
+            if w.requires_grad:
                 w._accumulate(g2.T @ x.data.reshape(-1, x.shape[-1]))
-            if b.requires_grad or b._parents:
+            if b.requires_grad:
                 b._accumulate(g2.sum(axis=0))
         out._backward = bw
     return out
@@ -351,13 +313,13 @@ def attention(q: Tensor | np.ndarray, k: Tensor | np.ndarray, v: Tensor | np.nda
     if out.requires_grad:
         def bw(g):
             gh = _split_heads(g, heads)
-            if v.requires_grad or v._parents:
+            if v.requires_grad:
                 v._accumulate((p.swapaxes(-1, -2) @ gh).swapaxes(-2, -3).reshape(v.shape))
             gp = gh @ vh.swapaxes(-1, -2)
             gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
-            if q.requires_grad or q._parents:
+            if q.requires_grad:
                 q._accumulate((gs @ kh).swapaxes(-2, -3).reshape(q.shape))
-            if k.requires_grad or k._parents:
+            if k.requires_grad:
                 k._accumulate((gs.swapaxes(-1, -2) @ qh).swapaxes(-2, -3).reshape(k.shape))
         out._backward = bw
     return out
@@ -387,15 +349,6 @@ def reshape(x: Tensor, shape) -> Tensor:
     return out
 
 
-def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(axes)
-    inv = sorted(range(len(axes)), key=lambda i: axes[i] % len(axes))
-    out = _make(x.data.transpose(axes), (x,))
-    if out.requires_grad:
-        out._backward = lambda g: x._accumulate(g.transpose(inv))
-    return out
-
-
 def take(x: Tensor, idx) -> Tensor:
     """Indexing/gather. Backward assigns g for int and slice indexes, which cannot
     repeat, and scatter-adds it for integer arrays, which can."""
@@ -421,7 +374,7 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 
         def bw(g):
             for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
-                if t.requires_grad or t._parents:
+                if t.requires_grad:
                     sl = [slice(None)] * g.ndim
                     sl[axis] = slice(lo, hi)
                     t._accumulate(g[tuple(sl)])
@@ -450,19 +403,6 @@ def gelu(x: Tensor | np.ndarray) -> Tensor | np.ndarray:
     return out
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    m = x.data.max(axis=axis, keepdims=True)
-    e = np.exp(x.data - m)
-    y = e / e.sum(axis=axis, keepdims=True)
-    out = _make(y, (x,))
-    if out.requires_grad:
-        def bw(g):
-            dot = (g * y).sum(axis=axis, keepdims=True)
-            x._accumulate(y * (g - dot))
-        out._backward = bw
-    return out
-
-
 def layer_norm(x: Tensor | np.ndarray, gamma: Tensor, beta: Tensor,
                eps: float = 1e-5) -> Tensor | np.ndarray:
     """Normalize the trailing axis to zero mean / unit variance, then affine.
@@ -478,11 +418,11 @@ def layer_norm(x: Tensor | np.ndarray, gamma: Tensor, beta: Tensor,
     out = _make(y, (x, gamma, beta))
     if out.requires_grad:
         def bw(g):
-            if gamma.requires_grad or gamma._parents:
+            if gamma.requires_grad:
                 gamma._accumulate((g * xhat).sum(axis=tuple(range(g.ndim - 1))))
-            if beta.requires_grad or beta._parents:
+            if beta.requires_grad:
                 beta._accumulate(g.sum(axis=tuple(range(g.ndim - 1))))
-            if x.requires_grad or x._parents:
+            if x.requires_grad:
                 gy = g * gamma.data
                 term = gy - gy.sum(axis=-1, keepdims=True) / d \
                     - xhat * ((gy * xhat).sum(axis=-1, keepdims=True) / d)

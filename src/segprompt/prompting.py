@@ -210,7 +210,7 @@ def _resolve_pair(tokens_by_view: dict[View, list[SegTokenPair]], view: View,
 
 
 def realize_embeddings(prompt: Prompt,
-                       enc_out: dict[View, EncoderOutput | FeatureGrid],
+                       enc_out: dict[View, EncoderOutput],
                        tokens_by_view: dict[View, list[SegTokenPair]],
                        text_embedder: Callable[[str], Tensor | None],
                        adapter: Callable[[FeatureGrid], Tensor],
@@ -236,9 +236,7 @@ def realize_embeddings(prompt: Prompt,
         elif isinstance(seg, ImageSlot):
             if seg.view not in enc_out:
                 raise ContractError(f"no encoder output for image slot {seg.view.value}")
-            out = enc_out[seg.view]
-            fg = out.final if isinstance(out, EncoderOutput) else out
-            blocks.append(adapter(fg))
+            blocks.append(adapter(enc_out[seg.view].final))
         elif isinstance(seg, SegSlot):
             pair = _resolve_pair(tokens_by_view, seg.view, seg.structure)
             blocks.append(seg_vector(pair, seg.token))

@@ -11,6 +11,7 @@ its finding sentence depend on the mask alone.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, asdict
 from enum import Enum
@@ -19,7 +20,7 @@ from typing import TypedDict
 
 import numpy as np
 
-from segprompt.errors import ContractError, checked_fields
+from segprompt.errors import ContractError, check_at_least, checked_fields
 from segprompt.masks import (
     STRUCTURE_NAMES,
     STRUCTURE_ORDER,
@@ -91,10 +92,22 @@ class SynthSpec:
     mask_noise: float = 0.0
 
     def __post_init__(self):
+        check_at_least(self, 0, "seed", "n_studies")
+        check_at_least(self, 1, "image_size")
+        # each test is negated so that a NaN fails it too
         for key, p in self.structure_probs.items():
-            StructureId(key)
+            name = StructureId(key).value
             if not 0.0 <= p <= 1.0:
-                raise ContractError(f"probability {p} for {key} outside [0, 1]")
+                raise ContractError(f"key 'structure_probs' must hold probabilities in [0, 1], "
+                                    f"got {p} for {name!r}")
+        for key in ("enlarged_heart_prob", "opacity_prob", "effusion_prob", "lateral_prob",
+                    "prior_prob", "indication_prob", "technique_prob", "comparison_prob",
+                    "mask_noise"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                raise ContractError(f"key {key!r} must lie in [0, 1], got {getattr(self, key)}")
+        if not math.isfinite(self.ptx_intensity_delta):
+            raise ContractError(f"key 'ptx_intensity_delta' must be finite, "
+                                f"got {self.ptx_intensity_delta}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthSpec":

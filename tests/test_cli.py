@@ -1,7 +1,10 @@
 """CLI wiring: every subcommand end to end on a tiny dataset."""
 
+import copy
+import dataclasses
 import json
 import shutil
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -10,9 +13,11 @@ from segprompt import cli
 from segprompt import masks as M
 from segprompt.cli import run_command
 from segprompt.encoder import VitConfig
-from segprompt.mllm import ModelConfig, ReportModel
+from segprompt.errors import checked_fields
+from segprompt.mllm import ModelConfig, ReportModel, TrainFile
+from segprompt.nn import load_checkpoint
 from segprompt.prompting import Strategy
-from segprompt.synth import load_manifest, load_study, vocabulary
+from segprompt.synth import SynthSpec, load_manifest, load_study, vocabulary
 
 TINY_CONFIG = {
     "train": {"epochs": 1, "base_lr": 1e-3, "batch_size": 2, "max_steps": 2,
@@ -79,6 +84,10 @@ class TestUsage:
         ("eval", "--max-new", "0"),
         ("render-som", "--uniform-value", "999"),
         ("render-som", "--uniform-value", "-1"),
+        ("gen-data", "--count", "-1"),
+        ("gen-data", "--seed", "-1"),
+        ("train", "--seed", "-1"),
+        ("eval", "--seed", "-1"),
     ])
     def test_number_out_of_range_names_flag(self, dataset, checkpoint, tmp_path, capsys,
                                             command, flag, value):
@@ -86,6 +95,7 @@ class TestUsage:
         the command writes nothing."""
         out = tmp_path / "out"
         argv = {
+            "gen-data": ["gen-data", "--out", str(out)],
             "train": ["train", "--data", str(dataset), "--out", str(out)],
             "generate": ["generate", "--data", str(dataset), "--ckpt", str(checkpoint),
                          "--study", "study_00000"],
@@ -138,6 +148,20 @@ class TestConfigErrors:
         ("train", {"train": {"epochs": 0}}, "'epochs'"),
         ("train", {"train": {"max_steps": 0}}, "'max_steps'"),
         ("gen-data", {"structure_probs": {"spleen": 0.5}}, "'spleen'"),
+        # values that ran: a checkpoint with non-finite entries, an empty
+        # dataset, unreadable 0x0 images, or probabilities outside [0, 1]
+        ("train", {"train": {"base_lr": float("inf")}}, "'base_lr'"),
+        ("train", {"train": {"eps": float("inf")}}, "'eps'"),
+        ("gen-data", {"prior_prob": 3.0}, "'prior_prob'"),
+        ("gen-data", {"mask_noise": 2.0}, "'mask_noise'"),
+        ("gen-data", {"n_studies": -1}, "'n_studies'"),
+        ("gen-data", {"image_size": 0}, "'image_size'"),
+        ("gen-data", {"ptx_intensity_delta": float("nan")}, "'ptx_intensity_delta'"),
+        ("gen-data", {"structure_probs": {"heart": 1.5}}, "'heart'"),
+        # model values that failed while the model was built, naming no file
+        ("train", {"model": {"lm_dim": 10, "lm_heads": 4}}, "'lm_heads'"),
+        ("train", {"model": {"extractor": {"dim": 32}}}, "'dim'"),
+        ("train", {"model": {"extractor": {"tap_layers": [2, 4]}}}, "'tap_layers'"),
         # each top-level key set to each JSON kind but an object
         *(pytest.param("train", {key: value}, repr(key), id=f"{kind}-{key}")
           for key in ("train", "model") for kind, value in JSON_KINDS.items()
@@ -315,6 +339,70 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "unsupported dtype 'float16'" in err
         assert str(path) in err and "'precision'" in err, err
+
+
+def number_paths(cls, path=()):
+    """The path to each number in a ``cls`` config: every int and float
+    field, the first item of a tuple of numbers and the heart's entry of a
+    dict of numbers, in nested configs too."""
+    for name, tp in get_type_hints(cls).items():
+        origin, args = get_origin(tp), get_args(tp)
+        if dataclasses.is_dataclass(tp):
+            yield from number_paths(tp, path + (name,))
+        elif tp in (int, float, int | None):
+            yield path + (name,)
+        elif origin is tuple and args[0] in (int, float):
+            yield path + (name, 0)
+        elif origin is dict and args[1] is float:
+            yield path + (name, "heart")
+
+
+def as_json(config) -> dict:
+    return json.loads(json.dumps(dataclasses.asdict(config)))
+
+
+# every field of the config files, the tiny model's for training
+SWEEP_BASES = {
+    "train": as_json(TrainFile(**checked_fields(TINY_CONFIG, TrainFile))),
+    "gen-data": as_json(SynthSpec(**checked_fields(SYNTH_SPEC, SynthSpec))),
+}
+SWEEP_CASES = [
+    pytest.param(command, path, value, id=f"{command}-{'.'.join(map(str, path))}={value}")
+    for command, cls in (("train", TrainFile), ("gen-data", SynthSpec))
+    for path in number_paths(cls)
+    for value in (0, -1, float("nan"), float("inf"))
+]
+
+
+class TestNumericConfigSweep:
+    @pytest.mark.parametrize("command,path,value", SWEEP_CASES)
+    def test_number_is_accepted_or_names_file_and_key(self, dataset, tmp_path, capsys,
+                                                      command, path, value):
+        """Every number in a ``train --config`` file or a ``gen-data --spec``
+        set to 0, -1, NaN or inf runs, or exits 1 naming the file and the
+        key and writing nothing; nothing escapes ``run_command``."""
+        config = copy.deepcopy(SWEEP_BASES[command])
+        node = config
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        file = tmp_path / "config.json"
+        file.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        argv = {"train": ["train", "--data", str(dataset), "--config", str(file),
+                          "--max-steps", "1"],
+                "gen-data": ["gen-data", "--spec", str(file), "--count", "1"]}[command]
+        code = run_command(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert code in (0, 1), err
+        if code == 1:
+            key = [k for k in path if isinstance(k, str)][-1]
+            assert str(file) in err and repr(key) in err, err
+            assert not out.exists()
+        elif command == "train":
+            assert all(np.isfinite(a).all() for a in load_checkpoint(out / "model.ckpt").values())
+        else:
+            assert [load_study(r, out) for r in load_manifest(out)[1]]
 
 
 class TestBadStudyFiles:

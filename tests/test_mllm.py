@@ -9,7 +9,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from segprompt.errors import ContractError
+from segprompt.errors import ContractError, checked_fields
 from segprompt.encoder import FeatureGrid, VitConfig
 from segprompt.extractor import ExtractorConfig
 from segprompt.masks import positive_structures
@@ -144,6 +144,12 @@ class TestAdapter:
             assert grad_rel_error(p.grad, num) < 1e-4, name
 
 
+def add_logit_bias(lm: DecoderLm, bias: np.ndarray) -> None:
+    """Make ``lm.forward`` add ``bias`` (input_len, vocab) to its logits."""
+    forward = lm.forward
+    lm.forward = lambda x: forward(x) + bias
+
+
 class TestForwardLoss:
     def _lm(self, vocab=11, dim=8, depth=1, heads=2, max_len=32, seed=0):
         return DecoderLm(LmConfig(vocab_size=vocab, dim=dim, depth=depth, heads=heads,
@@ -157,7 +163,8 @@ class TestForwardLoss:
         bias = np.zeros((5 + 2, 11))
         for i, t in enumerate(targets):
             bias[4 + i, t] = 1e4
-        loss = forward_loss(lm, prompt, targets, logit_bias=bias)
+        add_logit_bias(lm, bias)
+        loss = forward_loss(lm, prompt, targets)
         assert loss.item() < 1e-3
 
     def test_uniform_logits_log_vocab(self):
@@ -176,7 +183,8 @@ class TestForwardLoss:
         base = forward_loss(lm, prompt, targets).item()
         bias = np.zeros((6 + 2, 11))
         bias[:5] = rng.standard_normal((5, 11)) * 100.0  # rows before the first prediction
-        perturbed = forward_loss(lm, prompt, targets, logit_bias=bias).item()
+        add_logit_bias(lm, bias)
+        perturbed = forward_loss(lm, prompt, targets).item()
         assert perturbed == base
 
     def test_overflow_reports_lengths(self):
@@ -821,7 +829,7 @@ class TestTrain:
     def test_config_validation(self):
         model = ReportModel(tiny_model_config(), vocabulary())
         with pytest.raises(ContractError, match="unsupported dtype 'float16' for key 'precision'"):
-            TrainConfig.from_dict({"precision": "float16"})
+            TrainConfig(**checked_fields({"precision": "float16"}, TrainConfig))
         with pytest.raises(ContractError, match="'precision'"):
             TrainConfig(precision="bfloat16")
         with pytest.raises(ContractError):
@@ -832,13 +840,16 @@ class TestTrain:
                    TrainConfig(epochs=2, strategy=Strategy.CS, single_view=True,
                                betas=(0.8, 0.95), max_steps=7, precision="float64",
                                frozen=("encoder", "lm"))):
-            assert TrainConfig.from_dict(asdict(tc)) == tc
-            assert TrainConfig.from_dict(json.loads(json.dumps(asdict(tc)))) == tc
-        assert TrainConfig.from_dict({"strategy": "NS"}) == TrainConfig(strategy=Strategy.NS)
+            assert TrainConfig(**checked_fields(asdict(tc), TrainConfig)) == tc
+            assert TrainConfig(**checked_fields(json.loads(json.dumps(asdict(tc))),
+                                                TrainConfig)) == tc
+        assert TrainConfig(**checked_fields({"strategy": "NS"}, TrainConfig)) == \
+            TrainConfig(strategy=Strategy.NS)
 
     def test_model_config_dict_roundtrip(self):
         for cfg in (ModelConfig(), tiny_model_config(lm_dim=16, seed=3)):
-            assert ModelConfig.from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
+            assert ModelConfig(**checked_fields(json.loads(json.dumps(asdict(cfg))),
+                                                ModelConfig)) == cfg
 
     def test_artifacts_written(self, tmp_path):
         model = ReportModel(tiny_model_config(), vocabulary())
@@ -961,11 +972,12 @@ class TestFreezingRule:
         """``frozen`` is the one freezing option: a ``trainable`` key, as an
         echo written before it carried, is an unknown key, whatever its value."""
         with pytest.raises(ContractError, match="unknown TrainConfig key.*'trainable'"):
-            TrainConfig.from_dict({"frozen": ["encoder"], "trainable": trainable})
+            TrainConfig(**checked_fields({"frozen": ["encoder"], "trainable": trainable},
+                                         TrainConfig))
         assert "trainable" not in asdict(TrainConfig())
 
     def test_misspelt_frozen_name_rejected(self):
         with pytest.raises(ContractError, match="encoderr"):
             TrainConfig(frozen=("encoderr",))
         with pytest.raises(ContractError, match="encoderr"):
-            TrainConfig.from_dict({"frozen": ["encoderr"]})
+            TrainConfig(**checked_fields({"frozen": ["encoderr"]}, TrainConfig))

@@ -4,65 +4,78 @@ import numpy as np
 import pytest
 
 from segprompt.errors import ContractError
-from segprompt.nn import AdamW, LrSchedule, OptimState, Tensor, adamw_step, lr_at
+from segprompt.nn import AdamW, LrSchedule, Tensor, lr_at
 
 
 def scalar_param(value: float) -> dict:
     return {"p": Tensor(np.array([value]), requires_grad=True)}
 
 
+def step(opt: AdamW, grad, lr: float) -> None:
+    """One ``opt.step(lr)`` with ``grad`` as the gradient of its one parameter."""
+    [p] = opt.params.values()
+    p.grad = np.asarray(grad, dtype=float)
+    opt.step(lr)
+
+
 class TestAdamW:
     def test_positive_grad_decreases_param(self):
         params = scalar_param(1.0)
-        adamw_step(params, {"p": np.array([0.5])}, OptimState(), lr=0.1)
+        step(AdamW(params), [0.5], lr=0.1)
         assert params["p"].data[0] < 1.0
 
     def test_lr_zero_is_identity(self):
         params = scalar_param(1.0)
-        adamw_step(params, {"p": np.array([2.0])}, OptimState(weight_decay=0.0), lr=0.0)
+        step(AdamW(params, weight_decay=0.0), [2.0], lr=0.0)
         assert params["p"].data[0] == 1.0
 
     def test_zero_grad_zero_decay_is_identity(self):
         params = scalar_param(3.5)
-        state = OptimState(weight_decay=0.0)
-        adamw_step(params, {"p": np.zeros(1)}, state, lr=0.3)
-        adamw_step(params, {"p": np.zeros(1)}, state, lr=0.3)
+        opt = AdamW(params, weight_decay=0.0)
+        step(opt, np.zeros(1), lr=0.3)
+        step(opt, np.zeros(1), lr=0.3)
         assert params["p"].data[0] == 3.5
+
+    def test_missing_grad_steps_as_zero(self):
+        """A parameter whose ``grad`` is None takes a zero-gradient step:
+        its moments exist and decay moves it."""
+        params = scalar_param(2.0)
+        opt = AdamW(params, weight_decay=0.1)
+        opt.step(lr=0.5)
+        assert abs(params["p"].data[0] - 2.0 * (1 - 0.5 * 0.1)) < 1e-15
+        assert opt.m["p"][0] == 0.0 and opt.v["p"][0] == 0.0 and opt.step_count == 1
 
     def test_two_steps_match_hand_computation(self):
         # One scalar parameter, fixed grad g=1, betas (0.9, 0.999), eps 1e-8.
         lr, eps = 0.1, 1e-8
         params = scalar_param(1.0)
-        state = OptimState(betas=(0.9, 0.999), eps=eps, weight_decay=0.0)
-        adamw_step(params, {"p": np.ones(1)}, state, lr)
-        adamw_step(params, {"p": np.ones(1)}, state, lr)
+        opt = AdamW(params, betas=(0.9, 0.999), eps=eps, weight_decay=0.0)
+        step(opt, np.ones(1), lr)
+        step(opt, np.ones(1), lr)
         # step 1: m=0.1 v=0.001; m_hat=1 v_hat=1 -> update lr/(1+eps)
         # step 2: m=0.19 v=0.001999; m_hat=0.19/0.19=1, v_hat=0.001999/0.001999=1
         expected = 1.0 - 2 * lr * (1.0 / (1.0 + eps))
         assert abs(params["p"].data[0] - expected) < 1e-15
-        assert state.step_count == 2
+        assert opt.step_count == 2
 
     def test_decoupled_weight_decay(self):
         params = scalar_param(2.0)
-        state = OptimState(weight_decay=0.1)
-        adamw_step(params, {"p": np.zeros(1)}, state, lr=0.5)
+        step(AdamW(params, weight_decay=0.1), np.zeros(1), lr=0.5)
         assert abs(params["p"].data[0] - 2.0 * (1 - 0.5 * 0.1)) < 1e-15
 
     def test_shape_mismatch(self):
-        params = scalar_param(1.0)
         with pytest.raises(ContractError):
-            adamw_step(params, {"p": np.zeros(2)}, OptimState(), lr=0.1)
+            step(AdamW(scalar_param(1.0)), np.zeros(2), lr=0.1)
 
     def test_negative_lr_rejected(self):
         with pytest.raises(ContractError):
-            adamw_step(scalar_param(1.0), {"p": np.ones(1)}, OptimState(), lr=-1.0)
+            step(AdamW(scalar_param(1.0)), np.ones(1), lr=-1.0)
 
     def test_moments_match_param_shapes(self):
-        params = {"w": Tensor(np.ones((2, 3)), requires_grad=True)}
-        state = OptimState()
-        adamw_step(params, {"w": np.ones((2, 3))}, state, lr=0.1)
-        assert state.m["w"].shape == (2, 3)
-        assert state.v["w"].shape == (2, 3)
+        opt = AdamW({"w": Tensor(np.ones((2, 3)), requires_grad=True)})
+        step(opt, np.ones((2, 3)), lr=0.1)
+        assert opt.m["w"].shape == (2, 3)
+        assert opt.v["w"].shape == (2, 3)
 
     def test_frozen_prefixes_discard_gradients(self):
         """A parameter left out of the optimizer keeps its value and gets no
@@ -75,7 +88,7 @@ class TestAdamW:
         opt.step(lr=0.1)
         assert np.array_equal(params["enc.w"].data, np.ones(2))
         assert not np.array_equal(params["lm.w"].data, np.ones(2))
-        assert "enc.w" not in opt.state.m
+        assert "enc.w" not in opt.m
 
 
 class TestLrSchedule:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from segprompt.errors import ContractError
-from segprompt.encoder import FeatureGrid
+from segprompt.encoder import EncoderOutput, FeatureGrid
 from segprompt.extractor import SegTokenPair
 from segprompt.masks import StructureId
 from segprompt.nn import Tensor
@@ -86,7 +86,9 @@ def stub_pairs(views_structures: dict) -> dict:
 
 def feature_grids(views):
     rng = np.random.default_rng(0)
-    return {v: FeatureGrid(2, 2, Tensor(rng.standard_normal((4, DIM)))) for v in views}
+    return {v: EncoderOutput(taps={},
+                             final=FeatureGrid(2, 2, Tensor(rng.standard_normal((4, DIM)))))
+            for v in views}
 
 
 def realize(prompt, views_structures):
