@@ -7,7 +7,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import shutil
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -17,8 +16,16 @@ import numpy as np
 from segprompt import metrics, synth
 from segprompt.encoder import VitConfig
 from segprompt.errors import ContractError, checked_fields
-from segprompt.masks import write_image
-from segprompt.mllm import ModelConfig, ReportModel, TrainConfig, TrainEcho, TrainFile, train
+from segprompt.masks import write_image, write_mask
+from segprompt.mllm import (
+    ModelConfig,
+    ReportModel,
+    SequenceTooLong,
+    TrainConfig,
+    TrainEcho,
+    TrainFile,
+    train,
+)
 from segprompt.nn import load_into, no_grad, precision
 from segprompt.prompting import Strategy, build_prompt, prompt_dumps
 from segprompt.som import MarkStyle, render_overlay
@@ -118,8 +125,8 @@ def cmd_render_som(args) -> int:
             image, masks, _ = read_view(src, entry)
             overlay = render_overlay(image, masks, style)
             write_image(dst / entry["image"], overlay.image)
-            for rel in entry["masks"].values():
-                shutil.copyfile(src / rel, dst / rel)
+            for structure, rel in entry["masks"].items():
+                write_mask(dst / rel, masks[structure])
             entry["legend"] = tuple(overlay.legend)
     write_manifest(dst, dict(manifest, studies=[asdict(r) for r in records],
                              som_style=asdict(style)))
@@ -189,7 +196,11 @@ def cmd_train(args) -> int:
         return 1
     with precision(tc.precision):
         model = ReportModel(model_cfg, vocabulary())
-        result = train(model, studies, tc, out_dir=args.out)
+        try:
+            result = train(model, studies, tc, out_dir=args.out)
+        except SequenceTooLong as exc:
+            raise ContractError(f"{args.config or 'default config (no --config)'}: "
+                                f"{exc}") from exc
     log(f"trained {result.total_steps} steps; final mean loss {result.final_loss:.4f}")
     return 0
 

@@ -1,5 +1,5 @@
 """Binary masks: the structure roster, positivity, grid resampling, contours,
-centroids, connected components, and PGM I/O.
+the largest component's centroid from row runs, and PGM I/O.
 
 A mask is a 2-d bool ndarray. A MaskSet maps structures to masks that all
 share one view's extents. All operations are pure.
@@ -85,42 +85,36 @@ def contour(m: Mask) -> Mask:
     return m & ~interior
 
 
-def centroid(m: Mask) -> tuple[float, float]:
-    """Arithmetic mean (row, col) of the foreground."""
-    rows, cols = np.nonzero(m)
-    if rows.size == 0:
-        raise ContractError("centroid of an empty mask")
-    return float(rows.mean()), float(cols.mean())
-
-
-def connected_components(m: Mask) -> list[Mask]:
-    """8-connected components, largest first; ties broken by the smallest
-    (row, col) pixel of the component.
-
-    Run-based labeling (He, Chao and Suzuki, IEEE TIP 2008): find each row's
-    foreground runs, union the runs of adjacent rows that touch, then paint
-    each component's runs."""
+def row_runs(m: Mask) -> tuple[np.ndarray, ...]:
+    """Each row's foreground runs, for run-based labeling (He, Chao and
+    Suzuki, IEEE TIP 2008): ``(rows, starts, ends, lo, hi)``, with run ``i``
+    covering ``[starts[i], ends[i])`` of row ``rows[i]`` in raster order, and
+    the runs ``lo[i]:hi[i]`` of the row above the ones it touches under
+    8-connectivity."""
     m = np.asarray(m, dtype=bool)
     h, w = m.shape
     width = w + 1  # one background column ends every row's last run
-    padded = np.zeros((h, w + 2), dtype=np.int8)
+    padded = np.zeros((h, w + 2), dtype=bool)
     padded[:, 1:-1] = m
-    edges = np.diff(padded, axis=1)
-    rows, starts = np.nonzero(edges == 1)  # runs [start, end) in raster order
-    ends = np.nonzero(edges == -1)[1]
-    if rows.size == 0:
-        return []
+    # Each row's edges alternate: a run's start, then its end.
+    rows, cols = np.nonzero(padded[:, 1:] ^ padded[:, :-1])
+    rows, starts, ends = rows[::2], cols[::2], cols[1::2]
     # Half-open runs [s1, e1) in row r and [s2, e2) in row r + 1 touch under
     # 8-connectivity when s1 <= e2 and s2 <= e1. Keyed by row * width + col,
     # the row-r runs touching a row-(r + 1) run form one contiguous range.
-    start_key = rows * width + starts
-    end_key = rows * width + ends
     above = (rows - 1) * width
-    lo = np.searchsorted(end_key, above + starts, side="left")
-    hi = np.searchsorted(start_key, above + ends, side="right")
+    lo = np.searchsorted(rows * width + ends, above + starts, side="left")
+    hi = np.searchsorted(rows * width + starts, above + ends, side="right")
+    return rows, starts, ends, lo, hi
+
+
+def run_roots(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The component root of every run of ``row_runs``: the index of the
+    component's first run in raster order, which holds its smallest
+    (row, col) pixel."""
     # Union-find that keeps the smaller run index as the root, so every
     # parent index is at most its child's and one pass resolves the roots.
-    parent = list(range(rows.size))
+    parent = list(range(lo.size))
     for b, (first, stop) in enumerate(zip(lo.tolist(), hi.tolist())):
         for a in range(first, stop):
             while parent[a] != a:
@@ -134,16 +128,31 @@ def connected_components(m: Mask) -> list[Mask]:
                 parent[max(a, root)] = min(a, root)
     for i, p in enumerate(parent):
         parent[i] = parent[p]
-    label = np.unique(parent, return_inverse=True)[1]
-    # A component's root is its first run, which holds its smallest
-    # (row, col) pixel, so a stable sort by size keeps that tie-break.
-    sizes = np.bincount(label, weights=ends - starts)
-    order = np.argsort(-sizes, kind="stable")
-    delta = np.zeros(h * width, dtype=np.int64)
-    delta[start_key] = label + 1
-    delta[end_key] = -(label + 1)
-    painted = np.cumsum(delta).reshape(h, width)[:, :w]
-    return [painted == k + 1 for k in order]
+    return np.array(parent, dtype=np.intp)
+
+
+def largest_component_centroid(m: Mask) -> tuple[float, float]:
+    """Mean (row, col) of the largest 8-connected component; a size tie goes
+    to the component whose smallest (row, col) pixel comes first.
+
+    Summed from the row runs, so no component is painted. When every run
+    after the first touches one in the row above, each chains up to the
+    first run and the mask is one component; only otherwise are the runs
+    labeled. The sums are exact integers, so the means are those of
+    ``np.nonzero`` over the component's pixels, bit for bit."""
+    rows, starts, ends, lo, hi = row_runs(m)
+    if rows.size == 0:
+        raise ContractError("centroid of an empty mask")
+    if not (hi[1:] > lo[1:]).all():
+        roots = run_roots(lo, hi)
+        # np.argmax takes the first of equal sizes: the smallest root
+        keep = roots == np.argmax(np.bincount(roots, weights=ends - starts))
+        rows, starts, ends = rows[keep], starts[keep], ends[keep]
+    lengths = ends - starts
+    count = int(lengths.sum())
+    # a run covering columns s..e-1 sums to (s + e - 1) * (e - s) / 2
+    col_sum = int((starts + ends - 1) @ lengths) // 2
+    return int(rows @ lengths) / count, col_sum / count
 
 
 # -- PGM I/O -------------------------------------------------------------------

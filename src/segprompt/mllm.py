@@ -45,6 +45,7 @@ from segprompt.prompting import (
     StudyInput,
     View,
     build_prompt,
+    count_tokens,
     realize_embeddings,
 )
 
@@ -438,6 +439,10 @@ class TrainEcho:
     vocab: tuple[str, ...]
 
 
+class SequenceTooLong(ContractError):
+    """A training study's prompt and target do not fit ``model.max_seq_len``."""
+
+
 @dataclass
 class TrainResult:
     curve: list[tuple[int, float, float]]  # (step, lr, loss)
@@ -459,7 +464,8 @@ def train(model: ReportModel, dataset: list[StudyInput], tc: TrainConfig,
     that graph's reverse topological order adds the per-study contributions
     to each parameter in batch order too, and gives each study loss the same
     seed. Writes checkpoint, loss curve CSV and config JSON when out_dir is
-    given.
+    given. A study whose prompt and target exceed ``max_seq_len`` raises
+    SequenceTooLong before the first step.
     """
     if not dataset:
         raise ContractError("empty training dataset")
@@ -477,6 +483,14 @@ def train(model: ReportModel, dataset: list[StudyInput], tc: TrainConfig,
     encoder_frozen = "encoder" in tc.frozen
     enc_cache: list[dict[View, EncoderOutput]] = []
     prompts = [build_prompt(s, tc.strategy, tc.single_view) for s in dataset]
+    max_len = model.cfg.max_seq_len
+    for study, prompt in zip(dataset, prompts):
+        p_len = count_tokens(prompt, model.cfg.encoder.n_patches, model.tokenizer.token_count)
+        t_len = len(model.target_ids(study)) + 1  # EOS
+        if p_len + t_len > max_len:
+            raise SequenceTooLong(
+                f"key 'model.max_seq_len' ({max_len}) is too short for study "
+                f"{study.study_id!r}: prompt ({p_len}) + target ({t_len}) tokens")
     if encoder_frozen:
         enc_cache = model.encode_views(dataset, tc.single_view)
 

@@ -17,9 +17,8 @@ from segprompt.masks import (
     Mask,
     MaskSet,
     StructureId,
-    centroid,
-    connected_components,
     contour,
+    largest_component_centroid,
     positive_structures,
 )
 
@@ -39,6 +38,10 @@ DIGIT_FONT: dict[str, tuple[str, ...]] = {
 GLYPH_H = 7
 GLYPH_W = 5
 GLYPH_GAP = 1
+# each digit's bitmap as a (GLYPH_H, GLYPH_W) bool array
+GLYPHS: dict[str, np.ndarray] = {
+    ch: np.array([[bit == "1" for bit in row] for row in rows])
+    for ch, rows in DIGIT_FONT.items()}
 
 LegendEntry = tuple[str, StructureId, int]  # (mark label, structure, intensity)
 
@@ -63,43 +66,49 @@ class Overlay:
     legend: list[LegendEntry] = field(default_factory=list)
 
 
-def assign_intensities(image: np.ndarray, masks: list[Mask], policy: str,
+def assign_intensities(image: np.ndarray, rings: list[Mask], policy: str,
                        uniform_value: int = 128) -> list[int]:
-    """Per-mask 8-bit intensities. alternating: 255,0,255,... in order.
-    contrast_max: argmax over {0,255} of the distance to the mean image value
-    under the mask's contour (ties go to 255). uniform: one constant (the
-    same-intensity sanity configuration)."""
-    if not masks:
+    """Per-mask 8-bit intensities, one per mask contour in ``rings``.
+    alternating: 255,0,255,... in order. contrast_max: argmax over {0,255} of
+    the distance to the mean image value under the ring (ties go to 255).
+    uniform: one constant (the same-intensity sanity configuration)."""
+    if not rings:
         raise ContractError("assign_intensities needs at least one mask")
     if policy == "alternating":
-        return [255 if i % 2 == 0 else 0 for i in range(len(masks))]
+        return [255 if i % 2 == 0 else 0 for i in range(len(rings))]
     if policy == "uniform":
-        return [int(uniform_value)] * len(masks)
+        return [int(uniform_value)] * len(rings)
     out = []
-    for m in masks:
-        ring = contour(m)
+    for ring in rings:
         mean = float(image[ring].mean()) * 255.0 if ring.any() else 0.0
         out.append(255 if abs(255.0 - mean) >= abs(0.0 - mean) else 0)
     return out
 
 
-def glyph_mask(label: str, shape: tuple[int, int], center: tuple[float, float]) -> Mask:
-    """Footprint of the label's digits centered near ``center``, clamped to
-    stay inside ``shape``."""
+def _glyph_stamps(label: str, shape: tuple[int, int], center: tuple[float, float]):
+    """Each digit of the label as ``(window, bits)``: its bitmap clipped to
+    ``shape`` and the slices of the image it covers. The label is centered
+    near ``center`` and clamped to stay inside ``shape``."""
     h, w = shape
     total_w = len(label) * GLYPH_W + (len(label) - 1) * GLYPH_GAP
     r0 = int(round(center[0])) - GLYPH_H // 2
     c0 = int(round(center[1])) - total_w // 2
     r0 = min(max(r0, 0), max(h - GLYPH_H, 0))
     c0 = min(max(c0, 0), max(w - total_w, 0))
-    out = np.zeros(shape, dtype=bool)
     for k, ch in enumerate(label):
-        rows = DIGIT_FONT[ch]
         cc = c0 + k * (GLYPH_W + GLYPH_GAP)
-        for dr, row in enumerate(rows):
-            for dc, bit in enumerate(row):
-                if bit == "1" and r0 + dr < h and cc + dc < w:
-                    out[r0 + dr, cc + dc] = True
+        if cc >= w:
+            break
+        bits = GLYPHS[ch][:h - r0, :w - cc]
+        yield np.s_[r0:r0 + bits.shape[0], cc:cc + bits.shape[1]], bits
+
+
+def glyph_mask(label: str, shape: tuple[int, int], center: tuple[float, float]) -> Mask:
+    """Footprint of the label's digits centered near ``center``, clamped to
+    stay inside ``shape``."""
+    out = np.zeros(shape, dtype=bool)
+    for window, bits in _glyph_stamps(label, shape, center):
+        out[window] |= bits
     return out
 
 
@@ -115,17 +124,16 @@ def render_overlay(image: np.ndarray, ms: MaskSet, style: MarkStyle) -> Overlay:
     positives = positive_structures(ms)
     if not positives:
         return Overlay(image=out, legend=[])
-    intensities = assign_intensities(image, [ms[s] for s in positives], style.policy,
-                                     style.uniform_value)
+    rings = [contour(ms[s]) for s in positives]
+    intensities = assign_intensities(image, rings, style.policy, style.uniform_value)
     legend: list[LegendEntry] = []
-    for k, (s, value) in enumerate(zip(positives, intensities), start=1):
-        m = ms[s]
+    for k, (s, ring, value) in enumerate(zip(positives, rings, intensities), start=1):
         if style.contours:
-            out[contour(m)] = value / 255.0
+            out[ring] = value / 255.0
         if style.alphanumerics:
-            largest = connected_components(m)[0]
-            glyph = glyph_mask(str(k), image.shape, centroid(largest))
-            out[glyph] = value / 255.0
+            center = largest_component_centroid(ms[s])
+            for window, bits in _glyph_stamps(str(k), image.shape, center):
+                out[window][bits] = value / 255.0
         legend.append((str(k), s, value))
     return Overlay(image=out, legend=legend)
 
@@ -138,6 +146,5 @@ def overlay_footprint(ms: MaskSet, style: MarkStyle, shape: tuple[int, int]) -> 
         if style.contours:
             fp |= contour(m)
         if style.alphanumerics:
-            largest = connected_components(m)[0]
-            fp |= glyph_mask(str(k), shape, centroid(largest))
+            fp |= glyph_mask(str(k), shape, largest_component_centroid(m))
     return fp

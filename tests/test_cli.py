@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import re
 import shutil
 from typing import get_args, get_origin, get_type_hints
 
@@ -405,6 +406,69 @@ class TestNumericConfigSweep:
             assert [load_study(r, out) for r in load_manifest(out)[1]]
 
 
+def tiny_config(**model) -> dict:
+    return dict(TINY_CONFIG, model=dict(TINY_CONFIG["model"], **model))
+
+
+class TestSequenceTooLong:
+    """``train`` checks every train-split study's prompt + target against
+    ``model.max_seq_len`` before its first step, and writes nothing when one
+    does not fit."""
+
+    @pytest.fixture(scope="class")
+    def longest(self, dataset):
+        """The most tokens a train-split study feeds the LM under TINY_CONFIG,
+        from the prompt embeddings themselves."""
+        config = TrainFile(**checked_fields(TINY_CONFIG, TrainFile))
+        tc = config.train
+        model = ReportModel(config.model, vocabulary())
+        _, records = load_manifest(dataset)
+        lengths = {}
+        for record in records:
+            if record.split == "train":
+                study = load_study(record, dataset)
+                emb = model.realize(study, tc.strategy, tc.single_view)
+                lengths[record.study_id] = emb.shape[0] + len(model.target_ids(study)) + 1
+        return max(lengths.values()), lengths
+
+    def train(self, dataset, tmp_path, config):
+        path = tmp_path / "train.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        code = run_command(["train", "--data", str(dataset), "--config", str(path),
+                            "--out", str(out), "--max-steps", "1"])
+        return code, path, out
+
+    def test_exact_fit_trains(self, dataset, tmp_path, longest):
+        code, _, out = self.train(dataset, tmp_path, tiny_config(max_seq_len=longest[0]))
+        assert code == 0 and (out / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("short", [1, 8, 40])
+    def test_names_file_key_and_study(self, dataset, tmp_path, capsys, longest, short):
+        max_len = longest[0] - short
+        code, path, out = self.train(dataset, tmp_path, tiny_config(max_seq_len=max_len))
+        assert code == 1
+        err = capsys.readouterr().err
+        match = re.search(r"study '(study_\d+)': prompt \((\d+)\) \+ target \((\d+)\)", err)
+        assert match, err
+        assert f"{path}: key 'model.max_seq_len' ({max_len}) is too short" in err, err
+        study, p_len, t_len = match.group(1), int(match.group(2)), int(match.group(3))
+        assert p_len + t_len == longest[1][study] > max_len
+        assert "Traceback" not in err and not out.exists()
+
+    def test_default_value_says_so(self, dataset, tmp_path, capsys, monkeypatch):
+        def short_default(path, cls):
+            assert path is None
+            return cls(**checked_fields(tiny_config(max_seq_len=8), cls))
+
+        monkeypatch.setattr(cli, "_read_config", short_default)
+        out = tmp_path / "run"
+        assert run_command(["train", "--data", str(dataset), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "default config (no --config): key 'model.max_seq_len' (8)" in err, err
+        assert not out.exists()
+
+
 class TestBadStudyFiles:
     """A mask file the manifest names that is missing, or that has another
     extent than its image, makes every command that reads the study exit 1
@@ -618,6 +682,34 @@ class TestRenderSom:
                                 "--out", str(out)]) == 0
         rel = load_manifest(a)[1][0].views["current_frontal"]["image"]
         assert (a / rel).read_bytes() == (b / rel).read_bytes()
+
+    def test_gen_data_masks_byte_identical(self, dataset, tmp_path):
+        som = tmp_path / "som"
+        assert run_command(["render-som", "--data", str(dataset), "--out", str(som)]) == 0
+        paths = sorted(p.relative_to(dataset) for p in (dataset / "masks").iterdir())
+        assert paths
+        assert sorted(p.relative_to(som) for p in (som / "masks").iterdir()) == paths
+        for rel in paths:
+            assert (som / rel).read_bytes() == (dataset / rel).read_bytes(), rel
+
+    def test_non_canonical_mask_written_canonically(self, dataset, tmp_path):
+        """A hand-made mask with foreground byte 1 and a header comment reads
+        as the same mask, and render-som writes it as gen-data would."""
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        _, records = load_manifest(data)
+        rel = next(iter(records[0].views["current_frontal"]["masks"].values()))
+        m = M.read_mask(data / rel)
+        h, w = m.shape
+        (data / rel).write_bytes(b"P5\n# hand-made\n%d %d\n255\n" % (w, h)
+                                 + m.astype(np.uint8).tobytes())
+        assert np.array_equal(M.read_mask(data / rel), m)
+        som = tmp_path / "som"
+        assert run_command(["render-som", "--data", str(data), "--out", str(som)]) == 0
+        assert (som / rel).read_bytes() == (dataset / rel).read_bytes()
+        assert (som / rel).read_bytes() == (b"P5\n%d %d\n255\n" % (w, h)
+                                            + (m.astype(np.uint8) * 255).tobytes())
+        assert np.array_equal(M.read_mask(som / rel), m)
 
 
 class TestTrainGenerateEval:

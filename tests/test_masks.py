@@ -1,5 +1,5 @@
-"""Mask operations: positivity, grid resampling, contours, centroids,
-components, and PGM round trips."""
+"""Mask operations: positivity, grid resampling, contours, the largest
+component's centroid, and PGM round trips."""
 
 import re
 from collections import deque
@@ -19,6 +19,40 @@ def mask_from(rows: list[str]) -> np.ndarray:
 
 def random_mask(rng, shape=(16, 16), p=0.2):
     return rng.random(shape) < p
+
+
+# -- reference ops: the whole-mask centroid and the painted components that
+# largest_component_centroid replaced in the set-of-marks renderer ---------------
+
+
+def centroid(m):
+    """Arithmetic mean (row, col) of the foreground."""
+    rows, cols = np.nonzero(m)
+    if rows.size == 0:
+        raise ContractError("centroid of an empty mask")
+    return float(rows.mean()), float(cols.mean())
+
+
+def connected_components(m):
+    """8-connected components, largest first; ties broken by the smallest
+    (row, col) pixel of the component. The runs of M.row_runs, labeled by
+    M.run_roots, then each component's runs painted."""
+    m = np.asarray(m, dtype=bool)
+    h, w = m.shape
+    rows, starts, ends, lo, hi = M.row_runs(m)
+    if rows.size == 0:
+        return []
+    label = np.unique(M.run_roots(lo, hi), return_inverse=True)[1]
+    # A component's root is its first run, which holds its smallest
+    # (row, col) pixel, so a stable sort by size keeps that tie-break.
+    sizes = np.bincount(label, weights=ends - starts)
+    order = np.argsort(-sizes, kind="stable")
+    width = w + 1  # one background column ends every row's last run
+    delta = np.zeros(h * width, dtype=np.int64)
+    delta[rows * width + starts] = label + 1
+    delta[rows * width + ends] = -(label + 1)
+    painted = np.cumsum(delta).reshape(h, width)[:, :w]
+    return [painted == k + 1 for k in order]
 
 
 class TestIsPositive:
@@ -105,21 +139,21 @@ class TestCentroid:
     def test_single_pixel(self):
         m = np.zeros((6, 8), dtype=bool)
         m[2, 5] = True
-        assert M.centroid(m) == (2.0, 5.0)
+        assert centroid(m) == (2.0, 5.0)
 
     def test_two_pixel_symmetry(self):
         m = np.zeros((4, 4), dtype=bool)
         m[0, 0] = m[2, 2] = True
-        assert M.centroid(m) == (1.0, 1.0)
+        assert centroid(m) == (1.0, 1.0)
 
     def test_l_shape(self):
         m = mask_from(["#..", "##."])
-        r, c = M.centroid(m)
+        r, c = centroid(m)
         assert abs(r - 2 / 3) < 1e-12 and abs(c - 1 / 3) < 1e-12
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ContractError):
-            M.centroid(np.zeros((3, 3), dtype=bool))
+            centroid(np.zeros((3, 3), dtype=bool))
 
     def test_centroid_inside_bounding_box(self):
         rng = np.random.default_rng(2)
@@ -127,7 +161,7 @@ class TestCentroid:
             m = random_mask(rng, (9, 9), 0.3)
             if not m.any():
                 continue
-            r, c = M.centroid(m)
+            r, c = centroid(m)
             rows, cols = np.nonzero(m)
             assert rows.min() <= r <= rows.max()
             assert cols.min() <= c <= cols.max()
@@ -163,7 +197,7 @@ def _components_bfs(m):
 
 
 def _assert_components_match_bfs(m):
-    got = M.connected_components(m)
+    got = connected_components(m)
     want = _components_bfs(m)
     assert len(got) == len(want), m.shape
     for k, (a, b) in enumerate(zip(got, want)):
@@ -197,15 +231,15 @@ class TestConnectedComponentsOracle:
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (64, 64)])
     def test_empty_and_full(self, shape):
-        assert M.connected_components(np.zeros(shape, dtype=bool)) == []
-        comps = M.connected_components(np.ones(shape, dtype=bool))
+        assert connected_components(np.zeros(shape, dtype=bool)) == []
+        comps = connected_components(np.ones(shape, dtype=bool))
         assert len(comps) == 1 and comps[0].all()
 
     @pytest.mark.parametrize("pixel", [(0, 0), (5, 7), (63, 63), (0, 63)])
     def test_single_pixel(self, pixel):
         m = np.zeros((64, 64), dtype=bool)
         m[pixel] = True
-        comps = M.connected_components(m)
+        comps = connected_components(m)
         assert len(comps) == 1 and np.array_equal(comps[0], m)
 
     def test_size_ties_follow_first_pixel(self):
@@ -217,7 +251,7 @@ class TestConnectedComponentsOracle:
             "##.##.",
             "##.##.",
         ])
-        comps = M.connected_components(m)
+        comps = connected_components(m)
         assert [int(c.sum()) for c in comps] == [4, 4, 2]
         assert comps[0][2, 0] and comps[1][2, 3] and comps[2][0, 4]
         _assert_components_match_bfs(m)
@@ -225,12 +259,12 @@ class TestConnectedComponentsOracle:
 
 class TestConnectedComponents:
     def test_empty_mask(self):
-        assert M.connected_components(np.zeros((4, 4), dtype=bool)) == []
+        assert connected_components(np.zeros((4, 4), dtype=bool)) == []
 
     def test_diagonal_pixels_join(self):
         m = np.zeros((4, 4), dtype=bool)
         m[1, 1] = m[2, 2] = True
-        assert len(M.connected_components(m)) == 1
+        assert len(connected_components(m)) == 1
 
     def test_sizes_sorted_descending(self):
         m = mask_from([
@@ -238,7 +272,7 @@ class TestConnectedComponents:
             "......",
             "...###",
         ])
-        comps = M.connected_components(m)
+        comps = connected_components(m)
         assert [c.sum() for c in comps] == [3, 2]
 
     def test_tie_break_by_topleft(self):
@@ -246,14 +280,14 @@ class TestConnectedComponents:
             ".#...#",
             ".#...#",
         ])
-        comps = M.connected_components(m)
+        comps = connected_components(m)
         assert comps[0][0, 1] and comps[1][0, 5]
 
     def test_union_and_disjoint(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
             m = random_mask(rng, (12, 12), 0.25)
-            comps = M.connected_components(m)
+            comps = connected_components(m)
             union = np.zeros_like(m)
             total = 0
             for c in comps:
@@ -262,6 +296,62 @@ class TestConnectedComponents:
                 total += c.sum()
             assert np.array_equal(union, m)
             assert total == m.sum()
+
+
+def one_component_by_runs(m) -> bool:
+    """The fast-path test of largest_component_centroid: every run after the
+    first touches a run in the row above."""
+    _, _, _, lo, hi = M.row_runs(m)
+    return bool((hi[1:] > lo[1:]).all())
+
+
+class TestLargestComponentCentroid:
+    """The glyph anchor against the centroid of the BFS oracle's largest
+    component, compared with ==: the anchor promises the same bits."""
+
+    @given(st.integers(1, 48), st.integers(1, 48), st.floats(0.05, 0.95),
+           st.integers(0, 2 ** 32 - 1))
+    def test_random_masks_match_bfs(self, h, w, density, seed):
+        m = np.random.default_rng(seed).random((h, w)) < density
+        if not m.any():
+            with pytest.raises(ContractError):
+                M.largest_component_centroid(m)
+            return
+        assert M.largest_component_centroid(m) == centroid(_components_bfs(m)[0])
+
+    @pytest.mark.parametrize("rows, fast", [
+        (["###", "#.#", "#.#"], True),       # a cap: each leg hangs from the top
+        (["#.#", "#.#", "###"], False),      # a cup: two runs start the first row
+        (["#...#", ".#.#.", "..#..", ".#.#.", "#...#"], False),  # an X
+        (["#...#", "#...#", ".###."], False),  # a bowl joined by diagonals
+        (["##..##", "......", "##..##"], False),  # four 2-pixel ties
+        (["....##", "......", "##.##.", "##.##."], False),  # ties after a smaller one
+        (["#..", "...", "..#"], False),      # two singletons: the first pixel wins
+        ([".#", "#."], True),                # an anti-diagonal pair
+        (["#"], True),
+        (["####", "####", "####"], True),
+        (["###", "..#", "###", "#..", "###"], True),  # a snake
+        (["#.#.#", "#####"], False),         # a comb
+        (["##.", "...", ".##", ".##"], False),  # the later, larger blob wins
+    ])
+    def test_fixed_masks_match_bfs(self, rows, fast):
+        m = mask_from(rows)
+        assert one_component_by_runs(m) is fast
+        assert M.largest_component_centroid(m) == centroid(_components_bfs(m)[0])
+
+    @pytest.mark.parametrize("pixel", [(0, 0), (5, 7), (63, 63), (0, 63)])
+    def test_single_pixel(self, pixel):
+        m = np.zeros((64, 64), dtype=bool)
+        m[pixel] = True
+        assert M.largest_component_centroid(m) == (float(pixel[0]), float(pixel[1]))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (64, 64)])
+    def test_full_and_empty(self, shape):
+        h, w = shape
+        assert M.largest_component_centroid(np.ones(shape, dtype=bool)) == \
+            ((h - 1) / 2, (w - 1) / 2)
+        with pytest.raises(ContractError):
+            M.largest_component_centroid(np.zeros(shape, dtype=bool))
 
 
 class TestStructures:

@@ -101,7 +101,7 @@ class TestSkeletonize:
             assert np.array_equal(skeletonize(sk), sk)
 
     def test_preserves_component_count(self):
-        from segprompt.masks import connected_components
+        from test_masks import connected_components
         m = np.zeros((9, 9), dtype=bool)
         m[1:4, 1:4] = True
         m[6:8, 5:9] = True
