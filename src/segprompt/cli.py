@@ -48,11 +48,15 @@ def log(message: str) -> None:
 
 def _read_config(path: str | Path | None, cls):
     """The JSON object in ``path`` (``{}`` without a path), checked and read
-    as a ``cls`` by checked_fields; a ContractError or a TypeError it or
-    ``cls`` raises becomes a ContractError naming the file."""
+    as a ``cls`` by checked_fields; a missing file, or a ContractError or a
+    TypeError it or ``cls`` raises, becomes a ContractError naming the file."""
     data = {}
     if path:
-        with open(path, encoding="utf-8") as fh:
+        try:
+            fh = open(path, encoding="utf-8")
+        except FileNotFoundError:
+            raise ContractError(f"{path}: file not found") from None
+        with fh:
             try:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
@@ -82,18 +86,36 @@ def _load_model(ckpt_dir: str | Path) -> tuple[ReportModel, TrainConfig]:
 
 
 def _studies_for_split(data_dir: str | Path, split: str | None):
-    _, records = load_manifest(data_dir)
+    manifest, records = load_manifest(data_dir)
     if split:
         records = [r for r in records if r.split == split]
-    return [(r, load_study(r, data_dir)) for r in records]
+    return manifest, [(r, load_study(r, data_dir)) for r in records]
 
 
 def _find_record(data_dir: str | Path, study_id: str):
-    _, records = load_manifest(data_dir)
+    manifest, records = load_manifest(data_dir)
     for record in records:
         if record.study_id == study_id:
-            return record
+            return manifest, record
     raise KeyError(f"study {study_id!r} not found in {data_dir}")
+
+
+def _check_image_size(data_dir: str | Path, manifest: dict, pairs, size: int,
+                      single_view: bool, model_file: str | Path) -> None:
+    """Every image the model encodes must be ``size`` square, the key
+    ``model.encoder.image_size`` of ``model_file``; a ContractError names the
+    first that is not, and the size the manifest's ``spec`` records."""
+    for record, study in pairs:
+        for view, image, _ in study.views(single_view):
+            if image.shape != (size, size):
+                spec = manifest.get("spec")
+                recorded = ("the manifest has no key 'spec'" if spec is None else
+                            f"the manifest's key 'spec.image_size' is "
+                            f"{spec.get('image_size', SynthSpec.image_size)}")
+                raise ContractError(
+                    f"{Path(data_dir) / record.views[view]['image']}: image extent "
+                    f"{image.shape} != key 'model.encoder.image_size' ({size}) of "
+                    f"{model_file}; {recorded}")
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -135,7 +157,7 @@ def cmd_render_som(args) -> int:
 
 
 def cmd_build_prompt(args) -> int:
-    record = _find_record(args.data, args.study)
+    _, record = _find_record(args.data, args.study)
     study = load_study(record, args.data)
     prompt = build_prompt(study, Strategy(args.strategy), single_view=args.single_view)
     dump = prompt_dumps(prompt)
@@ -147,13 +169,12 @@ def cmd_build_prompt(args) -> int:
 
 
 def cmd_extract_tokens(args) -> int:
-    record = _find_record(args.data, args.study)
+    manifest, record = _find_record(args.data, args.study)
     study = load_study(record, args.data)
     if args.ckpt:
         model, _ = _load_model(args.ckpt)
     else:
-        manifest, _ = load_manifest(args.data)
-        size = manifest.get("spec", {}).get("image_size", 64)
+        size = manifest.get("spec", {}).get("image_size", SynthSpec.image_size)
         cfg = ModelConfig(encoder=VitConfig(image_size=size), seed=args.seed)
         model = ReportModel(cfg, vocabulary())
     with no_grad():
@@ -190,10 +211,13 @@ def cmd_train(args) -> int:
         tc.epochs = args.epochs
     if args.max_steps is not None:
         tc.max_steps = args.max_steps
-    studies = [study for _, study in _studies_for_split(args.data, "train")]
-    if not studies:
+    manifest, pairs = _studies_for_split(args.data, "train")
+    if not pairs:
         log("no train-split studies found")
         return 1
+    _check_image_size(args.data, manifest, pairs, model_cfg.encoder.image_size,
+                      tc.single_view, args.config or "the default config (no --config)")
+    studies = [study for _, study in pairs]
     with precision(tc.precision):
         model = ReportModel(model_cfg, vocabulary())
         try:
@@ -207,8 +231,10 @@ def cmd_train(args) -> int:
 
 def cmd_generate(args) -> int:
     model, tc = _load_model(args.ckpt)
-    record = _find_record(args.data, args.study)
+    manifest, record = _find_record(args.data, args.study)
     study = load_study(record, args.data)
+    _check_image_size(args.data, manifest, [(record, study)], model.cfg.encoder.image_size,
+                      tc.single_view, Path(args.ckpt) / "train_config.json")
     with precision(tc.precision):
         [ids] = model.generate_reports([study], tc.strategy, tc.single_view,
                                        max_new=args.max_new)
@@ -218,10 +244,12 @@ def cmd_generate(args) -> int:
 
 def cmd_eval(args) -> int:
     model, tc = _load_model(args.ckpt)
-    pairs = _studies_for_split(args.data, args.split)
+    manifest, pairs = _studies_for_split(args.data, args.split)
     if not pairs:
         log(f"no studies in split {args.split!r}")
         return 1
+    _check_image_size(args.data, manifest, pairs, model.cfg.encoder.image_size,
+                      tc.single_view, Path(args.ckpt) / "train_config.json")
     tok = model.tokenizer
     bleu_scores, rouge_scores = [], []
     pred_labels, gt_labels = [], []

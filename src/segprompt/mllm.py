@@ -3,10 +3,11 @@ loop, and greedy generation. ``train`` freezes by one rule: a component in
 ``TrainConfig.frozen`` gets ``requires_grad=False``, so its outputs are
 constants that backward skips, and AdamW receives only the other components.
 
-Greedy decoding is KV-cached and graph-free: each prompt is prefilled once,
-then each step feeds only the newest token's embedding of every live sequence
-and attends over that sequence's cached keys and values. The cached forward
-runs on arrays and makes no ``Tensor``.
+Greedy decoding is KV-cached and graph-free: each prompt is prefilled once
+through the layers, then each step feeds only the newest token's embedding of
+every live sequence to a decode step bound to the LM's weight arrays, which
+attends over that sequence's cached keys and values. Both run on arrays and
+make no ``Tensor``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import re
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from segprompt.nn import (
     save_checkpoint,
 )
 from segprompt.nn.layers import LayerNorm
+from segprompt.nn.tensor import attend, gelu_forward, layer_norm_forward
 from segprompt.prompting import (
     Prompt,
     Strategy,
@@ -127,24 +129,96 @@ class DecoderLm:
         """
         if cache is None:
             n = embeddings.shape[0]
-            pos = slice(0, n)
-            pos_emb = self.pos_emb
+            self._check_length(n)
+            x = embeddings + self.pos_emb[:n]
         else:
-            if embeddings.ndim != 3 or len(rows) != embeddings.shape[0]:
-                raise ContractError(
-                    f"a cached forward takes (B, n, dim) embeddings and B buffer rows; "
-                    f"got shape {embeddings.shape} and rows {list(rows)}")
-            start = cache[0].lens[rows]
-            n = max(start.tolist()) + embeddings.shape[1]
-            pos = start[:, None] + np.arange(embeddings.shape[1])
-            pos_emb = self.pos_emb.data
-        if n > self.cfg.max_seq_len:
-            raise ContractError(
-                f"sequence length {n} exceeds max_seq_len {self.cfg.max_seq_len}")
-        x = embeddings + pos_emb[pos]
+            start = self._cached_start(embeddings, cache, rows)
+            pos = np.array(start)[:, None] + np.arange(embeddings.shape[1])
+            x = embeddings + self.pos_emb.data[pos]
         for i, block in enumerate(self.blocks):
             x = block(x, None if cache is None else cache[i], rows)
         return self.head(self.ln_f(x))
+
+    def _check_length(self, n: int) -> None:
+        if n > self.cfg.max_seq_len:
+            raise ContractError(
+                f"sequence length {n} exceeds max_seq_len {self.cfg.max_seq_len}")
+
+    def _cached_start(self, embeddings: np.ndarray, cache: list[KvCache],
+                      rows: Sequence[int]) -> list[int]:
+        """Each cached sequence's first new position, after checking the
+        input's shape and that its new rows fit ``max_seq_len``; nothing is
+        written before these checks pass."""
+        if embeddings.ndim != 3 or len(rows) != embeddings.shape[0]:
+            raise ContractError(
+                f"a cached forward takes (B, n, dim) embeddings and B buffer rows; "
+                f"got shape {embeddings.shape} and rows {list(rows)}")
+        start = cache[0].lens[rows].tolist()
+        self._check_length(max(start) + embeddings.shape[1])
+        return start
+
+    def decode_step(self, cache: list[KvCache]
+                    ) -> Callable[[np.ndarray, Sequence[int]], np.ndarray]:
+        """``forward(x, cache, rows)`` for one new row per sequence, as a
+        function of ``(x, rows)`` bound to ``cache`` and to the weight arrays
+        this LM holds now (``load_into`` replaces them, so bind per use).
+
+        It runs the same numpy operations on the same shapes in the same
+        order as the layers, so its (B, 1, vocab) logits are the same bits,
+        without the per-layer dispatch: each new key and value row is written
+        straight into its block's buffers, and each sequence attends with one
+        query over head-split views of its own cached rows.
+        """
+        heads, dim = self.cfg.heads, self.cfg.dim
+        d = dim // heads
+        scale = 1.0 / math.sqrt(d)
+        pos_emb = self.pos_emb.data
+        blocks = []
+        for block, c in zip(self.blocks, cache):
+            attn, (fc1, fc2) = block.attn, block.mlp.layers
+            n_rows, max_len, _ = c.k.shape
+            split = (n_rows, max_len, heads, d)
+            blocks.append((
+                block.ln1.gamma.data, block.ln1.beta.data,
+                attn.wq.weight.data.T, attn.wq.bias.data, attn.wk.weight.data.T,
+                attn.wk.bias.data, attn.wv.weight.data.T, attn.wv.bias.data,
+                attn.proj.weight.data.T, attn.proj.bias.data,
+                block.ln2.gamma.data, block.ln2.beta.data,
+                fc1.weight.data.T, fc1.bias.data, fc2.weight.data.T, fc2.bias.data,
+                c.k, c.v, c.lens,
+                # (rows, heads, d, max_len) keys and (rows, heads, max_len, d)
+                # values: views of the (rows, max_len, dim) buffers
+                c.k.reshape(split).transpose(0, 2, 3, 1),
+                c.v.reshape(split).transpose(0, 2, 1, 3)))
+        ln_f_gamma, ln_f_beta = self.ln_f.gamma.data, self.ln_f.beta.data
+        head_w, head_b = self.head.weight.data.T, self.head.bias.data
+
+        def step(x: np.ndarray, rows: Sequence[int]) -> np.ndarray:
+            start = self._cached_start(x, cache, rows)
+            if x.shape[1:] != (1, dim):
+                raise ContractError(f"a decode step takes (B, 1, {dim}) embeddings, "
+                                    f"got shape {x.shape}")
+            n = len(rows)
+            x = x + pos_emb[start, None]
+            for (g1, b1, wq, bq, wk, bk, wv, bv, wp, bp, g2, b2, w1, c1, w2, c2,
+                 k_buf, v_buf, lens, kt_heads, v_heads) in blocks:
+                h = layer_norm_forward(x, g1, b1)[0]
+                q, k, v = h @ wq + bq, h @ wk + bk, h @ wv + bv
+                qh = q.reshape(n, 1, heads, d).swapaxes(1, 2)
+                out = np.empty_like(q)
+                out_heads = out.reshape(n, 1, heads, d).swapaxes(1, 2)
+                for b, (row, pos) in enumerate(zip(rows, start)):
+                    k_buf[row, pos] = k[b, 0]
+                    v_buf[row, pos] = v[b, 0]
+                    lens[row] = pos + 1
+                    _, out_heads[b] = attend(qh[b], kt_heads[row, :, :, :pos + 1],
+                                             v_heads[row, :, :pos + 1], scale)
+                x = x + (out @ wp + bp)
+                h = gelu_forward(layer_norm_forward(x, g2, b2)[0] @ w1 + c1)[0]
+                x = x + (h @ w2 + c2)
+            return layer_norm_forward(x, ln_f_gamma, ln_f_beta)[0] @ head_w + head_b
+
+        return step
 
     def named_params(self, prefix: str = "lm") -> dict[str, Tensor]:
         out = {f"{prefix}.tok_emb": self.tok_emb, f"{prefix}.pos_emb": self.pos_emb}
@@ -203,9 +277,10 @@ def generate(lm: DecoderLm, prompts: Sequence[Tensor], max_new: int,
     full max_seq_len; deterministic. One id list per prompt, each
     bit-identical to decoding that prompt alone.
 
-    Each prompt is prefilled on its own, as a (1, L, dim) input, into a row
-    of the per-block key/value buffers. Then every live row steps together
-    as one (B, 1, dim) input: the row-wise layers see the batch, attention
+    Each prompt is prefilled on its own through the layers, as a (1, L, dim)
+    ``lm.forward``, into a row of the per-block key/value buffers. Then every
+    live row steps together as one (B, 1, dim) input to ``lm.decode_step``,
+    bound once per call: the row-wise operations see the batch, attention
     runs per row over its own cache (see ``AttentionBlock``). Rows leave when
     they end and waiting prompts take them (iteration-level scheduling).
     """
@@ -223,11 +298,10 @@ def generate(lm: DecoderLm, prompts: Sequence[Tensor], max_new: int,
     waiting = [i for i in range(len(prompts) - 1, -1, -1) if cap[i] > 0]
     live: list[tuple[int, int]] = []  # (buffer row, prompt index)
 
-    def advance(seqs: list[tuple[int, int]], x: np.ndarray) -> None:
-        """Run ``x`` (B, n, dim) on the sequences ``seqs``; append each one's
-        argmax at its last row and keep it live until EOS or its cap."""
-        logits = lm.forward(x, cache, [row for row, _ in seqs])[:, -1]
-        for (row, i), next_id in zip(seqs, np.argmax(logits, axis=-1).tolist()):
+    def advance(seqs: list[tuple[int, int]], logits: np.ndarray) -> None:
+        """Append each sequence's argmax at its last row of ``logits``
+        (B, n, vocab) and keep it live until EOS or its cap."""
+        for (row, i), next_id in zip(seqs, np.argmax(logits[:, -1], axis=-1).tolist()):
             if next_id != eos_id:
                 out[i].append(next_id)
                 if len(out[i]) < cap[i]:
@@ -235,16 +309,18 @@ def generate(lm: DecoderLm, prompts: Sequence[Tensor], max_new: int,
                     continue
             free.append(row)
 
+    step = lm.decode_step(cache)
     tok_emb = lm.tok_emb.data
     while waiting or live:
         while waiting and free:
             row, i = free.pop(), waiting.pop()
             for c in cache:
                 c.lens[row] = 0
-            advance([(row, i)], prompts[i].data[None])
+            advance([(row, i)], lm.forward(prompts[i].data[None], cache, [row]))
         seqs, live = live, []
         if seqs:
-            advance(seqs, tok_emb[[out[i][-1] for _, i in seqs]][:, None])
+            advance(seqs, step(tok_emb[[out[i][-1] for _, i in seqs]][:, None],
+                               [row for row, _ in seqs]))
     return out
 
 

@@ -46,9 +46,13 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     """Load arrays in the current default dtype, keyed by name. The data
     section is read once into an aligned float32 buffer; under float32 every
     entry is a writable view of it, under float64 a converted copy. A
-    truncated or malformed file raises ``ContractError`` naming the path and
-    the entry."""
-    with open(path, "rb") as fh:
+    missing, truncated or malformed file raises ``ContractError`` naming the
+    path and the entry."""
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        raise ContractError(f"{path}: checkpoint file not found") from None
+    with fh:
         size = os.fstat(fh.fileno()).st_size
         preamble = fh.read(12)
         if len(preamble) < 12:

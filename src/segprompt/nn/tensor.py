@@ -14,7 +14,10 @@ default ("test mode"); training runs switch to float32 via
 ``linear``, ``layer_norm``, ``gelu`` and ``attention`` build a graph node
 only when their activation input (``x``, or ``q``) is a ``Tensor``. Given an
 ndarray they return an ndarray from the same arithmetic, so the same bits,
-with no ``Tensor`` made: cached decoding runs on arrays this way.
+with no ``Tensor`` made: cached decoding runs on arrays this way. The forward
+arithmetic of the last three is written once, as the array kernels
+``layer_norm_forward``, ``gelu_forward`` and ``attend``, which the decode step
+calls too.
 """
 
 from __future__ import annotations
@@ -289,26 +292,44 @@ def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
     return a.reshape(*a.shape[:-1], heads, -1).swapaxes(-2, -3)
 
 
+def attend(qh: np.ndarray, kt: np.ndarray, vh: np.ndarray, scale: float,
+           causal: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled dot-product attention over split heads, on arrays: the weights
+    p = softmax(qh kt * scale + mask) and p vh. qh (..., n, d) holds the
+    queries, kt (..., d, m) the transposed keys, vh (..., m, d) the values;
+    with ``causal`` query row i sits at position m - n + i and sees keys up
+    to it. The one formula of ``attention`` and of the decode step."""
+    s = (qh @ kt) * scale
+    if causal:
+        n, m = s.shape[-2:]
+        if n > 1:
+            s = s + np.triu(np.full((n, m), -1e30, dtype=s.dtype), k=m - n + 1)
+    e = np.exp(s - np.maximum.reduce(s, axis=-1, keepdims=True))
+    p = e / np.add.reduce(e, axis=-1, keepdims=True)
+    return p, p @ vh
+
+
 def attention(q: Tensor | np.ndarray, k: Tensor | np.ndarray, v: Tensor | np.ndarray,
               causal: bool = False, heads: int = 1) -> Tensor | np.ndarray:
     """softmax(q k^T / sqrt(d) + mask) v per head over (..., rows, heads*d) as one node.
 
-    q has n rows, k and v have m. With ``causal`` query row i sits at
-    position m - n + i and sees keys up to it. Only the attention weights are
-    kept for backward; head split and merge, scores, mask and softmax are not separate nodes.
+    q has n rows, k and v have m; given an ndarray q, k and v are ndarrays
+    too. With ``causal`` query row i sits at position m - n + i and sees keys
+    up to it. Only the attention weights are kept for backward; head split
+    and merge, scores, mask and softmax are not separate nodes.
     """
-    qh, kh, vh = (_split_heads(_value(t), heads) for t in (q, k, v))
+    graph = isinstance(q, Tensor)
+    if graph:
+        k, v = as_tensor(k), as_tensor(v)
+        qd, kd, vd = q.data, k.data, v.data
+    else:
+        qd, kd, vd = q, k, v
+    qh, kh, vh = _split_heads(qd, heads), _split_heads(kd, heads), _split_heads(vd, heads)
     scale = 1.0 / math.sqrt(qh.shape[-1])
-    s = (qh @ kh.swapaxes(-1, -2)) * scale
-    n, m = s.shape[-2:]
-    if causal and n > 1:
-        s = s + np.triu(np.full((n, m), -1e30, dtype=s.dtype), k=m - n + 1)
-    e = np.exp(s - s.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
-    y = (p @ vh).swapaxes(-2, -3).reshape(q.shape)
-    if not isinstance(q, Tensor):
+    p, yh = attend(qh, kh.swapaxes(-1, -2), vh, scale, causal)
+    y = yh.swapaxes(-2, -3).reshape(qd.shape)
+    if not graph:
         return y
-    k, v = as_tensor(k), as_tensor(v)
     out = _make(y, (q, k, v))
     if out.requires_grad:
         def bw(g):
@@ -385,14 +406,18 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
+def gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU of an array, and the tanh term backward reuses."""
+    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
+    return 0.5 * x * (1.0 + t), t
+
+
 def gelu(x: Tensor | np.ndarray) -> Tensor | np.ndarray:
     """GELU, tanh approximation: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3)))."""
-    xd = _value(x)
-    inner = _GELU_C * (xd + 0.044715 * (xd * xd * xd))
-    t = np.tanh(inner)
-    y = 0.5 * xd * (1.0 + t)
     if not isinstance(x, Tensor):
-        return y
+        return gelu_forward(x)[0]
+    xd = x.data
+    y, t = gelu_forward(xd)
     out = _make(y, (x,))
     if out.requires_grad:
         def bw(g):
@@ -403,18 +428,25 @@ def gelu(x: Tensor | np.ndarray) -> Tensor | np.ndarray:
     return out
 
 
+def layer_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                       eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layer norm of an array over its trailing axis: the output, and the
+    normalized input and inverse deviation that backward reuses. The
+    statistics are numpy's mean/var reductions written out: same bits, less
+    overhead."""
+    d = x.shape[-1]
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / d + eps)
+    xhat = xc * inv
+    return xhat * gamma + beta, xhat, inv
+
+
 def layer_norm(x: Tensor | np.ndarray, gamma: Tensor, beta: Tensor,
                eps: float = 1e-5) -> Tensor | np.ndarray:
-    """Normalize the trailing axis to zero mean / unit variance, then affine.
-    The statistics are numpy's mean/var reductions written out: same bits, less overhead."""
-    xd = _value(x)
-    d = xd.shape[-1]
-    xc = xd - xd.sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + eps)
-    xhat = xc * inv
-    y = xhat * gamma.data + beta.data
+    """Normalize the trailing axis to zero mean / unit variance, then affine."""
     if not isinstance(x, Tensor):
-        return y
+        return layer_norm_forward(x, gamma.data, beta.data, eps)[0]
+    y, xhat, inv = layer_norm_forward(x.data, gamma.data, beta.data, eps)
     out = _make(y, (x, gamma, beta))
     if out.requires_grad:
         def bw(g):
@@ -423,6 +455,7 @@ def layer_norm(x: Tensor | np.ndarray, gamma: Tensor, beta: Tensor,
             if beta.requires_grad:
                 beta._accumulate(g.sum(axis=tuple(range(g.ndim - 1))))
             if x.requires_grad:
+                d = xhat.shape[-1]
                 gy = g * gamma.data
                 term = gy - gy.sum(axis=-1, keepdims=True) / d \
                     - xhat * ((gy * xhat).sum(axis=-1, keepdims=True) / d)

@@ -450,10 +450,10 @@ def write_manifest(root: Path, manifest: dict) -> None:
 
 
 def load_manifest(data_dir: str | Path) -> tuple[dict, list[StudyRecord]]:
-    """The manifest and its study records. A malformed manifest, an entry
-    that does not fit StudyRecord or lacks a ``current_frontal`` view, or two
-    entries with one ``study_id`` raise a ContractError naming the file, the
-    entry and the field."""
+    """The manifest and its study records. A malformed manifest, a ``spec``
+    that does not fit SynthSpec, an entry that does not fit StudyRecord or
+    lacks a ``current_frontal`` view, or two entries with one ``study_id``
+    raise a ContractError naming the file, the entry and the field."""
     path = Path(data_dir) / "manifest.json"
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
@@ -462,6 +462,11 @@ def load_manifest(data_dir: str | Path) -> tuple[dict, list[StudyRecord]]:
     studies = manifest.get("studies") if isinstance(manifest, dict) else None
     if not isinstance(studies, list):
         raise ContractError(f"{path}: 'studies' must be a list of study entries")
+    if "spec" in manifest:
+        try:
+            SynthSpec.from_dict(manifest["spec"])
+        except ContractError as exc:
+            raise ContractError(f"{path}: key 'spec': {exc}") from exc
     records, index_of = [], {}
     for index, entry in enumerate(studies):
         try:

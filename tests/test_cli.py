@@ -14,7 +14,7 @@ from segprompt import cli
 from segprompt import masks as M
 from segprompt.cli import run_command
 from segprompt.encoder import VitConfig
-from segprompt.errors import checked_fields
+from segprompt.errors import ContractError, checked_fields
 from segprompt.mllm import ModelConfig, ReportModel, TrainFile
 from segprompt.nn import load_checkpoint
 from segprompt.prompting import Strategy
@@ -507,6 +507,124 @@ class TestBadStudyFiles:
             err = capsys.readouterr().err
             assert str(data / rel) in err, (argv, err)
             assert "Errno" not in err and "input arrays" not in err, (argv, err)
+
+
+class TestMissingCheckpointFile:
+    """A checkpoint directory without one of its files is a ContractError
+    naming the missing path; it used to exit with a bare "[Errno 2] No such
+    file or directory"."""
+
+    @pytest.mark.parametrize("name", ["model.ckpt", "train_config.json", "both"])
+    def test_generate_and_eval_name_the_path(self, dataset, checkpoint, tmp_path, capsys,
+                                             name):
+        ckpt = tmp_path / "ckpt"
+        if name != "both":  # "both": a directory that does not exist
+            shutil.copytree(checkpoint, ckpt)
+            (ckpt / name).unlink()
+        missing = ckpt / ("train_config.json" if name == "both" else name)
+        report = tmp_path / "report.json"
+        for argv in (["generate", "--study", "study_00000"], ["eval", "--report", str(report)]):
+            assert run_command(argv + ["--data", str(dataset), "--ckpt", str(ckpt)]) == 1
+            err = capsys.readouterr().err
+            assert str(missing) in err and "not found" in err, err
+            assert "Errno" not in err, err
+        assert not report.exists()
+        with pytest.raises(ContractError, match=re.escape(str(missing))):
+            cli._load_model(ckpt)
+
+
+class TestImageSizeMismatch:
+    """A dataset whose images differ in size from ``model.encoder.image_size``
+    is an error naming the image file, the manifest's ``spec.image_size`` and
+    the model key. It used to say "image 0: shape (32, 32) != configured
+    (64, 64)", naming neither the file nor a key."""
+
+    @pytest.fixture(scope="class")
+    def data64(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("data64")
+        spec = root / "spec.json"
+        spec.write_text(json.dumps({**SYNTH_SPEC, "image_size": 64, "heart_area_threshold": 200}))
+        assert run_command(["gen-data", "--spec", str(spec), "--out", str(root / "data")]) == 0
+        return root / "data"
+
+    @staticmethod
+    def first_image(data, split):
+        _, records = load_manifest(data)
+        record = next(r for r in records if r.split == split)
+        return data / record.views["current_frontal"]["image"]
+
+    def test_train_default_config(self, dataset, tmp_path, capsys):
+        assert run_command(["train", "--data", str(dataset), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert str(self.first_image(dataset, "train")) in err, err
+        assert "'model.encoder.image_size' (64)" in err and "default config" in err, err
+        assert "'spec.image_size' is 32" in err, err
+        assert not (tmp_path / "o").exists()
+
+    def test_train_config_file(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "train.json"
+        model = copy.deepcopy(TINY_CONFIG["model"])
+        model["encoder"]["image_size"] = 64
+        cfg.write_text(json.dumps({**TINY_CONFIG, "model": model}))
+        assert run_command(["train", "--data", str(dataset), "--config", str(cfg),
+                            "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert str(self.first_image(dataset, "train")) in err and str(cfg) in err, err
+        assert "'model.encoder.image_size' (64)" in err and "'spec.image_size' is 32" in err
+
+    @pytest.mark.parametrize("spec", ["kept", "deleted"])
+    def test_generate_and_eval(self, checkpoint, data64, tmp_path, capsys, spec):
+        data = data64
+        if spec == "deleted":
+            data = tmp_path / "data"
+            shutil.copytree(data64, data)
+            manifest = json.loads((data / "manifest.json").read_text())
+            del manifest["spec"]
+            (data / "manifest.json").write_text(json.dumps(manifest))
+        recorded = ("'spec.image_size' is 64" if spec == "kept"
+                    else "the manifest has no key 'spec'")
+        for argv, split in ((["generate", "--study", "study_00000"], "train"),
+                            (["eval", "--report", str(tmp_path / "r.json")], "test")):
+            assert run_command(argv + ["--data", str(data), "--ckpt", str(checkpoint)]) == 1
+            err = capsys.readouterr().err
+            assert str(self.first_image(data, split)) in err, err
+            assert str(checkpoint / "train_config.json") in err, err
+            assert "'model.encoder.image_size' (32)" in err and recorded in err, err
+        assert not (tmp_path / "r.json").exists()
+
+
+class TestManifestSpec:
+    """The manifest's optional ``spec`` is read as a SynthSpec: one that does
+    not fit exits 1 naming the manifest and the key, from every command that
+    reads the manifest. ``extract-tokens`` without ``--ckpt`` reads its
+    ``image_size``; a ``spec`` that was not an object let an AttributeError
+    escape ``run_command`` there, and a string ``image_size`` a TypeError."""
+
+    @pytest.mark.parametrize("spec,words", [
+        ([], ["SynthSpec must be a JSON object"]),
+        ("64", ["SynthSpec must be a JSON object"]),
+        ({"image_size": "32"}, ["'image_size'", "integer", "'32'"]),
+        ({"image_size": 0}, ["'image_size'", "at least 1"]),
+        ({"bogus": 1}, ["unknown SynthSpec key(s): 'bogus'"]),
+    ], ids=["list", "string", "string-size", "zero-size", "unknown-key"])
+    def test_names_manifest_and_key(self, dataset, checkpoint, tmp_path, capsys, spec, words):
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        path = data / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["spec"] = spec
+        path.write_text(json.dumps(manifest))
+        study = ["--data", str(data), "--study", "study_00000"]
+        for argv in (["extract-tokens"] + study,
+                     ["build-prompt"] + study,
+                     ["generate", "--ckpt", str(checkpoint)] + study,
+                     ["eval", "--data", str(data), "--ckpt", str(checkpoint),
+                      "--report", str(tmp_path / "r.json")],
+                     ["render-som", "--data", str(data), "--out", str(tmp_path / "som")]):
+            assert run_command(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert str(path) in err and "key 'spec'" in err, (argv, err)
+            assert all(word in err for word in words), (argv, err)
 
 
 class TestParserReuse:

@@ -1,5 +1,7 @@
 """Tokenizer, adapter, LM loss/generation, and the training loop contracts."""
 
+import copy
+import functools
 import hashlib
 import json
 import math
@@ -8,6 +10,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from segprompt.errors import ContractError, checked_fields
 from segprompt.encoder import FeatureGrid, VitConfig
@@ -292,29 +295,40 @@ def full_recompute_generate(lm, prompt, max_new, eos_id=Tokenizer.EOS):
 
 
 def lockstep_recorder(lm, prompts, max_new):
-    """Shadow lm.forward for a ``generate(lm, prompts, ...)`` call: keep each
-    prompt's last-row logits per step, and the ndim of every input. A buffer
-    row belongs to the prompt whose prefill last started in it; prompts with
-    room to decode are admitted in order. Delete ``lm.forward`` to undo."""
+    """Shadow lm.forward (the prefills) and lm.decode_step (the steps) for a
+    ``generate(lm, prompts, ...)`` call: keep each prompt's last-row logits
+    per step, and the ndim of every input. A buffer row belongs to the prompt
+    whose prefill last started in it; prompts with room to decode are
+    admitted in order. ``stop_recording(lm)`` undoes it."""
     rows = [[] for _ in prompts]
     ndims = []
     admitted = iter([i for i, p in enumerate(prompts)
                      if max_new > 0 and p.shape[0] < lm.cfg.max_seq_len])
     owner = {}
-    forward = lm.forward
+    forward, decode_step = lm.forward, lm.decode_step
 
-    def recorded(embeddings, cache, buffer_rows):
+    def record(run, embeddings, buffer_rows):
         ndims.append(embeddings.ndim)
-        for row in buffer_rows:
-            if cache[0].lens[row] == 0:
-                owner[row] = next(admitted)
-        logits = forward(embeddings, cache, buffer_rows)
+        logits = run(embeddings, buffer_rows)
         for b, row in enumerate(buffer_rows):
             rows[owner[row]].append(logits[b, -1].copy())
         return logits
 
-    lm.forward = recorded
+    def recorded(embeddings, cache, buffer_rows):
+        for row in buffer_rows:
+            if cache[0].lens[row] == 0:
+                owner[row] = next(admitted)
+        return record(lambda x, r: forward(x, cache, r), embeddings, buffer_rows)
+
+    def recorded_step(cache):
+        return functools.partial(record, decode_step(cache))
+
+    lm.forward, lm.decode_step = recorded, recorded_step
     return rows, ndims
+
+
+def stop_recording(lm):
+    del lm.forward, lm.decode_step
 
 
 def assert_same_decode(got, got_rows, ref, ref_rows):
@@ -364,7 +378,7 @@ class TestCachedDecoding:
             ref, ref_rows = full_recompute_generate(model.lm, emb, 24)
             (rows,), _ = lockstep_recorder(model.lm, [emb], 24)
             [got] = model.generate_reports([study], strategy, max_new=24)
-            del model.lm.forward
+            stop_recording(model.lm)
             assert_same_decode(got, rows, ref, ref_rows)
             assert len(got) > 0
 
@@ -445,7 +459,7 @@ def decode_alone(lm, prompts, max_new):
         rows, _ = lockstep_recorder(lm, [prompt], max_new)
         out += generate(lm, [prompt], max_new)
         out_rows += rows
-        del lm.forward
+        stop_recording(lm)
     return out, out_rows
 
 
@@ -554,7 +568,7 @@ class TestLockstepDecoding:
                 rows, _ = lockstep_recorder(model.lm, [prompt], 24)
                 ref += model.generate_reports([study], strategy, max_new=24)
                 ref_rows += rows
-                del model.lm.forward
+                stop_recording(model.lm)
             rows, _ = lockstep_recorder(model.lm, prompts, 24)
             got = model.generate_reports(studies, strategy, max_new=24)
             assert_bit_identical(got, rows, ref, ref_rows)
@@ -587,6 +601,106 @@ class TestGraphFreeDecoding:
         assert made == []
         assert sum(map(len, ids)) > 0
         assert all(isinstance(r, np.ndarray) for steps in rows for r in steps)
+
+
+@st.composite
+def decode_cases(draw):
+    """A seeded LM (dim 8-64, heads dividing dim, depth 1-3), a dtype, B
+    prompts of unequal lengths that leave room to step, and a seed."""
+    heads = draw(st.sampled_from([1, 2, 4, 8]))
+    dim = heads * draw(st.integers(-(-8 // heads), 64 // heads))
+    max_len = draw(st.integers(4, 20))
+    batch = draw(st.integers(1, 16))
+    lens = draw(st.lists(st.integers(1, max_len - 1), min_size=batch, max_size=batch))
+    if batch > 1:
+        lens[0] = 1 + (lens[1] % (max_len - 1))  # never all equal
+    cfg = LmConfig(vocab_size=draw(st.integers(3, 40)), dim=dim, depth=draw(st.integers(1, 3)),
+                   heads=heads, max_seq_len=max_len)
+    return cfg, draw(st.sampled_from(["float32", "float64"])), lens, draw(st.integers(0, 2 ** 16))
+
+
+def prefilled(cfg, lens, seed):
+    """A seeded LM and its caches with one prompt prefilled per buffer row
+    through ``lm.forward``, as ``generate`` does."""
+    rng = np.random.default_rng(seed)
+    lm = DecoderLm(cfg, seed=seed)
+    cache = [KvCache(len(lens), cfg.max_seq_len, cfg.dim) for _ in lm.blocks]
+    for row, n in enumerate(lens):
+        lm.forward(rng.standard_normal((1, n, cfg.dim)).astype(T.default_dtype()), cache, [row])
+    return lm, cache, rng
+
+
+def cache_bytes(cache):
+    return [(c.k.tobytes(), c.v.tobytes(), c.lens.tobytes()) for c in cache]
+
+
+class TestDecodeStep:
+    """The bound decode step against the layer path (``lm.forward`` on a
+    copy of the same cache): every step's logits by ``tobytes``, and the
+    cache it leaves behind, until every sequence is at ``max_seq_len``."""
+
+    @given(decode_cases())
+    @settings(deadline=None)
+    def test_matches_layer_path_bit_for_bit(self, case):
+        cfg, dtype, lens, seed = case
+        with precision(dtype), no_grad():
+            lm, cache, rng = prefilled(cfg, lens, seed)
+            step = lm.decode_step(cache)
+            while True:
+                rows = [r for r in range(len(lens)) if cache[0].lens[r] < cfg.max_seq_len]
+                if not rows:
+                    break
+                rows = rng.permutation(rows).tolist()
+                x = rng.standard_normal((len(rows), 1, cfg.dim)).astype(dtype)
+                ref_cache = copy.deepcopy(cache)
+                ref = lm.forward(x, ref_cache, rows)
+                got = step(x, rows)
+                assert got.dtype == ref.dtype == np.dtype(dtype)
+                assert got.shape == ref.shape == (len(rows), 1, cfg.vocab_size)
+                assert got.tobytes() == ref.tobytes()
+                assert cache_bytes(cache) == cache_bytes(ref_cache)
+            assert cache[0].lens.tolist() == [cfg.max_seq_len] * len(lens)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("shape,rows", [
+        ((2, 1, 8), [0, 2]),  # row 2 is full: past max_seq_len
+        ((2, 8), [0, 1]),     # a 2-D input
+        ((2, 1, 8), [0]),     # fewer rows than B
+        ((1, 1, 8), [0, 1])])  # more rows than B
+    def test_bad_step_raises_as_forward_and_writes_nothing(self, dtype, shape, rows):
+        cfg = LmConfig(vocab_size=9, dim=8, depth=2, heads=2, max_seq_len=6)
+        with precision(dtype), no_grad():
+            lm, cache, _ = prefilled(cfg, [3, 5, 6], seed=1)
+            before = cache_bytes(cache)
+            x = np.zeros(shape, dtype=dtype)
+            with pytest.raises(ContractError) as by_forward:
+                lm.forward(x, copy.deepcopy(cache), rows)
+            with pytest.raises(ContractError) as by_step:
+                lm.decode_step(cache)(x, rows)
+            assert str(by_step.value) == str(by_forward.value)
+            assert cache_bytes(cache) == before
+
+    def test_more_than_one_new_row_rejected(self):
+        cfg = LmConfig(vocab_size=9, dim=8, depth=1, heads=2, max_seq_len=6)
+        lm, cache, _ = prefilled(cfg, [2], seed=1)
+        before = cache_bytes(cache)
+        with no_grad(), pytest.raises(ContractError, match=r"\(B, 1, 8\).*\(1, 2, 8\)"):
+            lm.decode_step(cache)(np.zeros((1, 2, 8)), [0])
+        assert cache_bytes(cache) == before
+
+    def test_each_generate_binds_the_weights_loaded_then(self, tmp_path):
+        """``load_into`` replaces the weight arrays, so a step bound by an
+        earlier ``generate`` call must not outlive it."""
+        cfg = LmConfig(vocab_size=9, dim=8, depth=1, heads=2, max_seq_len=12)
+        save_checkpoint(tmp_path / "lm.ckpt", DecoderLm(cfg, seed=4).named_params())
+        fresh = DecoderLm(cfg, seed=None)
+        load_into(tmp_path / "lm.ckpt", fresh.named_params())
+        lm = DecoderLm(cfg, seed=3)
+        prompt = Tensor(np.random.default_rng(2).standard_normal((3, 8)))
+        before = generate(lm, [prompt], 8)
+        load_into(tmp_path / "lm.ckpt", lm.named_params())
+        after = generate(lm, [prompt], 8)
+        assert after == generate(fresh, [prompt], 8) != before
 
 
 class TestBatchedEncode:
