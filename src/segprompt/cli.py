@@ -173,6 +173,8 @@ def cmd_extract_tokens(args) -> int:
     study = load_study(record, args.data)
     if args.ckpt:
         model, _ = _load_model(args.ckpt)
+        _check_image_size(args.data, manifest, [(record, study)], model.cfg.encoder.image_size,
+                          args.single_view, Path(args.ckpt) / "train_config.json")
     else:
         size = manifest.get("spec", {}).get("image_size", SynthSpec.image_size)
         cfg = ModelConfig(encoder=VitConfig(image_size=size), seed=args.seed)

@@ -536,8 +536,9 @@ class TestMissingCheckpointFile:
 class TestImageSizeMismatch:
     """A dataset whose images differ in size from ``model.encoder.image_size``
     is an error naming the image file, the manifest's ``spec.image_size`` and
-    the model key. It used to say "image 0: shape (32, 32) != configured
-    (64, 64)", naming neither the file nor a key."""
+    the model key, from every command that encodes with a configured model.
+    It used to say "image 0: shape (32, 32) != configured (64, 64)", naming
+    neither the file nor a key."""
 
     @pytest.fixture(scope="class")
     def data64(self, tmp_path_factory):
@@ -584,6 +585,7 @@ class TestImageSizeMismatch:
         recorded = ("'spec.image_size' is 64" if spec == "kept"
                     else "the manifest has no key 'spec'")
         for argv, split in ((["generate", "--study", "study_00000"], "train"),
+                            (["extract-tokens", "--study", "study_00000"], "train"),
                             (["eval", "--report", str(tmp_path / "r.json")], "test")):
             assert run_command(argv + ["--data", str(data), "--ckpt", str(checkpoint)]) == 1
             err = capsys.readouterr().err

@@ -608,7 +608,7 @@ def decode_cases(draw):
     """A seeded LM (dim 8-64, heads dividing dim, depth 1-3), a dtype, B
     prompts of unequal lengths that leave room to step, and a seed."""
     heads = draw(st.sampled_from([1, 2, 4, 8]))
-    dim = heads * draw(st.integers(-(-8 // heads), 64 // heads))
+    dim = heads * draw(st.integers(math.ceil(8 / heads), 64 // heads))
     max_len = draw(st.integers(4, 20))
     batch = draw(st.integers(1, 16))
     lens = draw(st.lists(st.integers(1, max_len - 1), min_size=batch, max_size=batch))
