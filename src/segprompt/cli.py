@@ -20,13 +20,13 @@ from segprompt.masks import write_image, write_mask
 from segprompt.mllm import (
     ModelConfig,
     ReportModel,
-    SequenceTooLong,
     TrainConfig,
+    TrainConfigError,
     TrainEcho,
     TrainFile,
     train,
 )
-from segprompt.nn import load_into, no_grad, precision
+from segprompt.nn import load_into, no_grad
 from segprompt.prompting import Strategy, build_prompt, prompt_dumps
 from segprompt.som import MarkStyle, render_overlay
 from segprompt.synth import (
@@ -79,9 +79,8 @@ def _load_synth_spec(path: str | None, seed: int | None, count: int | None) -> S
 def _load_model(ckpt_dir: str | Path) -> tuple[ReportModel, TrainConfig]:
     ckpt_dir = Path(ckpt_dir)
     echo = _read_config(ckpt_dir / "train_config.json", TrainEcho)
-    with precision(echo.train.precision):
-        model = ReportModel(echo.model, echo.vocab, init=False)
-        load_into(ckpt_dir / "model.ckpt", model.named_params())
+    model = ReportModel(echo.model, echo.vocab, init=False, dtype=echo.train.precision)
+    load_into(ckpt_dir / "model.ckpt", model.named_params())
     return model, echo.train
 
 
@@ -220,13 +219,12 @@ def cmd_train(args) -> int:
     _check_image_size(args.data, manifest, pairs, model_cfg.encoder.image_size,
                       tc.single_view, args.config or "the default config (no --config)")
     studies = [study for _, study in pairs]
-    with precision(tc.precision):
-        model = ReportModel(model_cfg, vocabulary())
-        try:
-            result = train(model, studies, tc, out_dir=args.out)
-        except SequenceTooLong as exc:
-            raise ContractError(f"{args.config or 'default config (no --config)'}: "
-                                f"{exc}") from exc
+    model = ReportModel(model_cfg, vocabulary(), dtype=tc.precision)
+    try:
+        result = train(model, studies, tc, out_dir=args.out)
+    except TrainConfigError as exc:
+        raise ContractError(f"{args.config or 'default config (no --config)'}: "
+                            f"{exc}") from exc
     log(f"trained {result.total_steps} steps; final mean loss {result.final_loss:.4f}")
     return 0
 
@@ -237,9 +235,7 @@ def cmd_generate(args) -> int:
     study = load_study(record, args.data)
     _check_image_size(args.data, manifest, [(record, study)], model.cfg.encoder.image_size,
                       tc.single_view, Path(args.ckpt) / "train_config.json")
-    with precision(tc.precision):
-        [ids] = model.generate_reports([study], tc.strategy, tc.single_view,
-                                       max_new=args.max_new)
+    [ids] = model.generate_reports([study], tc.strategy, tc.single_view, max_new=args.max_new)
     print(model.tokenizer.detokenize(ids))
     return 0
 
@@ -256,19 +252,18 @@ def cmd_eval(args) -> int:
     bleu_scores, rouge_scores = [], []
     pred_labels, gt_labels = [], []
     studies = []
-    with precision(tc.precision):
-        reports = model.generate_reports([study for _, study in pairs], tc.strategy,
-                                         tc.single_view, max_new=args.max_new)
-        for (record, _), ids in zip(pairs, reports):
-            hyp = tok.decode(ids)
-            ref_ids = tok.encode(record.target_findings)
-            ref = tok.decode(ref_ids)
-            bleu_scores.append(metrics.bleu(hyp, ref, n=4))
-            rouge_scores.append(metrics.rouge_l(hyp, ref))
-            pred_labels.append(findings_to_labels(" ".join(hyp)))
-            gt_labels.append(findings_to_labels(record.target_findings))
-            studies.append({"id": record.study_id, "hypothesis": tok.detokenize(ids),
-                            "reference": tok.detokenize(ref_ids)})
+    reports = model.generate_reports([study for _, study in pairs], tc.strategy,
+                                     tc.single_view, max_new=args.max_new)
+    for (record, _), ids in zip(pairs, reports):
+        hyp = tok.decode(ids)
+        ref_ids = tok.encode(record.target_findings)
+        ref = tok.decode(ref_ids)
+        bleu_scores.append(metrics.bleu(hyp, ref, n=4))
+        rouge_scores.append(metrics.rouge_l(hyp, ref))
+        pred_labels.append(findings_to_labels(" ".join(hyp)))
+        gt_labels.append(findings_to_labels(record.target_findings))
+        studies.append({"id": record.study_id, "hypothesis": tok.detokenize(ids),
+                        "reference": tok.detokenize(ref_ids)})
     spec = metrics.BootstrapSpec()
     label_pairs = np.stack([np.stack(pred_labels), np.stack(gt_labels)], axis=1)
 

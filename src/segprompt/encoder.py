@@ -113,7 +113,8 @@ class VitEncoder:
         if not stack:
             return []
         g = self.cfg.grid_side
-        x = self.patch_embed(Tensor(self._patchify(np.stack(stack)))) + self.pos_embed
+        patches = self._patchify(np.stack(stack)).astype(self.pos_embed.data.dtype)
+        x = self.patch_embed(Tensor(patches)) + self.pos_embed
         taps: dict[int, Tensor] = {}
         for layer_index, block in enumerate(self.blocks, start=1):
             x = block(x)

@@ -69,7 +69,7 @@ def mask_pool(fg: FeatureGrid, gm: Mask) -> Tensor:
     counts = sel.sum(axis=1, keepdims=True)
     if not counts.all():
         raise ContractError("mask_pool over an empty grid mask; gate on positivity first")
-    pooled = Tensor(sel / counts) @ fg.features
+    pooled = Tensor((sel / counts).astype(fg.features.data.dtype)) @ fg.features
     return pooled if gm.ndim == 3 else pooled[0]
 
 
@@ -110,7 +110,8 @@ def spatial_token(m: Mask | Sequence[Mask], extractor: SegTokenExtractor) -> Ten
     if not all(is_positive(x) for x in masks):
         raise ContractError("spatial_token of an empty mask; gate on positivity first")
     side = extractor.cfg.spatial_side
-    flat = np.stack([resample_mask(x, side).reshape(-1) for x in masks]).astype(np.float64)
+    flat = np.stack([resample_mask(x, side).reshape(-1) for x in masks]).astype(
+        extractor.spatial.weight.data.dtype)
     return extractor.spatial(Tensor(flat[0] if single else flat))
 
 

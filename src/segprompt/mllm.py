@@ -293,7 +293,8 @@ def generate(lm: DecoderLm, prompts: Sequence[Tensor], max_new: int,
         cap.append(min(max_new, lm.cfg.max_seq_len - p_len))
     out: list[list[int]] = [[] for _ in prompts]
     n_rows = min(len(prompts), DECODE_ROWS)
-    cache = [KvCache(n_rows, lm.cfg.max_seq_len, lm.cfg.dim) for _ in lm.blocks]
+    cache = [KvCache(n_rows, lm.cfg.max_seq_len, lm.cfg.dim, lm.tok_emb.data.dtype)
+             for _ in lm.blocks]
     free = list(range(n_rows - 1, -1, -1))
     waiting = [i for i in range(len(prompts) - 1, -1, -1) if cap[i] > 0]
     live: list[tuple[int, int]] = []  # (buffer row, prompt index)
@@ -353,9 +354,12 @@ class ModelConfig:
 class ReportModel:
     """Encoder + segmentation tokens extractor + adapter + decoder LM."""
 
-    def __init__(self, cfg: ModelConfig, vocab_words: Iterable[str], init: bool = True):
+    def __init__(self, cfg: ModelConfig, vocab_words: Iterable[str], init: bool = True,
+                 dtype: str = "float64"):
         """``init=False`` draws no random init (zero weights): for a model that
-        a checkpoint fills, which ``load_into`` checks name by name."""
+        a checkpoint fills, which ``load_into`` checks name by name. Every
+        parameter is cast once to ``dtype``, the dtype the model computes in
+        (``TrainConfig.precision``)."""
         self.cfg = cfg
         self.tokenizer = Tokenizer(vocab_words)
         def seed(offset: int) -> int | None:
@@ -371,21 +375,25 @@ class ReportModel:
         self.lm = DecoderLm(LmConfig(vocab_size=len(self.tokenizer), dim=cfg.lm_dim,
                                      depth=cfg.lm_depth, heads=cfg.lm_heads,
                                      max_seq_len=cfg.max_seq_len), seed=seed(3))
+        # The parameter tensors are made once, above; loading and training
+        # replace their data, never the tensors, so they are named once too.
+        self._components = {"encoder": self.encoder.named_params("enc"),
+                            "extractor": self.extractor.named_params("seg"),
+                            "adapter": self.adapter.named_params("adapter")}
+        if self.bridge is not None:
+            self._components["bridge"] = self.bridge.named_params("bridge")
+        self._components["lm"] = self.lm.named_params("lm")
+        dtype = np.dtype(dtype)
+        for p in self.named_params().values():
+            p.data = p.data.astype(dtype, copy=False)
 
     def component_params(self) -> dict[str, dict[str, Tensor]]:
         """Named parameters per component, in checkpoint order; ``bridge``
         only when the extractor and LM widths differ."""
-        out = {"encoder": self.encoder.named_params("enc"),
-               "extractor": self.extractor.named_params("seg"),
-               "adapter": self.adapter.named_params("adapter")}
-        if self.bridge is not None:
-            out["bridge"] = self.bridge.named_params("bridge")
-        out["lm"] = self.lm.named_params("lm")
-        return out
+        return {component: dict(params) for component, params in self._components.items()}
 
     def named_params(self) -> dict[str, Tensor]:
-        return {name: p for params in self.component_params().values()
-                for name, p in params.items()}
+        return {name: p for params in self._components.values() for name, p in params.items()}
 
     # -- realization ------------------------------------------------------------
 
@@ -515,8 +523,10 @@ class TrainEcho:
     vocab: tuple[str, ...]
 
 
-class SequenceTooLong(ContractError):
-    """A training study's prompt and target do not fit ``model.max_seq_len``."""
+class TrainConfigError(ContractError):
+    """The config cannot train this model on this dataset: a study's prompt
+    and target do not fit ``model.max_seq_len``, or ``train.frozen`` leaves
+    nothing to train."""
 
 
 @dataclass
@@ -540,16 +550,21 @@ def train(model: ReportModel, dataset: list[StudyInput], tc: TrainConfig,
     that graph's reverse topological order adds the per-study contributions
     to each parameter in batch order too, and gives each study loss the same
     seed. Writes checkpoint, loss curve CSV and config JSON when out_dir is
-    given. A study whose prompt and target exceed ``max_seq_len`` raises
-    SequenceTooLong before the first step.
+    given. A ``tc.frozen`` that leaves no parameter to train, or a study
+    whose prompt and target exceed ``max_seq_len``, raises TrainConfigError
+    before the first step.
     """
     if not dataset:
         raise ContractError("empty training dataset")
     for component, params in model.component_params().items():
         for p in params.values():
             p.requires_grad = component not in tc.frozen
-    opt = AdamW({name: p for name, p in model.named_params().items() if p.requires_grad},
-                betas=tc.betas, eps=tc.eps, weight_decay=tc.weight_decay)
+    trainable = {name: p for name, p in model.named_params().items() if p.requires_grad}
+    if not trainable:
+        raise TrainConfigError(f"key 'train.frozen' {list(tc.frozen)} freezes every "
+                               f"component of the model {list(model.component_params())}: "
+                               "nothing to train")
+    opt = AdamW(trainable, betas=tc.betas, eps=tc.eps, weight_decay=tc.weight_decay)
 
     n = len(dataset)
     steps_per_epoch = math.ceil(n / tc.batch_size)
@@ -564,7 +579,7 @@ def train(model: ReportModel, dataset: list[StudyInput], tc: TrainConfig,
         p_len = count_tokens(prompt, model.cfg.encoder.n_patches, model.tokenizer.token_count)
         t_len = len(model.target_ids(study)) + 1  # EOS
         if p_len + t_len > max_len:
-            raise SequenceTooLong(
+            raise TrainConfigError(
                 f"key 'model.max_seq_len' ({max_len}) is too short for study "
                 f"{study.study_id!r}: prompt ({p_len}) + target ({t_len}) tokens")
     if encoder_frozen:

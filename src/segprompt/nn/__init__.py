@@ -4,15 +4,12 @@ from segprompt.nn.tensor import (
     attention,
     concat,
     cross_entropy,
-    default_dtype,
     finite_diff_grad,
     gelu,
     grad_rel_error,
     layer_norm,
     linear,
     no_grad,
-    precision,
-    set_default_dtype,
 )
 from segprompt.nn.layers import (
     ACTIVATIONS,
@@ -31,7 +28,6 @@ __all__ = [
     "ACTIVATIONS", "AdamW", "AttentionBlock", "KvCache", "LayerNorm",
     "LinearLayer", "LrSchedule", "MAGIC", "MlpBlock", "Tensor",
     "TransformerBlock", "as_tensor", "attention", "concat", "cross_entropy",
-    "default_dtype", "finite_diff_grad", "gelu", "grad_rel_error",
-    "init_uniform", "layer_norm", "linear", "load_checkpoint", "load_into", "lr_at",
-    "no_grad", "precision", "save_checkpoint", "set_default_dtype",
+    "finite_diff_grad", "gelu", "grad_rel_error", "init_uniform", "layer_norm",
+    "linear", "load_checkpoint", "load_into", "lr_at", "no_grad", "save_checkpoint",
 ]

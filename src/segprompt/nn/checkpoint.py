@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from segprompt.errors import ContractError
-from segprompt.nn.tensor import Tensor, default_dtype
+from segprompt.nn.tensor import Tensor
 
 MAGIC = b"SPKTCKP1"
 
@@ -43,11 +43,10 @@ def save_checkpoint(path: str | Path, params: dict[str, Tensor | np.ndarray]) ->
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
-    """Load arrays in the current default dtype, keyed by name. The data
-    section is read once into an aligned float32 buffer; under float32 every
-    entry is a writable view of it, under float64 a converted copy. A
-    missing, truncated or malformed file raises ``ContractError`` naming the
-    path and the entry."""
+    """Load the stored float32 arrays, keyed by name. The data section is
+    read once into an aligned float32 buffer, and every entry is a writable
+    view of it. A missing, truncated or malformed file raises
+    ``ContractError`` naming the path and the entry."""
     try:
         fh = open(path, "rb")
     except FileNotFoundError:
@@ -77,7 +76,6 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
         raise ContractError(f"{path}: header is not UTF-8 JSON ({exc})") from exc
     if not isinstance(header, list):
         raise ContractError(f"{path}: header is not a list of entries")
-    convert = np.dtype(default_dtype()) != buf.dtype
     out: dict[str, np.ndarray] = {}
     for i, entry in enumerate(header):
         if not isinstance(entry, dict) or not {"name", "shape", "offset"} <= entry.keys():
@@ -96,15 +94,15 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
             raise ContractError(
                 f"{path}: entry {name!r} needs {4 * count} bytes at offset {offset}, "
                 f"past the end of the file ({size} bytes)")
-        arr = buf[offset // 4:offset // 4 + count].reshape(shape)
-        out[name] = arr.astype(default_dtype()) if convert else arr
+        out[name] = buf[offset // 4:offset // 4 + count].reshape(shape)
     return out
 
 
 def load_into(path: str | Path, params: dict[str, Tensor]) -> None:
     """Load a checkpoint into existing parameter tensors; the names must match
-    exactly and every shape must agree. An array already in a parameter's
-    dtype is assigned as it is."""
+    exactly and every shape must agree. Each parameter keeps its dtype: a
+    float32 one takes the stored view as it is, a float64 one a converted
+    copy."""
     loaded = load_checkpoint(path)
     missing = set(params) - set(loaded)
     if missing:

@@ -21,10 +21,11 @@ ACTIVATIONS = {"gelu": T.gelu}
 
 def init_uniform(rng: np.random.Generator | None, shape: tuple[int, ...],
                  fan_in: int) -> np.ndarray:
-    """Scaled uniform init, +-1/sqrt(fan_in). Without ``rng`` nothing is drawn:
-    zeros of the default dtype, for a model whose weights a checkpoint fills."""
+    """Scaled uniform init, +-1/sqrt(fan_in), in float64. Without ``rng``
+    nothing is drawn: float32 zeros, the checkpoint's storage dtype, for a
+    model whose weights a checkpoint fills."""
     if rng is None:
-        return np.zeros(shape, dtype=T.default_dtype())
+        return np.zeros(shape, dtype=np.float32)
     bound = 1.0 / math.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
@@ -86,14 +87,14 @@ class LayerNorm:
 class KvCache:
     """One attention block's keys and values for up to ``rows`` sequences.
 
-    K and V each live in one preallocated ``(rows, max_len, width)`` buffer;
-    every sequence has its own length. ``extend`` copies only the new rows
-    into place and returns ``[:n]`` array views, so a report copies each row
-    once. Inference only: the stored values carry no graph.
+    K and V each live in one preallocated ``(rows, max_len, width)`` buffer
+    of ``dtype``, the LM's; every sequence has its own length. ``extend``
+    copies only the new rows into place and returns ``[:n]`` array views, so
+    a report copies each row once. Inference only: the stored values carry
+    no graph.
     """
 
-    def __init__(self, rows: int, max_len: int, width: int):
-        dtype = T.default_dtype()
+    def __init__(self, rows: int, max_len: int, width: int, dtype=np.float64):
         self.k = np.empty((rows, max_len, width), dtype=dtype)
         self.v = np.empty((rows, max_len, width), dtype=dtype)
         self.lens = np.zeros(rows, dtype=np.intp)

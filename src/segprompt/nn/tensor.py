@@ -7,9 +7,11 @@ its grad, parents and backward closure once its closure has run, so the
 activations the closures hold are freed while backward runs, not after it.
 A graph is backpropagated once; reaching a consumed node again raises
 ``ContractError``. Inside ``no_grad()`` no graph is recorded, so
-inference keeps no parents or backward closures alive. Arrays are float64 by
-default ("test mode"); training runs switch to float32 via
-``set_default_dtype`` / ``precision``.
+inference keeps no parents or backward closures alive. There is no global
+dtype: a ``Tensor`` keeps the float dtype of the array it wraps, every op
+computes in its operands' dtype, and a constant (a Python float, or any
+non-``Tensor`` operand of ``+``, ``-`` and ``*``) takes the dtype of the
+``Tensor`` it meets, so float32 arithmetic stays float32 (NEP 50).
 
 ``linear``, ``layer_norm``, ``gelu`` and ``attention`` build a graph node
 only when their activation input (``x``, or ``q``) is a ``Tensor``. Given an
@@ -30,36 +32,7 @@ import numpy as np
 
 from segprompt.errors import ContractError, OracleError
 
-_DEFAULT_DTYPE = np.float64
-
-_DTYPE_NAMES = {"float32": np.float32, "float64": np.float64}
-
 _GRAD_ENABLED = True
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
-
-
-def set_default_dtype(dtype) -> None:
-    """Set the dtype used for all newly created tensors ('float32'/'float64')."""
-    global _DEFAULT_DTYPE
-    if isinstance(dtype, str):
-        dtype = _DTYPE_NAMES.get(dtype, dtype)
-    if dtype not in (np.float32, np.float64):
-        raise ContractError(f"unsupported dtype {dtype!r}")
-    _DEFAULT_DTYPE = dtype
-
-
-@contextmanager
-def precision(dtype):
-    """Temporarily switch the default dtype (e.g. float32 for training runs)."""
-    prev = _DEFAULT_DTYPE
-    set_default_dtype(dtype)
-    try:
-        yield
-    finally:
-        set_default_dtype(prev)
 
 
 @contextmanager
@@ -75,12 +48,14 @@ def no_grad():
 
 
 class Tensor:
-    """A node in the autodiff graph holding an ndarray value."""
+    """A node in the autodiff graph holding an ndarray value: a float array
+    as it is, anything else as float64."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple = ()
@@ -159,7 +134,7 @@ class Tensor:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return add(self, -as_tensor(other))
+        return add(self, -as_tensor(other, self.data.dtype))
 
     def __neg__(self):
         out = _make(-self.data, (self,))
@@ -194,14 +169,15 @@ def _consumed(g) -> None:
                         "consumed; rebuild the graph to backpropagate it again")
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def as_tensor(x, dtype=None) -> Tensor:
+    """``x`` as a Tensor; a non-Tensor is converted to ``dtype`` when given."""
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=dtype))
 
 
 def _make(data: np.ndarray, parents: tuple) -> Tensor:
     req = _GRAD_ENABLED and any(p.requires_grad for p in parents)
     out = Tensor.__new__(Tensor)
-    out.data = data if data.dtype == _DEFAULT_DTYPE else data.astype(_DEFAULT_DTYPE)
+    out.data = data
     out.grad = None
     out.requires_grad = req
     out._parents = parents if req else ()
@@ -223,7 +199,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    b = as_tensor(b, a.data.dtype)
     out = _make(a.data + b.data, (a, b))
     if out.requires_grad:
         def bw(g):
@@ -236,7 +212,7 @@ def add(a: Tensor, b) -> Tensor:
 
 
 def mul(a: Tensor, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    b = as_tensor(b, a.data.dtype)
     out = _make(a.data * b.data, (a, b))
     if out.requires_grad:
         def bw(g):

@@ -450,13 +450,16 @@ def write_manifest(root: Path, manifest: dict) -> None:
 
 
 def load_manifest(data_dir: str | Path) -> tuple[dict, list[StudyRecord]]:
-    """The manifest and its study records. A malformed manifest, a ``spec``
-    that does not fit SynthSpec, an entry that does not fit StudyRecord or
-    lacks a ``current_frontal`` view, or two entries with one ``study_id``
-    raise a ContractError naming the file, the entry and the field."""
+    """The manifest and its study records. A missing or malformed manifest, a
+    ``spec`` that does not fit SynthSpec, an entry that does not fit
+    StudyRecord or lacks a ``current_frontal`` view, or two entries with one
+    ``study_id`` raise a ContractError naming the file, the entry and the
+    field."""
     path = Path(data_dir) / "manifest.json"
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ContractError(f"{path}: file not found") from None
     except json.JSONDecodeError as exc:
         raise ContractError(f"{path}: not valid JSON ({exc})") from exc
     studies = manifest.get("studies") if isinstance(manifest, dict) else None

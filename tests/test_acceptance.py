@@ -38,7 +38,7 @@ from segprompt.mllm import (
     make_adapter,
     train,
 )
-from segprompt.nn import Tensor, finite_diff_grad, grad_rel_error, no_grad, precision
+from segprompt.nn import Tensor, finite_diff_grad, grad_rel_error, no_grad
 from segprompt.prompting import Strategy, StudyInput, build_prompt, prompt_dumps
 from segprompt.som import MarkStyle, overlay_footprint, render_overlay
 from segprompt.synth import (
@@ -243,19 +243,18 @@ def mechanism_runs():
     for strategy in (Strategy.NS, Strategy.SS):
         micros = []
         for seed in MECHANISM_SEEDS:
-            with precision("float32"):
-                model = ReportModel(ModelConfig(seed=seed), vocabulary())
-                enc_params = {n: p for n, p in model.named_params().items()
-                              if n.startswith("enc.")}
-                before = param_checksum(enc_params)
-                tc = TrainConfig(epochs=3, base_lr=2e-3, batch_size=8, seed=seed,
-                                 strategy=strategy, single_view=True)
-                train(model, train_set, tc)
-                results["checksums"].append((before, param_checksum(enc_params)))
-                reports = model.generate_reports(test_set, strategy, single_view=True,
-                                                 max_new=40)
-                preds = [findings_to_labels(model.tokenizer.detokenize(ids))
-                         for ids in reports]
+            model = ReportModel(ModelConfig(seed=seed), vocabulary(), dtype="float32")
+            enc_params = {n: p for n, p in model.named_params().items()
+                          if n.startswith("enc.")}
+            before = param_checksum(enc_params)
+            tc = TrainConfig(epochs=3, base_lr=2e-3, batch_size=8, seed=seed,
+                             strategy=strategy, single_view=True)
+            train(model, train_set, tc)
+            results["checksums"].append((before, param_checksum(enc_params)))
+            reports = model.generate_reports(test_set, strategy, single_view=True,
+                                             max_new=40)
+            preds = [findings_to_labels(model.tokenizer.detokenize(ids))
+                     for ids in reports]
             micros.append(macro_micro_f1(preds, gt)[1])
         results["micro"][strategy.value] = micros
     results["elapsed"] = time.monotonic() - start
@@ -285,18 +284,17 @@ def test_criterion_5_memorization():
                    300):
         spec = SynthSpec(seed=11, n_studies=8, lateral_prob=0.0, prior_prob=0.0)
         studies = [make_study(spec, i) for i in range(8)]
-        with precision("float32"):
-            model = ReportModel(ModelConfig(seed=0), vocabulary())
-            tc = TrainConfig(epochs=1, base_lr=3e-3, batch_size=8, max_steps=500,
-                             weight_decay=0.0, seed=0, strategy=Strategy.SS,
-                             single_view=True)
-            result = train(model, studies, tc)
-            assert tc.max_steps <= 2000
-            assert result.final_loss < 0.05, result.final_loss
-            reports = model.generate_reports(studies, Strategy.SS, single_view=True,
-                                             max_new=60)
-            exact = sum(ids == model.tokenizer.encode(s.target_findings)
-                        for s, ids in zip(studies, reports))
+        model = ReportModel(ModelConfig(seed=0), vocabulary(), dtype="float32")
+        tc = TrainConfig(epochs=1, base_lr=3e-3, batch_size=8, max_steps=500,
+                         weight_decay=0.0, seed=0, strategy=Strategy.SS,
+                         single_view=True)
+        result = train(model, studies, tc)
+        assert tc.max_steps <= 2000
+        assert result.final_loss < 0.05, result.final_loss
+        reports = model.generate_reports(studies, Strategy.SS, single_view=True,
+                                         max_new=60)
+        exact = sum(ids == model.tokenizer.encode(s.target_findings)
+                    for s, ids in zip(studies, reports))
         assert exact >= 6, f"only {exact}/8 reproduced exactly"
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from segprompt.errors import ContractError
-from segprompt.nn import MAGIC, Tensor, load_checkpoint, load_into, precision, save_checkpoint
+from segprompt.nn import MAGIC, Tensor, load_checkpoint, load_into, save_checkpoint
 
 
 def test_roundtrip_values_and_shapes(tmp_path):
@@ -81,17 +81,17 @@ def test_load_into_gives_each_load_its_own_writable_arrays(tmp_path, dtype):
 
 
 def test_float32_load_views_one_buffer(tmp_path):
-    """The data section is read once; under float32 each entry is a writable
-    view of that one buffer, and ``load_into`` hands the views on as they are."""
+    """The data section is read once; each entry is a writable float32 view
+    of that one buffer, and ``load_into`` hands the views on as they are to
+    float32 parameters."""
     path = tmp_path / "model.ckpt"
     rng = np.random.default_rng(1)
     params = {"a": rng.standard_normal((3, 4)), "b": rng.standard_normal(5),
               "c": rng.standard_normal((2, 1, 3))}
     save_checkpoint(path, params)
-    with precision("float32"):
-        loaded = load_checkpoint(path)
-        target = {name: Tensor(np.zeros(p.shape)) for name, p in params.items()}
-        load_into(path, target)
+    loaded = load_checkpoint(path)
+    target = {name: Tensor(np.zeros(p.shape, dtype=np.float32)) for name, p in params.items()}
+    load_into(path, target)
     buf = loaded["a"].base
     assert buf is not None and buf.nbytes == 4 * sum(p.size for p in params.values())
     for name, arr in loaded.items():
@@ -103,12 +103,14 @@ def test_float32_load_views_one_buffer(tmp_path):
     assert np.array_equal(loaded["a"], params["a"].astype(np.float32))
 
 
-def test_float64_load_converts_each_entry(tmp_path):
+def test_load_into_float64_params_converts_each_entry(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, {"a": np.arange(3.0), "b": np.ones(2)})
-    loaded = load_checkpoint(path)
-    assert all(arr.dtype == np.float64 for arr in loaded.values())
-    assert not np.shares_memory(loaded["a"], loaded["b"])
+    target = {"a": Tensor(np.zeros(3)), "b": Tensor(np.zeros(2))}
+    load_into(path, target)
+    assert all(t.data.dtype == np.float64 for t in target.values())
+    assert not np.shares_memory(target["a"].data, target["b"].data)
+    assert target["a"].data.tolist() == [0.0, 1.0, 2.0] and target["b"].data.tolist() == [1.0, 1.0]
 
 
 # -- malformed files: each raises ContractError naming the path (and the entry) --

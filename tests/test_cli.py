@@ -16,7 +16,7 @@ from segprompt.cli import run_command
 from segprompt.encoder import VitConfig
 from segprompt.errors import ContractError, checked_fields
 from segprompt.mllm import ModelConfig, ReportModel, TrainFile
-from segprompt.nn import load_checkpoint
+from segprompt.nn import load_checkpoint, no_grad
 from segprompt.prompting import Strategy
 from segprompt.synth import SynthSpec, load_manifest, load_study, vocabulary
 
@@ -72,9 +72,26 @@ class TestUsage:
         assert run_command(["render-som", "--data", str(dataset), "--out",
                             str(tmp_path / "o"), "--som-style", "none"]) == 2
 
-    def test_missing_data_is_runtime_error(self, tmp_path):
-        assert run_command(["build-prompt", "--data", str(tmp_path / "nope"),
-                            "--study", "study_00000"]) == 1
+    def test_missing_data_is_runtime_error(self, checkpoint, tmp_path, capsys):
+        """A ``--data`` directory without ``manifest.json`` is a ContractError
+        naming that path, from every command that reads a dataset; it used to
+        exit with a bare "[Errno 2] No such file or directory"."""
+        data = tmp_path / "nope"
+        manifest = data / "manifest.json"
+        with pytest.raises(ContractError, match=re.escape(f"{manifest}: file not found")):
+            load_manifest(data)
+        study = ["--data", str(data), "--study", "study_00000"]
+        for argv in (["build-prompt"] + study, ["extract-tokens"] + study,
+                     ["generate", "--ckpt", str(checkpoint)] + study,
+                     ["eval", "--data", str(data), "--ckpt", str(checkpoint),
+                      "--report", str(tmp_path / "report.json")],
+                     ["train", "--data", str(data), "--out", str(tmp_path / "run")],
+                     ["render-som", "--data", str(data), "--out", str(tmp_path / "som")]):
+            assert run_command(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert f"{manifest}: file not found" in err, (argv, err)
+            assert "Errno" not in err, (argv, err)
+        assert not (tmp_path / "run").exists() and not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("command,flag,value", [
         ("train", "--max-steps", "0"),
@@ -469,6 +486,37 @@ class TestSequenceTooLong:
         assert not out.exists()
 
 
+class TestNothingToTrain:
+    """A ``train.frozen`` list that leaves no parameter to train exits 1
+    naming the config file and the key, and writes no output directory.
+    Whether ``bridge`` exists depends on the model config: TINY_CONFIG's
+    extractor and LM widths are equal, so its model has none."""
+
+    @pytest.mark.parametrize("frozen", [
+        ["encoder", "extractor", "adapter", "bridge", "lm"],
+        ["encoder", "extractor", "adapter", "lm"]], ids=["all-five", "no-bridge"])
+    def test_names_file_and_key(self, dataset, tmp_path, capsys, frozen):
+        path = tmp_path / "train.json"
+        path.write_text(json.dumps({**TINY_CONFIG,
+                                    "train": {**TINY_CONFIG["train"], "frozen": frozen}}))
+        out = tmp_path / "run"
+        assert run_command(["train", "--data", str(dataset), "--config", str(path),
+                            "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: key 'train.frozen'" in err and "nothing to train" in err, err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_bridge_left_to_train_trains(self, dataset, tmp_path):
+        config = tiny_config(lm_dim=16)
+        config["train"] = {**config["train"], "frozen": ["encoder", "extractor", "adapter", "lm"]}
+        path = tmp_path / "train.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        assert run_command(["train", "--data", str(dataset), "--config", str(path),
+                            "--out", str(out), "--max-steps", "1"]) == 0
+        assert (out / "model.ckpt").exists()
+
+
 class TestBadStudyFiles:
     """A mask file the manifest names that is missing, or that has another
     extent than its image, makes every command that reads the study exit 1
@@ -730,6 +778,37 @@ class TestExtractTokens:
             view.value: [{"structure": p.structure.value,
                           "mask_token": [float(v) for v in p.mask_token.data],
                           "spatial_token": [float(v) for v in p.spatial_token.data]}
+                         for p in view_pairs]
+            for view, view_pairs in pairs.items()
+        }
+        assert json.loads(out.read_text()) == expected
+
+
+    def test_checkpoint_precision_dumped(self, dataset, tmp_path):
+        """With ``--ckpt`` on a float32 checkpoint the dump holds exactly the
+        float32 tokens of ``seg_pairs`` under the loaded model, the tokens
+        ``train`` and ``generate`` feed the LM; they used to be computed in
+        float64 and differ from these by up to about 1e-7."""
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG,
+                                   "train": {**TINY_CONFIG["train"], "precision": "float32"}}))
+        ckpt, out = tmp_path / "run", tmp_path / "tokens.json"
+        assert run_command(["train", "--data", str(dataset), "--config", str(cfg),
+                            "--out", str(ckpt), "--max-steps", "1"]) == 0
+        assert run_command(["extract-tokens", "--data", str(dataset), "--ckpt", str(ckpt),
+                            "--study", "study_00000", "--out", str(out)]) == 0
+        model, _ = cli._load_model(ckpt)
+        _, records = load_manifest(dataset)
+        study = load_study(next(r for r in records if r.study_id == "study_00000"), dataset)
+        with no_grad():
+            pairs = model.seg_pairs(study, model.encode_views([study])[0], Strategy.SS)
+        tokens = [t.data for view_pairs in pairs.values() for p in view_pairs
+                  for t in (p.mask_token, p.spatial_token)]
+        assert tokens and all(t.dtype == np.float32 for t in tokens)
+        expected = {
+            view.value: [{"structure": p.structure.value,
+                          "mask_token": p.mask_token.data.tolist(),
+                          "spatial_token": p.spatial_token.data.tolist()}
                          for p in view_pairs]
             for view, view_pairs in pairs.items()
         }

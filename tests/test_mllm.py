@@ -41,13 +41,14 @@ from segprompt.nn import (
     load_into,
     lr_at,
     no_grad,
-    precision,
     save_checkpoint,
 )
 from segprompt.prompting import ImageSlot, SegSlot, Strategy, TextSpan, View, build_prompt
 from segprompt.prompting import ANNOTATION_ROLES
 from segprompt.nn import tensor as T
 from segprompt.synth import SynthSpec, make_study, vocabulary
+
+from helpers import cast_params
 
 
 def tiny_model_config(lm_dim=12, seed=0) -> ModelConfig:
@@ -428,9 +429,10 @@ class TestKvCache:
             cache.extend(1, np.zeros((2, 2)), np.zeros((2, 2)))
         assert cache.lens.tolist() == [0, 5]
 
-    def test_buffer_takes_the_default_dtype(self):
-        with precision("float32"):
-            assert KvCache(1, 4, 2).k.dtype == np.float32
+    def test_buffer_takes_the_dtype_it_is_given(self):
+        cache = KvCache(1, 4, 2, np.float32)
+        assert cache.k.dtype == cache.v.dtype == np.float32
+        assert KvCache(1, 4, 2, "float32").k.dtype == np.float32
         assert KvCache(1, 4, 2).v.dtype == np.float64
 
     def test_batched_step_past_max_seq_len_rejected(self):
@@ -476,11 +478,12 @@ class TestLockstepDecoding:
     tokens and every step's logits bit for bit, in float32 and float64."""
 
     @staticmethod
-    def lm_and_prompts(seed, batch, max_seq_len=40):
+    def lm_and_prompts(seed, batch, max_seq_len=40, dtype="float64"):
         rng = np.random.default_rng(200 + seed)
         lm = DecoderLm(LmConfig(vocab_size=17, dim=8, depth=2, heads=2,
                                 max_seq_len=max_seq_len), seed=seed)
-        prompts = [Tensor(rng.standard_normal((int(rng.integers(3, 25)), 8)))
+        cast_params(lm.named_params(), dtype)
+        prompts = [Tensor(rng.standard_normal((int(rng.integers(3, 25)), 8)).astype(dtype))
                    for _ in range(batch)]
         return lm, prompts
 
@@ -488,52 +491,49 @@ class TestLockstepDecoding:
     @pytest.mark.parametrize("batch", [1, 2, 5])
     def test_random_lms_unequal_prompts(self, dtype, batch):
         decoded = 0
-        with precision(dtype):
-            for seed in range(6):
-                lm, prompts = self.lm_and_prompts(seed, batch)
-                assert batch == 1 or len({p.shape[0] for p in prompts}) > 1
-                ref, ref_rows = decode_alone(lm, prompts, 16)
-                rows, ndims = lockstep_recorder(lm, prompts, 16)
-                got = generate(lm, prompts, 16)
-                assert_bit_identical(got, rows, ref, ref_rows)
-                assert set(ndims) == {3}  # every cached forward is (B, n, dim)
-                decoded += sum(map(len, ref))
+        for seed in range(6):
+            lm, prompts = self.lm_and_prompts(seed, batch, dtype=dtype)
+            assert batch == 1 or len({p.shape[0] for p in prompts}) > 1
+            ref, ref_rows = decode_alone(lm, prompts, 16)
+            rows, ndims = lockstep_recorder(lm, prompts, 16)
+            got = generate(lm, prompts, 16)
+            assert_bit_identical(got, rows, ref, ref_rows)
+            assert set(ndims) == {3}  # every cached forward is (B, n, dim)
+            decoded += sum(map(len, ref))
         assert decoded >= 40 * batch
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_one_row_hits_max_seq_len(self, dtype):
-        with precision(dtype):
-            lm, _ = self.lm_and_prompts(1, 0, max_seq_len=24)
-            lm.head.bias.data[Tokenizer.EOS] = -1e3
-            rng = np.random.default_rng(5)
-            prompts = [Tensor(rng.standard_normal((n, 8))) for n in (20, 6, 11, 24, 9)]
-            ref, ref_rows = decode_alone(lm, prompts, 12)
-            rows, _ = lockstep_recorder(lm, prompts, 12)
-            got = generate(lm, prompts, 12)
-            assert_bit_identical(got, rows, ref, ref_rows)
-            assert len(got[0]) == 24 - 20  # capped by max_seq_len, not by max_new
-            assert got[3] == [] and rows[3] == []  # a full prompt leaves no room
-            assert [len(got[i]) for i in (1, 2, 4)] == [12, 12, 12]
+        lm, _ = self.lm_and_prompts(1, 0, max_seq_len=24, dtype=dtype)
+        lm.head.bias.data[Tokenizer.EOS] = -1e3
+        rng = np.random.default_rng(5)
+        prompts = [Tensor(rng.standard_normal((n, 8)).astype(dtype)) for n in (20, 6, 11, 24, 9)]
+        ref, ref_rows = decode_alone(lm, prompts, 12)
+        rows, _ = lockstep_recorder(lm, prompts, 12)
+        got = generate(lm, prompts, 12)
+        assert_bit_identical(got, rows, ref, ref_rows)
+        assert len(got[0]) == 24 - 20  # capped by max_seq_len, not by max_new
+        assert got[3] == [] and rows[3] == []  # a full prompt leaves no room
+        assert [len(got[i]) for i in (1, 2, 4)] == [12, 12, 12]
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_one_row_stops_at_eos_early(self, dtype):
         """The first seed where one row emits EOS while another runs to the
         cap: the batch shrinks mid-report and the rest stay bit-identical."""
-        with precision(dtype):
-            for seed in range(20):
-                lm, prompts = self.lm_and_prompts(seed, 5)
-                ref, ref_rows = decode_alone(lm, prompts, 16)
-                lens = [len(ids) for ids in ref]
-                if min(lens) < 16 and max(lens) == 16:
-                    break
-            else:
-                pytest.fail("no seed gave both an early EOS and a full report")
-            rows, ndims = lockstep_recorder(lm, prompts, 16)
-            got = generate(lm, prompts, 16)
-            assert_bit_identical(got, rows, ref, ref_rows)
-            early = lens.index(min(lens))
-            assert len(rows[early]) == lens[early] + 1  # the step that emitted EOS
-            assert 3 in ndims
+        for seed in range(20):
+            lm, prompts = self.lm_and_prompts(seed, 5, dtype=dtype)
+            ref, ref_rows = decode_alone(lm, prompts, 16)
+            lens = [len(ids) for ids in ref]
+            if min(lens) < 16 and max(lens) == 16:
+                break
+        else:
+            pytest.fail("no seed gave both an early EOS and a full report")
+        rows, ndims = lockstep_recorder(lm, prompts, 16)
+        got = generate(lm, prompts, 16)
+        assert_bit_identical(got, rows, ref, ref_rows)
+        early = lens.index(min(lens))
+        assert len(rows[early]) == lens[early] + 1  # the step that emitted EOS
+        assert 3 in ndims
 
     def test_rows_are_reused_past_decode_rows(self, monkeypatch):
         monkeypatch.setattr(mllm, "DECODE_ROWS", 2)
@@ -557,22 +557,21 @@ class TestLockstepDecoding:
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_report_model_multi_view(self, dtype, strategy):
-        with precision(dtype):
-            model = ReportModel(tiny_model_config(), vocabulary())
-            studies = tiny_studies(3, seed=11, lateral_prob=0.5, prior_prob=0.5)
-            assert len({len(s.views()) for s in studies}) > 1
-            with no_grad():
-                prompts = [model.realize(s, strategy) for s in studies]
-            ref, ref_rows = [], []
-            for study, prompt in zip(studies, prompts):
-                rows, _ = lockstep_recorder(model.lm, [prompt], 24)
-                ref += model.generate_reports([study], strategy, max_new=24)
-                ref_rows += rows
-                stop_recording(model.lm)
-            rows, _ = lockstep_recorder(model.lm, prompts, 24)
-            got = model.generate_reports(studies, strategy, max_new=24)
-            assert_bit_identical(got, rows, ref, ref_rows)
-            assert all(len(ids) > 0 for ids in got)
+        model = ReportModel(tiny_model_config(), vocabulary(), dtype=dtype)
+        studies = tiny_studies(3, seed=11, lateral_prob=0.5, prior_prob=0.5)
+        assert len({len(s.views()) for s in studies}) > 1
+        with no_grad():
+            prompts = [model.realize(s, strategy) for s in studies]
+        ref, ref_rows = [], []
+        for study, prompt in zip(studies, prompts):
+            rows, _ = lockstep_recorder(model.lm, [prompt], 24)
+            ref += model.generate_reports([study], strategy, max_new=24)
+            ref_rows += rows
+            stop_recording(model.lm)
+        rows, _ = lockstep_recorder(model.lm, prompts, 24)
+        got = model.generate_reports(studies, strategy, max_new=24)
+        assert_bit_identical(got, rows, ref, ref_rows)
+        assert all(len(ids) > 0 for ids in got)
 
 
 class TestGraphFreeDecoding:
@@ -619,14 +618,15 @@ def decode_cases(draw):
     return cfg, draw(st.sampled_from(["float32", "float64"])), lens, draw(st.integers(0, 2 ** 16))
 
 
-def prefilled(cfg, lens, seed):
-    """A seeded LM and its caches with one prompt prefilled per buffer row
-    through ``lm.forward``, as ``generate`` does."""
+def prefilled(cfg, lens, seed, dtype="float64"):
+    """A seeded LM in ``dtype`` and its caches with one prompt prefilled per
+    buffer row through ``lm.forward``, as ``generate`` does."""
     rng = np.random.default_rng(seed)
     lm = DecoderLm(cfg, seed=seed)
-    cache = [KvCache(len(lens), cfg.max_seq_len, cfg.dim) for _ in lm.blocks]
+    cast_params(lm.named_params(), dtype)
+    cache = [KvCache(len(lens), cfg.max_seq_len, cfg.dim, dtype) for _ in lm.blocks]
     for row, n in enumerate(lens):
-        lm.forward(rng.standard_normal((1, n, cfg.dim)).astype(T.default_dtype()), cache, [row])
+        lm.forward(rng.standard_normal((1, n, cfg.dim)).astype(dtype), cache, [row])
     return lm, cache, rng
 
 
@@ -643,8 +643,8 @@ class TestDecodeStep:
     @settings(deadline=None)
     def test_matches_layer_path_bit_for_bit(self, case):
         cfg, dtype, lens, seed = case
-        with precision(dtype), no_grad():
-            lm, cache, rng = prefilled(cfg, lens, seed)
+        with no_grad():
+            lm, cache, rng = prefilled(cfg, lens, seed, dtype)
             step = lm.decode_step(cache)
             while True:
                 rows = [r for r in range(len(lens)) if cache[0].lens[r] < cfg.max_seq_len]
@@ -669,8 +669,8 @@ class TestDecodeStep:
         ((1, 1, 8), [0, 1])])  # more rows than B
     def test_bad_step_raises_as_forward_and_writes_nothing(self, dtype, shape, rows):
         cfg = LmConfig(vocab_size=9, dim=8, depth=2, heads=2, max_seq_len=6)
-        with precision(dtype), no_grad():
-            lm, cache, _ = prefilled(cfg, [3, 5, 6], seed=1)
+        with no_grad():
+            lm, cache, _ = prefilled(cfg, [3, 5, 6], seed=1, dtype=dtype)
             before = cache_bytes(cache)
             x = np.zeros(shape, dtype=dtype)
             with pytest.raises(ContractError) as by_forward:
@@ -711,8 +711,8 @@ class TestBatchedEncode:
     def test_matches_one_image_at_a_time(self, dtype):
         studies = tiny_studies(5, seed=15, lateral_prob=0.5, prior_prob=0.5)
         assert sorted({len(s.views()) for s in studies}) == [1, 2, 3]
-        with precision(dtype), no_grad():
-            model = ReportModel(tiny_model_config(), vocabulary())
+        with no_grad():
+            model = ReportModel(tiny_model_config(), vocabulary(), dtype=dtype)
             batched = model.encode_views(studies)
             assert len(batched) == len(studies)
             for study, got in zip(studies, batched):
@@ -731,6 +731,51 @@ class TestBatchedEncode:
         assert [list(enc) for enc in model.encode_views(studies, single_view=True)] == [
             [View.CURRENT_FRONTAL]] * 2
         assert model.encode_views([]) == []
+
+
+class TestDtypeClosure:
+    """A float32 model computes in float32 throughout, with nothing switched
+    process-wide: every node that a train step of every component and a
+    decode make, every gradient, every AdamW moment and every key/value
+    buffer. Constants, and the inputs that enter the model (the patch stack,
+    pooling weights and mask resamples), take the weights' dtype."""
+
+    @pytest.mark.parametrize("strategy", [Strategy.SS, Strategy.NS])
+    def test_float32_train_step_and_decode(self, monkeypatch, strategy):
+        seen = []
+        make, accumulate = T._make, Tensor._accumulate
+        adamw_step, kv_init = AdamW.step, KvCache.__init__
+
+        def spy_make(data, parents):
+            seen.append(("node", data.dtype))
+            return make(data, parents)
+
+        def spy_accumulate(self, g):
+            accumulate(self, g)
+            seen.append(("grad", self.grad.dtype))
+
+        def spy_step(self, lr):
+            adamw_step(self, lr)
+            seen.extend(("moment", m.dtype) for m in (*self.m.values(), *self.v.values()))
+
+        def spy_kv_init(self, *args):
+            kv_init(self, *args)
+            seen.extend([("kv", self.k.dtype), ("kv", self.v.dtype)])
+
+        monkeypatch.setattr(T, "_make", spy_make)
+        monkeypatch.setattr(Tensor, "_accumulate", spy_accumulate)
+        monkeypatch.setattr(AdamW, "step", spy_step)
+        monkeypatch.setattr(KvCache, "__init__", spy_kv_init)
+        model = ReportModel(tiny_model_config(lm_dim=16), vocabulary(), dtype="float32")
+        assert model.bridge is not None
+        studies = tiny_studies(2, seed=11, lateral_prob=1.0, prior_prob=0.0)
+        train(model, studies, TrainConfig(batch_size=2, max_steps=1, strategy=strategy,
+                                          frozen=()))
+        ids = model.generate_reports(studies, strategy, max_new=8)
+        assert sum(map(len, ids)) > 0
+        assert {kind for kind, _ in seen} == {"node", "grad", "moment", "kv"}
+        assert {dtype for _, dtype in seen} == {np.dtype(np.float32)}
+        assert all(p.data.dtype == np.float32 for p in model.named_params().values())
 
 
 def decode_digests(ids, rows) -> tuple[str, str]:
@@ -763,15 +808,15 @@ class TestDecodeDigests:
         ("float64", 5, ("636e0c4c3fc02498", "81785522d77e928e"))])
     def test_seeded_lms(self, dtype, batch, digests):
         ids, rows = [], []
-        with precision(dtype):
-            for seed in range(4):
-                rng = np.random.default_rng(300 + seed)
-                lm = DecoderLm(LmConfig(vocab_size=17, dim=8, depth=2, heads=2,
-                                        max_seq_len=40), seed=seed)
-                prompts = [Tensor(rng.standard_normal((int(rng.integers(3, 25)), 8)))
-                           for _ in range(batch)]
-                rows += lockstep_recorder(lm, prompts, 16)[0]
-                ids += generate(lm, prompts, 16)
+        for seed in range(4):
+            rng = np.random.default_rng(300 + seed)
+            lm = DecoderLm(LmConfig(vocab_size=17, dim=8, depth=2, heads=2,
+                                    max_seq_len=40), seed=seed)
+            cast_params(lm.named_params(), dtype)
+            prompts = [Tensor(rng.standard_normal((int(rng.integers(3, 25)), 8)).astype(dtype))
+                       for _ in range(batch)]
+            rows += lockstep_recorder(lm, prompts, 16)[0]
+            ids += generate(lm, prompts, 16)
         assert decode_digests(ids, rows) == digests
 
     @pytest.mark.parametrize("dtype,strategy,digests", [
@@ -780,13 +825,12 @@ class TestDecodeDigests:
         ("float64", Strategy.NS, ("6b13593d1c781eeb", "691e769c15be2e8c")),
         ("float64", Strategy.SS, ("7c3c0008d7c94659", "60082ade2faca6a9"))])
     def test_report_model(self, dtype, strategy, digests):
-        with precision(dtype):
-            model = ReportModel(tiny_model_config(), vocabulary())
-            studies = tiny_studies(3, seed=11, lateral_prob=0.5, prior_prob=0.5)
-            with no_grad():
-                prompts = [model.realize(s, strategy) for s in studies]
-            rows, _ = lockstep_recorder(model.lm, prompts, 24)
-            ids = model.generate_reports(studies, strategy, max_new=24)
+        model = ReportModel(tiny_model_config(), vocabulary(), dtype=dtype)
+        studies = tiny_studies(3, seed=11, lateral_prob=0.5, prior_prob=0.5)
+        with no_grad():
+            prompts = [model.realize(s, strategy) for s in studies]
+        rows, _ = lockstep_recorder(model.lm, prompts, 24)
+        ids = model.generate_reports(studies, strategy, max_new=24)
         assert decode_digests(ids, rows) == digests
 
 
@@ -805,16 +849,14 @@ class TestLoadOnceConstruction:
         ("float64", 12, "949caf7aed4cf765"), ("float64", 16, "1eaf969c1d6b3614"),
         ("float32", 12, "81beedb7676efbd0"), ("float32", 16, "9d536775a49bff07")])
     def test_seeded_init_unchanged(self, dtype, lm_dim, digest):
-        with precision(dtype):
-            assert param_digest(ReportModel(tiny_model_config(lm_dim=lm_dim),
-                                            vocabulary())) == digest
+        assert param_digest(ReportModel(tiny_model_config(lm_dim=lm_dim), vocabulary(),
+                                        dtype=dtype)) == digest
 
     @pytest.mark.parametrize("lm_dim", [12, 16])
     def test_no_init_allocates_the_same_params_undrawn(self, lm_dim):
         seeded = ReportModel(tiny_model_config(lm_dim=lm_dim), vocabulary()).named_params()
-        with precision("float32"):
-            blank = ReportModel(tiny_model_config(lm_dim=lm_dim), vocabulary(),
-                                init=False).named_params()
+        blank = ReportModel(tiny_model_config(lm_dim=lm_dim), vocabulary(), init=False,
+                            dtype="float32").named_params()
         assert list(blank) == list(seeded)
         for name, p in blank.items():
             assert p.data.shape == seeded[name].shape and p.data.dtype == np.float32
@@ -1033,12 +1075,11 @@ class TestFreezingRule:
         studies = tiny_studies(n_studies, seed=11, lateral_prob=1.0, prior_prob=0.0)
         tc = TrainConfig(base_lr=1e-2, batch_size=batch_size, max_steps=3,
                          strategy=Strategy.SS, precision=dtype, frozen=frozen)
-        with precision(dtype):
-            model = ReportModel(tiny_model_config(lm_dim=16), vocabulary())
-            ref = ReportModel(tiny_model_config(lm_dim=16), vocabulary())
-            before = {k: v.data.copy() for k, v in model.named_params().items()}
-            result = train(model, studies, tc)
-            want_curve = reference_train(ref, studies, tc)
+        model = ReportModel(tiny_model_config(lm_dim=16), vocabulary(), dtype=dtype)
+        ref = ReportModel(tiny_model_config(lm_dim=16), vocabulary(), dtype=dtype)
+        before = {k: v.data.copy() for k, v in model.named_params().items()}
+        result = train(model, studies, tc)
+        want_curve = reference_train(ref, studies, tc)
         assert [loss for _, _, loss in result.curve] == want_curve
         got, want = model.named_params(), ref.named_params()
         assert list(got) == list(want)

@@ -20,6 +20,8 @@ from segprompt.nn import (
 )
 from segprompt.nn import tensor as T
 
+from helpers import cast_params
+
 
 # -- reference ops that only the oracles below build graphs from --------------
 
@@ -182,16 +184,17 @@ def backward_keeping_graph(loss) -> None:
 def small_graph(rng, mlp, gamma, beta):
     """A scalar loss over a fresh input through layer norm, an MLP, a residual
     (the input reaches the loss twice), a slice and a concat."""
-    x = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
+    x = Tensor(rng.standard_normal((4, 6)).astype(gamma.data.dtype), requires_grad=True)
     y = mlp(layer_norm(x, gamma, beta)) + x
     return cross_entropy(concat([y, y[1:2]], axis=0), np.arange(5)), x
 
 
-def small_params(seed):
+def small_params(seed, dtype="float64"):
     rng = np.random.default_rng(seed)
     mlp = MlpBlock([6, 5, 6], rng=rng)
-    gamma = Tensor(rng.standard_normal(6), requires_grad=True)
-    beta = Tensor(rng.standard_normal(6), requires_grad=True)
+    cast_params(mlp.named_params("mlp"), dtype)
+    gamma = Tensor(rng.standard_normal(6).astype(dtype), requires_grad=True)
+    beta = Tensor(rng.standard_normal(6).astype(dtype), requires_grad=True)
     return rng, mlp, gamma, beta
 
 
@@ -251,15 +254,14 @@ class TestConsumingBackward:
         same parameter gradients, bit for bit, as one backward of the mean."""
         grads = []
         for per_part in (False, True):
-            with T.precision(dtype):
-                rng, *params = small_params(5)
-                losses = [small_graph(rng, *params)[0] for _ in range(parts)]
-                if per_part:
-                    for loss in losses:
-                        (loss * (1.0 / parts)).backward()
-                else:
-                    concat([loss.reshape(1) for loss in losses], axis=0).mean().backward()
-                grads.append([p.grad for p in param_list(*params)])
+            rng, *params = small_params(5, dtype)
+            losses = [small_graph(rng, *params)[0] for _ in range(parts)]
+            if per_part:
+                for loss in losses:
+                    (loss * (1.0 / parts)).backward()
+            else:
+                concat([loss.reshape(1) for loss in losses], axis=0).mean().backward()
+            grads.append([p.grad for p in param_list(*params)])
         for got, want in zip(*grads):
             assert got.dtype == np.dtype(dtype) and np.array_equal(got, want)
 
@@ -345,12 +347,12 @@ class TestOps:
     @pytest.mark.parametrize("shape", [(1, 7), (5, 7), (2, 3, 7), (1, 64)])
     def test_layer_norm_bit_equals_mean_var_formulation(self, dtype, shape):
         rng = np.random.default_rng(10)
-        with T.precision(dtype):
-            x, gamma, beta = (Tensor(rng.standard_normal(s) * 3 + 1, requires_grad=True)
-                              for s in (shape, shape[-1:], shape[-1:]))
-            w = Tensor(rng.standard_normal(shape))
-            out = layer_norm(x, gamma, beta)
-            (out * w).sum().backward()
+        x, gamma, beta = (Tensor((rng.standard_normal(s) * 3 + 1).astype(dtype),
+                                 requires_grad=True)
+                          for s in (shape, shape[-1:], shape[-1:]))
+        w = Tensor(rng.standard_normal(shape).astype(dtype))
+        out = layer_norm(x, gamma, beta)
+        (out * w).sum().backward()
         want = mean_var_layer_norm(x.data, gamma.data, beta.data, w.data)
         got = (out.data, x.grad, gamma.grad, beta.grad)
         for i, (a, b) in enumerate(zip(got, want)):
@@ -477,10 +479,9 @@ class TestFusedPrimitives:
         assert np.allclose(T.attention(k, k, v, causal=True).data[0, 0], v.data[0, 0])
 
     def test_causal_mask_keeps_float32(self):
-        with T.precision("float32"):
-            q = Tensor(np.ones((1, 3, 2)), requires_grad=True)
-            out = T.attention(q, q, q, causal=True)
-            out.sum().backward()
+        q = Tensor(np.ones((1, 3, 2), dtype=np.float32), requires_grad=True)
+        out = T.attention(q, q, q, causal=True)
+        out.sum().backward()
         assert out.data.dtype == np.float32 and q.grad.dtype == np.float32
 
     @pytest.mark.parametrize("x_shape", LINEAR_X_SHAPES)
@@ -538,13 +539,6 @@ class TestFusedPrimitives:
         assert np.max(np.abs(want_g["attn.wk.bias"])) < 1e-12
         for name in params:
             assert grad_rel_error(got_g[name], want_g[name]) < 1e-10, name
-
-
-@pytest.mark.parametrize("dtype", ["float16", "int64", np.float16])
-def test_unsupported_default_dtype_rejected(dtype):
-    with pytest.raises(ContractError, match="unsupported dtype"):
-        T.set_default_dtype(dtype)
-    assert T.default_dtype() is np.float64
 
 
 def records_graph() -> bool:
