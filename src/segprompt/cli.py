@@ -96,7 +96,7 @@ def _find_record(data_dir: str | Path, study_id: str):
     for record in records:
         if record.study_id == study_id:
             return manifest, record
-    raise KeyError(f"study {study_id!r} not found in {data_dir}")
+    raise ContractError(f"{Path(data_dir) / 'manifest.json'}: no study {study_id!r}")
 
 
 def _check_image_size(data_dir: str | Path, manifest: dict, pairs, size: int,

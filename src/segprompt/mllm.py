@@ -4,10 +4,11 @@ loop, and greedy generation. ``train`` freezes by one rule: a component in
 constants that backward skips, and AdamW receives only the other components.
 
 Greedy decoding is KV-cached and graph-free: each prompt is prefilled once
-through the layers, then each step feeds only the newest token's embedding of
-every live sequence to a decode step bound to the LM's weight arrays, which
-attends over that sequence's cached keys and values. Both run on arrays and
-make no ``Tensor``.
+through the plain forward under ``no_grad``, which also fills its keys and
+values into a buffer row; then each step feeds only the newest token's
+embedding of every live sequence to a decode step bound to the LM's weight
+arrays, which attends over that sequence's cached keys and values and makes
+no ``Tensor``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -118,25 +119,19 @@ class DecoderLm:
     def embed(self, ids: Sequence[int]) -> Tensor:
         return self.tok_emb[np.asarray(ids, dtype=np.intp)]
 
-    def forward(self, embeddings: Tensor | np.ndarray, cache: list[KvCache] | None = None,
-                rows: Sequence[int] = ()) -> Tensor | np.ndarray:
+    def forward(self, embeddings: Tensor, cache: list[KvCache] | None = None,
+                row: int = 0) -> Tensor:
         """Embeddings (L, dim) -> logits (L, vocab) under causal masking.
 
-        With ``cache`` (one ``KvCache`` per block) the input is a (B, n, dim)
-        array: n new rows for each of the B cached sequences ``rows``, each at
-        its own next n positions and seeing every cached row of its sequence.
-        This path runs on arrays and its logits are a (B, n, vocab) ndarray.
+        With ``cache`` (one ``KvCache`` per block) each block also fills its
+        keys and values into buffer row ``row``: a prefill, for
+        ``decode_step`` to continue.
         """
-        if cache is None:
-            n = embeddings.shape[0]
-            self._check_length(n)
-            x = embeddings + self.pos_emb[:n]
-        else:
-            start = self._cached_start(embeddings, cache, rows)
-            pos = np.array(start)[:, None] + np.arange(embeddings.shape[1])
-            x = embeddings + self.pos_emb.data[pos]
+        n = embeddings.shape[0]
+        self._check_length(n)
+        x = embeddings + self.pos_emb[:n]
         for i, block in enumerate(self.blocks):
-            x = block(x, None if cache is None else cache[i], rows)
+            x = block(x, None if cache is None else cache[i], row)
         return self.head(self.ln_f(x))
 
     def _check_length(self, n: int) -> None:
@@ -144,30 +139,22 @@ class DecoderLm:
             raise ContractError(
                 f"sequence length {n} exceeds max_seq_len {self.cfg.max_seq_len}")
 
-    def _cached_start(self, embeddings: np.ndarray, cache: list[KvCache],
-                      rows: Sequence[int]) -> list[int]:
-        """Each cached sequence's first new position, after checking the
-        input's shape and that its new rows fit ``max_seq_len``; nothing is
-        written before these checks pass."""
-        if embeddings.ndim != 3 or len(rows) != embeddings.shape[0]:
-            raise ContractError(
-                f"a cached forward takes (B, n, dim) embeddings and B buffer rows; "
-                f"got shape {embeddings.shape} and rows {list(rows)}")
-        start = cache[0].lens[rows].tolist()
-        self._check_length(max(start) + embeddings.shape[1])
-        return start
-
     def decode_step(self, cache: list[KvCache]
                     ) -> Callable[[np.ndarray, Sequence[int]], np.ndarray]:
-        """``forward(x, cache, rows)`` for one new row per sequence, as a
-        function of ``(x, rows)`` bound to ``cache`` and to the weight arrays
-        this LM holds now (``load_into`` replaces them, so bind per use).
+        """One greedy-decode step for B prefilled sequences, as a function of
+        ``(x, rows)`` bound to ``cache`` and to the weight arrays this LM holds
+        now (``load_into`` replaces them, so bind per use). ``x`` (B, 1, dim)
+        holds one new embedding for each buffer row in ``rows``; each sits at
+        its sequence's next position and attends over every cached row of its
+        sequence. Returns the (B, 1, vocab) logits.
 
-        It runs the same numpy operations on the same shapes in the same
-        order as the layers, so its (B, 1, vocab) logits are the same bits,
-        without the per-layer dispatch: each new key and value row is written
-        straight into its block's buffers, and each sequence attends with one
-        query over head-split views of its own cached rows.
+        It runs on arrays, through the same ``layer_norm_forward``,
+        ``gelu_forward`` and ``attend`` kernels as the layers, without their
+        dispatch: each new key and value row is written straight into its
+        block's buffers, and each sequence attends with one query over
+        head-split views of its own cached rows. The tests hold it bit for bit
+        to the same step built from the layers' Tensor ops. A bad shape, or a
+        step past ``max_seq_len``, raises before anything is written.
         """
         heads, dim = self.cfg.heads, self.cfg.dim
         d = dim // heads
@@ -194,10 +181,12 @@ class DecoderLm:
         head_w, head_b = self.head.weight.data.T, self.head.bias.data
 
         def step(x: np.ndarray, rows: Sequence[int]) -> np.ndarray:
-            start = self._cached_start(x, cache, rows)
-            if x.shape[1:] != (1, dim):
-                raise ContractError(f"a decode step takes (B, 1, {dim}) embeddings, "
-                                    f"got shape {x.shape}")
+            if x.shape[1:] != (1, dim) or len(rows) != x.shape[0]:
+                raise ContractError(
+                    f"a decode step takes (B, 1, {dim}) embeddings and B buffer rows; "
+                    f"got shape {x.shape} and rows {list(rows)}")
+            start = cache[0].lens[rows].tolist()
+            self._check_length(max(start) + 1)
             n = len(rows)
             x = x + pos_emb[start, None]
             for (g1, b1, wq, bq, wk, bk, wv, bv, wp, bp, g2, b2, w1, c1, w2, c2,
@@ -277,11 +266,11 @@ def generate(lm: DecoderLm, prompts: Sequence[Tensor], max_new: int,
     full max_seq_len; deterministic. One id list per prompt, each
     bit-identical to decoding that prompt alone.
 
-    Each prompt is prefilled on its own through the layers, as a (1, L, dim)
-    ``lm.forward``, into a row of the per-block key/value buffers. Then every
-    live row steps together as one (B, 1, dim) input to ``lm.decode_step``,
-    bound once per call: the row-wise operations see the batch, attention
-    runs per row over its own cache (see ``AttentionBlock``). Rows leave when
+    Each prompt is prefilled on its own through the plain (L, dim)
+    ``lm.forward`` under ``no_grad``, which fills a row of the per-block
+    key/value buffers. Then every live row steps together as one (B, 1, dim)
+    input to ``lm.decode_step``, bound once per call: the row-wise operations
+    see the batch, attention runs per row over its own cache. Rows leave when
     they end and waiting prompts take them (iteration-level scheduling).
     """
     cap = []
@@ -300,9 +289,9 @@ def generate(lm: DecoderLm, prompts: Sequence[Tensor], max_new: int,
     live: list[tuple[int, int]] = []  # (buffer row, prompt index)
 
     def advance(seqs: list[tuple[int, int]], logits: np.ndarray) -> None:
-        """Append each sequence's argmax at its last row of ``logits``
-        (B, n, vocab) and keep it live until EOS or its cap."""
-        for (row, i), next_id in zip(seqs, np.argmax(logits[:, -1], axis=-1).tolist()):
+        """Append each sequence's argmax of its row of ``logits`` (B, vocab)
+        and keep it live until EOS or its cap."""
+        for (row, i), next_id in zip(seqs, np.argmax(logits, axis=-1).tolist()):
             if next_id != eos_id:
                 out[i].append(next_id)
                 if len(out[i]) < cap[i]:
@@ -315,13 +304,13 @@ def generate(lm: DecoderLm, prompts: Sequence[Tensor], max_new: int,
     while waiting or live:
         while waiting and free:
             row, i = free.pop(), waiting.pop()
-            for c in cache:
-                c.lens[row] = 0
-            advance([(row, i)], lm.forward(prompts[i].data[None], cache, [row]))
+            with no_grad():
+                logits = lm.forward(prompts[i], cache, row)
+            advance([(row, i)], logits.data[-1:])
         seqs, live = live, []
         if seqs:
             advance(seqs, step(tok_emb[[out[i][-1] for _, i in seqs]][:, None],
-                               [row for row, _ in seqs]))
+                               [row for row, _ in seqs])[:, 0])
     return out
 
 
@@ -550,9 +539,10 @@ def train(model: ReportModel, dataset: list[StudyInput], tc: TrainConfig,
     that graph's reverse topological order adds the per-study contributions
     to each parameter in batch order too, and gives each study loss the same
     seed. Writes checkpoint, loss curve CSV and config JSON when out_dir is
-    given. A ``tc.frozen`` that leaves no parameter to train, or a study
-    whose prompt and target exceed ``max_seq_len``, raises TrainConfigError
-    before the first step.
+    given; the config's ``precision`` is the dtype the model holds. A
+    ``tc.frozen`` that leaves no parameter to train, or a study whose prompt
+    and target exceed ``max_seq_len``, raises TrainConfigError before the
+    first step.
     """
     if not dataset:
         raise ContractError("empty training dataset")
@@ -621,7 +611,9 @@ def train(model: ReportModel, dataset: list[StudyInput], tc: TrainConfig,
             fh.write("step,lr,loss\n")
             for step, lr, loss_value in curve:
                 fh.write(f"{step},{lr:.10g},{loss_value:.10g}\n")
-        echo = TrainEcho(tc, model.cfg, tuple(model.tokenizer.vocab))
+        # the dtype the model holds, which need not be tc.precision
+        echo = TrainEcho(replace(tc, precision=model.lm.tok_emb.data.dtype.name),
+                         model.cfg, tuple(model.tokenizer.vocab))
         with open(out / "train_config.json", "w", encoding="utf-8") as fh:
             json.dump(asdict(echo), fh, indent=2, sort_keys=True)
             fh.write("\n")

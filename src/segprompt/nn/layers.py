@@ -1,12 +1,11 @@
 """Layers on top of the autodiff core: linear, MLP, layer norm, attention.
 
-Each layer takes a ``Tensor`` or an ndarray and returns the same kind (see
-``segprompt.nn.tensor``): the cached decode path runs them on arrays."""
+Each layer takes and returns ``Tensor``s; under ``no_grad`` they record no
+graph, which is how a decoder prefill runs them."""
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -88,10 +87,9 @@ class KvCache:
     """One attention block's keys and values for up to ``rows`` sequences.
 
     K and V each live in one preallocated ``(rows, max_len, width)`` buffer
-    of ``dtype``, the LM's; every sequence has its own length. ``extend``
-    copies only the new rows into place and returns ``[:n]`` array views, so
-    a report copies each row once. Inference only: the stored values carry
-    no graph.
+    of ``dtype``, the LM's; every sequence has its own length. A prefill
+    ``fill``s a row; the LM's decode step then writes one position per
+    sequence in place. Inference only: the stored values carry no graph.
     """
 
     def __init__(self, rows: int, max_len: int, width: int, dtype=np.float64):
@@ -99,17 +97,15 @@ class KvCache:
         self.v = np.empty((rows, max_len, width), dtype=dtype)
         self.lens = np.zeros(rows, dtype=np.intp)
 
-    def extend(self, row: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Append ``row``'s new keys and values (n, width); return all of its rows."""
-        start = int(self.lens[row])
-        end = start + k.shape[0]
-        if end > self.k.shape[1]:
+    def fill(self, row: int, k: np.ndarray, v: np.ndarray) -> None:
+        """Make ``row`` hold just these n keys and values (n, width)."""
+        n = k.shape[0]
+        if n > self.k.shape[1]:
             raise ContractError(
-                f"KV cache row {row}: {end} rows exceed max_seq_len {self.k.shape[1]}")
-        self.k[row, start:end] = k
-        self.v[row, start:end] = v
-        self.lens[row] = end
-        return self.k[row, :end], self.v[row, :end]
+                f"KV cache row {row}: {n} rows exceed max_seq_len {self.k.shape[1]}")
+        self.k[row, :n] = k
+        self.v[row, :n] = v
+        self.lens[row] = n
 
 
 class AttentionBlock:
@@ -126,22 +122,13 @@ class AttentionBlock:
         self.wv = LinearLayer(dim, dim, rng)
         self.proj = LinearLayer(dim, dim, rng)
 
-    def __call__(self, x: Tensor | np.ndarray, cache: KvCache | None = None,
-                 rows: Sequence[int] = ()) -> Tensor | np.ndarray:
-        """With ``cache`` a (B, n, dim) array ``x`` adds n rows to each of the
-        B cached sequences ``rows``: their keys and values are appended, and
-        they attend over every cached row of their sequence too. Only the
-        row-wise projections see the whole batch: each sequence attends on
-        its own over its own cache, with no padding or key mask, so its bits
-        do not depend on the batch it runs in."""
+    def __call__(self, x: Tensor, cache: KvCache | None = None, row: int = 0) -> Tensor:
+        """With ``cache`` the keys and values of the whole sequence ``x`` are
+        also filled into its buffer row ``row``, for decode steps to extend."""
         q, k, v = self.wq(x), self.wk(x), self.wv(x)
-        if cache is None:
-            return self.proj(T.attention(q, k, v, self.causal, self.heads))
-        out = np.empty_like(q)
-        for b, row in enumerate(rows):
-            kb, vb = cache.extend(row, k[b], v[b])
-            out[b] = T.attention(q[b], kb, vb, self.causal, self.heads)
-        return self.proj(out)
+        if cache is not None:
+            cache.fill(row, k.data, v.data)
+        return self.proj(T.attention(q, k, v, self.causal, self.heads))
 
     def named_params(self, prefix: str) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -162,9 +149,8 @@ class TransformerBlock:
         self.ln2 = LayerNorm(dim)
         self.mlp = MlpBlock([dim, mlp_ratio * dim, dim], rng=rng)
 
-    def __call__(self, x: Tensor | np.ndarray, cache: KvCache | None = None,
-                 rows: Sequence[int] = ()) -> Tensor | np.ndarray:
-        x = x + self.attn(self.ln1(x), cache, rows)
+    def __call__(self, x: Tensor, cache: KvCache | None = None, row: int = 0) -> Tensor:
+        x = x + self.attn(self.ln1(x), cache, row)
         return x + self.mlp(self.ln2(x))
 
     def named_params(self, prefix: str) -> dict[str, Tensor]:

@@ -13,13 +13,10 @@ computes in its operands' dtype, and a constant (a Python float, or any
 non-``Tensor`` operand of ``+``, ``-`` and ``*``) takes the dtype of the
 ``Tensor`` it meets, so float32 arithmetic stays float32 (NEP 50).
 
-``linear``, ``layer_norm``, ``gelu`` and ``attention`` build a graph node
-only when their activation input (``x``, or ``q``) is a ``Tensor``. Given an
-ndarray they return an ndarray from the same arithmetic, so the same bits,
-with no ``Tensor`` made: cached decoding runs on arrays this way. The forward
-arithmetic of the last three is written once, as the array kernels
-``layer_norm_forward``, ``gelu_forward`` and ``attend``, which the decode step
-calls too.
+Ops take and return ``Tensor``s. The forward arithmetic of ``layer_norm``,
+``gelu`` and ``attention`` is written once, as the array kernels
+``layer_norm_forward``, ``gelu_forward`` and ``attend``, which the LM's bound
+decode step calls too.
 """
 
 from __future__ import annotations
@@ -240,14 +237,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def _value(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else x
-
-
-def linear(x: Tensor | np.ndarray, w: Tensor, b: Tensor) -> Tensor | np.ndarray:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w.T + b as one node: x (..., in), w (out, in), b (out,)."""
-    if not isinstance(x, Tensor):
-        return x @ _value(w).T + _value(b)
     w, b = as_tensor(w), as_tensor(b)
     out = _make(x.data @ w.data.T + b.data, (x, w, b))
     if out.requires_grad:
@@ -285,28 +276,21 @@ def attend(qh: np.ndarray, kt: np.ndarray, vh: np.ndarray, scale: float,
     return p, p @ vh
 
 
-def attention(q: Tensor | np.ndarray, k: Tensor | np.ndarray, v: Tensor | np.ndarray,
-              causal: bool = False, heads: int = 1) -> Tensor | np.ndarray:
+def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
+              heads: int = 1) -> Tensor:
     """softmax(q k^T / sqrt(d) + mask) v per head over (..., rows, heads*d) as one node.
 
-    q has n rows, k and v have m; given an ndarray q, k and v are ndarrays
-    too. With ``causal`` query row i sits at position m - n + i and sees keys
-    up to it. Only the attention weights are kept for backward; head split
-    and merge, scores, mask and softmax are not separate nodes.
+    q has n rows, k and v have m. With ``causal`` query row i sits at
+    position m - n + i and sees keys up to it. Only the attention weights are
+    kept for backward; head split and merge, scores, mask and softmax are not
+    separate nodes.
     """
-    graph = isinstance(q, Tensor)
-    if graph:
-        k, v = as_tensor(k), as_tensor(v)
-        qd, kd, vd = q.data, k.data, v.data
-    else:
-        qd, kd, vd = q, k, v
-    qh, kh, vh = _split_heads(qd, heads), _split_heads(kd, heads), _split_heads(vd, heads)
+    k, v = as_tensor(k), as_tensor(v)
+    qh, kh, vh = (_split_heads(q.data, heads), _split_heads(k.data, heads),
+                  _split_heads(v.data, heads))
     scale = 1.0 / math.sqrt(qh.shape[-1])
     p, yh = attend(qh, kh.swapaxes(-1, -2), vh, scale, causal)
-    y = yh.swapaxes(-2, -3).reshape(qd.shape)
-    if not graph:
-        return y
-    out = _make(y, (q, k, v))
+    out = _make(yh.swapaxes(-2, -3).reshape(q.shape), (q, k, v))
     if out.requires_grad:
         def bw(g):
             gh = _split_heads(g, heads)
@@ -388,10 +372,8 @@ def gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * x * (1.0 + t), t
 
 
-def gelu(x: Tensor | np.ndarray) -> Tensor | np.ndarray:
+def gelu(x: Tensor) -> Tensor:
     """GELU, tanh approximation: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3)))."""
-    if not isinstance(x, Tensor):
-        return gelu_forward(x)[0]
     xd = x.data
     y, t = gelu_forward(xd)
     out = _make(y, (x,))
@@ -417,11 +399,8 @@ def layer_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     return xhat * gamma + beta, xhat, inv
 
 
-def layer_norm(x: Tensor | np.ndarray, gamma: Tensor, beta: Tensor,
-               eps: float = 1e-5) -> Tensor | np.ndarray:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the trailing axis to zero mean / unit variance, then affine."""
-    if not isinstance(x, Tensor):
-        return layer_norm_forward(x, gamma.data, beta.data, eps)[0]
     y, xhat, inv = layer_norm_forward(x.data, gamma.data, beta.data, eps)
     out = _make(y, (x, gamma, beta))
     if out.requires_grad:

@@ -93,6 +93,18 @@ class TestUsage:
             assert "Errno" not in err, (argv, err)
         assert not (tmp_path / "run").exists() and not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("command", ["build-prompt", "extract-tokens", "generate"])
+    def test_unknown_study_names_manifest_and_id(self, dataset, checkpoint, capsys, command):
+        """A ``--study`` id the manifest lacks is a ContractError naming the
+        manifest and the id, with no traceback."""
+        argv = [command, "--data", str(dataset), "--study", "study_nope"]
+        if command == "generate":
+            argv += ["--ckpt", str(checkpoint)]
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert f"error: {dataset / 'manifest.json'}: no study 'study_nope'\n" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("command,flag,value", [
         ("train", "--max-steps", "0"),
         ("train", "--max-steps", "-3"),

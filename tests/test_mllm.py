@@ -1,7 +1,6 @@
 """Tokenizer, adapter, LM loss/generation, and the training loop contracts."""
 
 import copy
-import functools
 import hashlib
 import json
 import math
@@ -297,35 +296,46 @@ def full_recompute_generate(lm, prompt, max_new, eos_id=Tokenizer.EOS):
 
 def lockstep_recorder(lm, prompts, max_new):
     """Shadow lm.forward (the prefills) and lm.decode_step (the steps) for a
-    ``generate(lm, prompts, ...)`` call: keep each prompt's last-row logits
-    per step, and the ndim of every input. A buffer row belongs to the prompt
-    whose prefill last started in it; prompts with room to decode are
-    admitted in order. ``stop_recording(lm)`` undoes it."""
+    ``generate(lm, prompts, ...)`` call: keep each prompt's last-row logits of
+    its prefill, then of each step, and the shape of every prefill and step
+    input. A buffer row belongs to the prompt last prefilled into it; prompts
+    with room to decode are admitted in order. ``stop_recording(lm)`` undoes
+    it."""
     rows = [[] for _ in prompts]
-    ndims = []
+    shapes = []
     admitted = iter([i for i, p in enumerate(prompts)
                      if max_new > 0 and p.shape[0] < lm.cfg.max_seq_len])
     owner = {}
     forward, decode_step = lm.forward, lm.decode_step
 
-    def record(run, embeddings, buffer_rows):
-        ndims.append(embeddings.ndim)
-        logits = run(embeddings, buffer_rows)
-        for b, row in enumerate(buffer_rows):
-            rows[owner[row]].append(logits[b, -1].copy())
+    def recorded(embeddings, cache=None, row=0):
+        logits = forward(embeddings, cache, row)
+        if cache is not None:
+            shapes.append(embeddings.shape)
+            owner[row] = next(admitted)
+            rows[owner[row]].append(logits.data[-1].copy())
         return logits
 
-    def recorded(embeddings, cache, buffer_rows):
-        for row in buffer_rows:
-            if cache[0].lens[row] == 0:
-                owner[row] = next(admitted)
-        return record(lambda x, r: forward(x, cache, r), embeddings, buffer_rows)
-
     def recorded_step(cache):
-        return functools.partial(record, decode_step(cache))
+        step = decode_step(cache)
+
+        def run(x, buffer_rows):
+            shapes.append(x.shape)
+            logits = step(x, buffer_rows)
+            for b, row in enumerate(buffer_rows):
+                rows[owner[row]].append(logits[b, -1].copy())
+            return logits
+        return run
 
     lm.forward, lm.decode_step = recorded, recorded_step
-    return rows, ndims
+    return rows, shapes
+
+
+def step_batches(shapes, dim=8):
+    """The batch size B of every recorded step, after checking that each
+    prefill was a plain (L, dim) forward and each step a (B, 1, dim) input."""
+    assert all(len(s) == 2 and s[1] == dim or s[1:] == (1, dim) for s in shapes), shapes
+    return [s[0] for s in shapes if len(s) == 3]
 
 
 def stop_recording(lm):
@@ -385,49 +395,41 @@ class TestCachedDecoding:
 
 
 class TestKvCache:
-    def test_writes_in_place_copying_only_new_rows(self):
+    def test_fill_writes_only_its_row_in_place(self):
+        """``fill(row, k, v)`` writes the n keys and values into the first n
+        positions of buffer row ``row`` and sets ``lens[row]`` to n; every
+        other position and length keeps its value, and the buffers stay the
+        same arrays."""
         cache = KvCache(rows=3, max_len=10, width=4)
         k_buf, v_buf = cache.k, cache.v
         cache.k[:] = np.nan
         cache.v[:] = np.nan
+        cache.lens[:] = [7, 3, 9]
         rng = np.random.default_rng(0)
-        views = []
-        for n_new in (4, 1, 1, 2):
-            start = int(cache.lens[1])
-            k, v = rng.standard_normal((2, n_new, 4))
-            before_k, before_v = cache.k.copy(), cache.v.copy()
-            kv, vv = cache.extend(1, k, v)
+        for row, n in ((1, 4), (1, 2), (0, 10), (2, 1)):
+            k, v = rng.standard_normal((2, n, 4))
+            before_k, before_v, before_lens = cache.k.copy(), cache.v.copy(), cache.lens.copy()
+            assert cache.fill(row, k, v) is None
             assert cache.k is k_buf and cache.v is v_buf
-            assert isinstance(kv, np.ndarray) and isinstance(vv, np.ndarray)
-            assert np.shares_memory(kv, k_buf) and np.shares_memory(vv, v_buf)
-            assert kv.shape == vv.shape == (start + n_new, 4)
-            np.testing.assert_array_equal(kv[start:], k)
-            np.testing.assert_array_equal(vv[start:], v)
-            changed = np.ones(k_buf.shape, dtype=bool)
-            changed[1, start:start + n_new] = False
-            np.testing.assert_array_equal(k_buf[changed], before_k[changed])
-            np.testing.assert_array_equal(v_buf[changed], before_v[changed])
-            views.append(kv)
-        # earlier views see the same rows the later steps left alone
-        np.testing.assert_array_equal(views[0], views[-1][:4])
+            np.testing.assert_array_equal(k_buf[row, :n], k)
+            np.testing.assert_array_equal(v_buf[row, :n], v)
+            changed = np.zeros(k_buf.shape, dtype=bool)
+            changed[row, :n] = True
+            np.testing.assert_array_equal(k_buf[~changed], before_k[~changed])
+            np.testing.assert_array_equal(v_buf[~changed], before_v[~changed])
+            before_lens[row] = n
+            assert cache.lens.tolist() == before_lens.tolist()
+        assert cache.lens.tolist() == [10, 2, 1]
 
-    def test_per_row_lengths_are_independent(self):
-        cache = KvCache(rows=3, max_len=8, width=2)
-        k0, v0 = cache.extend(0, np.ones((3, 2)), np.ones((3, 2)))
-        k2, v2 = cache.extend(2, np.full((5, 2), 2.0), np.full((5, 2), 3.0))
-        k0b, _ = cache.extend(0, np.zeros((1, 2)), np.zeros((1, 2)))
-        assert cache.lens.tolist() == [4, 0, 5]
-        assert k0b.shape == (4, 2) and k2.shape == v2.shape == (5, 2)
-        np.testing.assert_array_equal(k0b[:3], 1.0)
-        np.testing.assert_array_equal(k2, 2.0)
-        np.testing.assert_array_equal(v2, 3.0)
-
-    def test_write_past_max_seq_len_names_both_lengths(self):
+    def test_fill_past_max_seq_len_names_both_lengths(self):
         cache = KvCache(rows=2, max_len=6, width=2)
-        cache.extend(1, np.zeros((5, 2)), np.zeros((5, 2)))
+        cache.fill(1, np.ones((5, 2)), np.ones((5, 2)))
+        before = cache.k.copy(), cache.v.copy()
         with pytest.raises(ContractError, match=r"row 1: 7 rows exceed max_seq_len 6"):
-            cache.extend(1, np.zeros((2, 2)), np.zeros((2, 2)))
+            cache.fill(1, np.zeros((7, 2)), np.zeros((7, 2)))
         assert cache.lens.tolist() == [0, 5]
+        np.testing.assert_array_equal(cache.k[1, :5], before[0][1, :5])
+        np.testing.assert_array_equal(cache.v[1, :5], before[1][1, :5])
 
     def test_buffer_takes_the_dtype_it_is_given(self):
         cache = KvCache(1, 4, 2, np.float32)
@@ -435,22 +437,30 @@ class TestKvCache:
         assert KvCache(1, 4, 2, "float32").k.dtype == np.float32
         assert KvCache(1, 4, 2).v.dtype == np.float64
 
-    def test_batched_step_past_max_seq_len_rejected(self):
-        lm = DecoderLm(LmConfig(vocab_size=9, dim=8, depth=1, heads=2, max_seq_len=6))
-        cache = [KvCache(2, 6, 8)]
+    def test_prefill_fills_its_row_of_every_block(self):
+        """``lm.forward(x, cache, row)`` returns the logits of the plain
+        forward and fills each block's buffer row ``row`` with the keys and
+        values that block's projections give for the whole prompt."""
+        cfg = LmConfig(vocab_size=9, dim=8, depth=2, heads=2, max_seq_len=12)
+        lm = DecoderLm(cfg, seed=2)
+        x = Tensor(np.random.default_rng(3).standard_normal((5, 8)))
+        cache = [KvCache(3, 12, 8) for _ in lm.blocks]
         with no_grad():
-            lm.forward(np.zeros((1, 6, 8)), cache, [0])
-            lm.forward(np.zeros((1, 2, 8)), cache, [1])
-            with pytest.raises(ContractError, match="7 exceeds max_seq_len 6"):
-                lm.forward(np.zeros((2, 1, 8)), cache, [0, 1])
+            logits = lm.forward(x, cache, 1)
+            assert logits.data.tobytes() == lm.forward(x).data.tobytes()
+            h = x + lm.pos_emb[:5]
+            for block, c in zip(lm.blocks, cache):
+                a = block.ln1(h)
+                assert c.lens.tolist() == [0, 5, 0]
+                assert c.k[1, :5].tobytes() == block.attn.wk(a).data.tobytes()
+                assert c.v[1, :5].tobytes() == block.attn.wv(a).data.tobytes()
+                h = block(h)
 
-    @pytest.mark.parametrize("shape,rows", [((6, 8), [0]), ((6, 8), ()), ((1, 6, 8), ()),
-                                            ((2, 1, 8), [0]), ((1, 1, 8), [0, 1])])
-    def test_cached_forward_needs_one_row_per_sequence(self, shape, rows):
+    def test_prefill_over_max_seq_len_writes_nothing(self):
         lm = DecoderLm(LmConfig(vocab_size=9, dim=8, depth=1, heads=2, max_seq_len=6))
         cache = [KvCache(2, 6, 8)]
-        with no_grad(), pytest.raises(ContractError, match=r"\(B, n, dim\).*B buffer rows"):
-            lm.forward(np.zeros(shape), cache, rows)
+        with no_grad(), pytest.raises(ContractError, match="7 exceeds max_seq_len 6"):
+            lm.forward(Tensor(np.zeros((7, 8))), cache, 0)
         assert cache[0].lens.tolist() == [0, 0]
 
 
@@ -495,10 +505,12 @@ class TestLockstepDecoding:
             lm, prompts = self.lm_and_prompts(seed, batch, dtype=dtype)
             assert batch == 1 or len({p.shape[0] for p in prompts}) > 1
             ref, ref_rows = decode_alone(lm, prompts, 16)
-            rows, ndims = lockstep_recorder(lm, prompts, 16)
+            rows, shapes = lockstep_recorder(lm, prompts, 16)
             got = generate(lm, prompts, 16)
             assert_bit_identical(got, rows, ref, ref_rows)
-            assert set(ndims) == {3}  # every cached forward is (B, n, dim)
+            # one plain (L, dim) forward per prompt, then (B, 1, dim) steps
+            assert sorted(s for s in shapes if len(s) == 2) == sorted(p.shape for p in prompts)
+            assert max(step_batches(shapes)) <= batch
             decoded += sum(map(len, ref))
         assert decoded >= 40 * batch
 
@@ -528,21 +540,22 @@ class TestLockstepDecoding:
                 break
         else:
             pytest.fail("no seed gave both an early EOS and a full report")
-        rows, ndims = lockstep_recorder(lm, prompts, 16)
+        rows, shapes = lockstep_recorder(lm, prompts, 16)
         got = generate(lm, prompts, 16)
         assert_bit_identical(got, rows, ref, ref_rows)
         early = lens.index(min(lens))
         assert len(rows[early]) == lens[early] + 1  # the step that emitted EOS
-        assert 3 in ndims
+        assert max(step_batches(shapes)) > 1
 
     def test_rows_are_reused_past_decode_rows(self, monkeypatch):
         monkeypatch.setattr(mllm, "DECODE_ROWS", 2)
         lm, prompts = self.lm_and_prompts(4, 5)
         ref, ref_rows = decode_alone(lm, prompts, 10)
-        rows, ndims = lockstep_recorder(lm, prompts, 10)
+        rows, shapes = lockstep_recorder(lm, prompts, 10)
         got = generate(lm, prompts, 10)
         assert_bit_identical(got, rows, ref, ref_rows)
-        assert 3 in ndims
+        assert len(shapes) - len(step_batches(shapes)) == 5  # a prefill per prompt
+        assert max(step_batches(shapes)) == 2
 
     def test_empty_batch_and_zero_budget(self):
         lm, prompts = self.lm_and_prompts(0, 3)
@@ -575,30 +588,51 @@ class TestLockstepDecoding:
 
 
 class TestGraphFreeDecoding:
-    def test_decoding_builds_no_tensor(self, monkeypatch):
-        """Given realized prompts, neither the prefill nor any decode step
-        makes a ``Tensor``: the cached forward runs on arrays."""
+    def test_decoding_records_no_graph(self, monkeypatch):
+        """Given realized prompts of a model whose parameters need grad, every
+        ``Tensor`` that ``generate`` makes (the prefills' plain forwards) needs
+        no grad and holds no parents or backward closure, and the decode
+        steps make no ``Tensor`` at all: they run on arrays."""
         model = ReportModel(tiny_model_config(), vocabulary())
+        assert all(p.requires_grad for p in model.named_params().values())
         studies = tiny_studies(3, seed=11, lateral_prob=0.5, prior_prob=0.5)
         with no_grad():
             prompts = [model.realize(s, Strategy.SS) for s in studies]
-        made = []
+        made, in_step = [], [False]
         init, make = Tensor.__init__, T._make
 
         def counted_init(self, *args, **kwargs):
-            made.append("Tensor.__init__")
             init(self, *args, **kwargs)
+            made.append((in_step[0], self))
 
         def counted_make(*args):
-            made.append("_make")
-            return make(*args)
+            out = make(*args)
+            made.append((in_step[0], out))
+            return out
 
+        rows, _ = lockstep_recorder(model.lm, prompts, 24)
+        recorded_step = model.lm.decode_step
+
+        def flagged_step(cache):
+            step = recorded_step(cache)
+
+            def run(*args):
+                in_step[0] = True
+                try:
+                    return step(*args)
+                finally:
+                    in_step[0] = False
+            return run
+
+        model.lm.decode_step = flagged_step
         monkeypatch.setattr(Tensor, "__init__", counted_init)
         monkeypatch.setattr(T, "_make", counted_make)
-        rows, _ = lockstep_recorder(model.lm, prompts, 24)
         ids = generate(model.lm, prompts, 24)
-        assert made == []
-        assert sum(map(len, ids)) > 0
+        monkeypatch.undo()
+        assert sum(map(len, ids)) > len(ids)  # steps ran after the prefills
+        assert made and not any(stepping for stepping, _ in made)
+        for _, t in made:
+            assert not t.requires_grad and t._parents == () and t._backward is None
         assert all(isinstance(r, np.ndarray) for steps in rows for r in steps)
 
 
@@ -625,9 +659,34 @@ def prefilled(cfg, lens, seed, dtype="float64"):
     lm = DecoderLm(cfg, seed=seed)
     cast_params(lm.named_params(), dtype)
     cache = [KvCache(len(lens), cfg.max_seq_len, cfg.dim, dtype) for _ in lm.blocks]
-    for row, n in enumerate(lens):
-        lm.forward(rng.standard_normal((1, n, cfg.dim)).astype(dtype), cache, [row])
+    with no_grad():
+        for row, n in enumerate(lens):
+            lm.forward(Tensor(rng.standard_normal((n, cfg.dim)).astype(dtype)), cache, row)
     return lm, cache, rng
+
+
+def reference_step(lm, cache, x, rows):
+    """``lm.decode_step(cache)(x, rows)`` built from the layers' own Tensor
+    ops under ``no_grad``: each sequence's new key and value are written into
+    its buffer row at its next position, and its query attends over that
+    row's cached keys and values. Returns the (B, 1, vocab) logits."""
+    heads = lm.cfg.heads
+    start = cache[0].lens[rows].tolist()
+    with no_grad():
+        h = Tensor(x) + lm.pos_emb[np.array(start)[:, None]]
+        for block, c in zip(lm.blocks, cache):
+            attn = block.attn
+            a = block.ln1(h)
+            q, k, v = attn.wq(a), attn.wk(a), attn.wv(a)
+            out = []
+            for b, (row, pos) in enumerate(zip(rows, start)):
+                c.k[row, pos], c.v[row, pos] = k.data[b, 0], v.data[b, 0]
+                c.lens[row] = pos + 1
+                out.append(T.attention(q[b], Tensor(c.k[row, :pos + 1]),
+                                       Tensor(c.v[row, :pos + 1]), True, heads))
+            h = h + attn.proj(concat(out, axis=0).reshape(len(rows), 1, lm.cfg.dim))
+            h = h + block.mlp(block.ln2(h))
+        return lm.head(lm.ln_f(h)).data
 
 
 def cache_bytes(cache):
@@ -635,7 +694,7 @@ def cache_bytes(cache):
 
 
 class TestDecodeStep:
-    """The bound decode step against the layer path (``lm.forward`` on a
+    """The bound decode step against the layer path (``reference_step`` on a
     copy of the same cache): every step's logits by ``tobytes``, and the
     cache it leaves behind, until every sequence is at ``max_seq_len``."""
 
@@ -653,7 +712,7 @@ class TestDecodeStep:
                 rows = rng.permutation(rows).tolist()
                 x = rng.standard_normal((len(rows), 1, cfg.dim)).astype(dtype)
                 ref_cache = copy.deepcopy(cache)
-                ref = lm.forward(x, ref_cache, rows)
+                ref = reference_step(lm, ref_cache, x, rows)
                 got = step(x, rows)
                 assert got.dtype == ref.dtype == np.dtype(dtype)
                 assert got.shape == ref.shape == (len(rows), 1, cfg.vocab_size)
@@ -662,23 +721,26 @@ class TestDecodeStep:
             assert cache[0].lens.tolist() == [cfg.max_seq_len] * len(lens)
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    @pytest.mark.parametrize("shape,rows", [
-        ((2, 1, 8), [0, 2]),  # row 2 is full: past max_seq_len
-        ((2, 8), [0, 1]),     # a 2-D input
-        ((2, 1, 8), [0]),     # fewer rows than B
-        ((1, 1, 8), [0, 1])])  # more rows than B
-    def test_bad_step_raises_as_forward_and_writes_nothing(self, dtype, shape, rows):
+    @pytest.mark.parametrize("shape,rows,message", [
+        # row 2 is full: past max_seq_len
+        ((2, 1, 8), [0, 2], "sequence length 7 exceeds max_seq_len 6"),
+        # a 2-D input
+        ((2, 8), [0, 1], "a decode step takes (B, 1, 8) embeddings and B buffer rows; "
+                         "got shape (2, 8) and rows [0, 1]"),
+        # fewer rows than B
+        ((2, 1, 8), [0], "a decode step takes (B, 1, 8) embeddings and B buffer rows; "
+                         "got shape (2, 1, 8) and rows [0]"),
+        # more rows than B
+        ((1, 1, 8), [0, 1], "a decode step takes (B, 1, 8) embeddings and B buffer rows; "
+                            "got shape (1, 1, 8) and rows [0, 1]")])
+    def test_bad_step_raises_and_writes_nothing(self, dtype, shape, rows, message):
         cfg = LmConfig(vocab_size=9, dim=8, depth=2, heads=2, max_seq_len=6)
-        with no_grad():
-            lm, cache, _ = prefilled(cfg, [3, 5, 6], seed=1, dtype=dtype)
-            before = cache_bytes(cache)
-            x = np.zeros(shape, dtype=dtype)
-            with pytest.raises(ContractError) as by_forward:
-                lm.forward(x, copy.deepcopy(cache), rows)
-            with pytest.raises(ContractError) as by_step:
-                lm.decode_step(cache)(x, rows)
-            assert str(by_step.value) == str(by_forward.value)
-            assert cache_bytes(cache) == before
+        lm, cache, _ = prefilled(cfg, [3, 5, 6], seed=1, dtype=dtype)
+        before = cache_bytes(cache)
+        with pytest.raises(ContractError) as by_step:
+            lm.decode_step(cache)(np.zeros(shape, dtype=dtype), rows)
+        assert str(by_step.value) == message
+        assert cache_bytes(cache) == before
 
     def test_more_than_one_new_row_rejected(self):
         cfg = LmConfig(vocab_size=9, dim=8, depth=1, heads=2, max_seq_len=6)
@@ -791,10 +853,11 @@ def decode_digests(ids, rows) -> tuple[str, str]:
 
 class TestDecodeDigests:
     """sha256 of decoded ids and of every step's logits, recorded while cached
-    decoding still had a 2-D single-row path: the one (B, n, dim) path and
-    the graph-free array path give the same bits. Logit bits depend on the
-    BLAS kernels: the digests were recorded with numpy 2.4 and OpenBLAS
-    0.3.31 on x86-64, on OpenBLAS's SkylakeX (AVX-512) kernels. Under
+    decoding still had a 2-D single-row path: the (B, n, dim) cached forward,
+    the graph-free array path, and the prefill through the plain (L, dim)
+    forward before the bound decode step give the same bits. Logit bits
+    depend on the BLAS kernels: the digests were recorded with numpy 2.4 and
+    OpenBLAS 0.3.31 on x86-64, on OpenBLAS's SkylakeX (AVX-512) kernels. Under
     ``OPENBLAS_CORETYPE=Haswell``, ``Zen``, ``Sandybridge`` or ``Nehalem`` all
     eight cases fail, with or without this package's changes since then, so
     a failure on a runner without AVX-512 is the environment, not the code
@@ -1021,6 +1084,18 @@ class TestTrain:
         assert echo["train"]["strategy"] == "NS"
         assert echo["model"]["lm_dim"] == 12
         assert echo["vocab"][:4] == ["<pad>", "<bos>", "<eos>", "<unk>"]
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_echo_names_the_dtype_the_model_holds(self, tmp_path, dtype):
+        """``train_config.json`` records the model's own dtype, not the
+        ``precision`` its ``TrainConfig`` happened to carry (float32 by
+        default), so ``_load_model`` rebuilds the model that was trained."""
+        model = ReportModel(tiny_model_config(), vocabulary(), dtype=dtype)
+        tc = TrainConfig(max_steps=1, batch_size=2)
+        train(model, tiny_studies(2), tc, out_dir=tmp_path)
+        echo = json.loads((tmp_path / "train_config.json").read_text())
+        assert echo["train"]["precision"] == dtype
+        assert tc.precision == "float32"  # the caller's config is left as given
 
 
 def reference_train(model: ReportModel, dataset, tc: TrainConfig) -> list[float]:
