@@ -15,7 +15,7 @@ import numpy as np
 
 from segprompt import metrics, synth
 from segprompt.encoder import VitConfig
-from segprompt.errors import ContractError, checked_fields
+from segprompt.errors import ContractError, checked_fields, read_json
 from segprompt.masks import write_image, write_mask
 from segprompt.mllm import (
     ModelConfig,
@@ -47,20 +47,11 @@ def log(message: str) -> None:
 
 
 def _read_config(path: str | Path | None, cls):
-    """The JSON object in ``path`` (``{}`` without a path), checked and read
-    as a ``cls`` by checked_fields; a missing file, or a ContractError or a
-    TypeError it or ``cls`` raises, becomes a ContractError naming the file."""
-    data = {}
-    if path:
-        try:
-            fh = open(path, encoding="utf-8")
-        except FileNotFoundError:
-            raise ContractError(f"{path}: file not found") from None
-        with fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ContractError(f"{path}: not valid JSON ({exc})") from exc
+    """The JSON object in ``path`` (``{}`` without a path), read by read_json,
+    checked and read as a ``cls`` by checked_fields; a ContractError or a
+    TypeError that checked_fields or ``cls`` raises becomes one naming the
+    file."""
+    data = read_json(path) if path else {}
     try:
         return cls(**checked_fields(data, cls))
     except (ContractError, TypeError) as exc:
@@ -258,13 +249,12 @@ def cmd_eval(args) -> int:
         hyp = tok.decode(ids)
         ref_ids = tok.encode(record.target_findings)
         ref = tok.decode(ref_ids)
-        bleu_scores.append(metrics.bleu(hyp, ref, n=4))
+        bleu_scores.append(metrics.bleu(hyp, ref))
         rouge_scores.append(metrics.rouge_l(hyp, ref))
         pred_labels.append(findings_to_labels(" ".join(hyp)))
         gt_labels.append(findings_to_labels(record.target_findings))
         studies.append({"id": record.study_id, "hypothesis": tok.detokenize(ids),
                         "reference": tok.detokenize(ref_ids)})
-    spec = metrics.BootstrapSpec()
     label_pairs = np.stack([np.stack(pred_labels), np.stack(gt_labels)], axis=1)
 
     def f1_stat(which: int):
@@ -280,10 +270,10 @@ def cmd_eval(args) -> int:
         "studies": studies,
     }
     for name, values in (("bleu4", bleu_scores), ("rouge_l", rouge_scores)):
-        center, low, high = metrics.bootstrap_ci(values, spec, seed=args.seed)
+        center, low, high = metrics.bootstrap_ci(values, seed=args.seed)
         report["metrics"][name] = {"median": center, "ci_low": low, "ci_high": high}
     for name, which in (("macro_f1_mr", 0), ("micro_f1_mr", 1)):
-        center, low, high = metrics.bootstrap_ci_fn(label_pairs, f1_stat(which), spec,
+        center, low, high = metrics.bootstrap_ci_fn(label_pairs, f1_stat(which),
                                                     seed=args.seed)
         report["metrics"][name] = {"median": center, "ci_low": low, "ci_high": high}
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"

@@ -1,9 +1,10 @@
-"""Shared exception types, and the checks on JSON objects read into
-dataclasses and ``TypedDict``s."""
+"""Shared exception types, the one reader of JSON files, and the checks on
+JSON objects read into dataclasses and ``TypedDict``s."""
 
 import dataclasses
 import functools
 import itertools
+import json
 import reprlib
 import types
 from dataclasses import MISSING, fields
@@ -17,6 +18,21 @@ class ContractError(ValueError):
 
 class OracleError(RuntimeError):
     """A test oracle (e.g. finite differences) hit a non-finite evaluation."""
+
+
+def read_json(path):
+    """The JSON value in the UTF-8 file ``path``. A missing file, or one that
+    is not UTF-8 text or not valid JSON, raises a ContractError naming
+    ``path``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise ContractError(f"{path}: file not found") from None
+    except UnicodeDecodeError as exc:
+        raise ContractError(f"{path}: not UTF-8 text ({exc})") from exc
+    except json.JSONDecodeError as exc:
+        raise ContractError(f"{path}: not valid JSON ({exc})") from exc
 
 
 def check_at_least(cfg, low: int, *keys: str) -> None:

@@ -3,6 +3,9 @@
 Per positive structure it emits two vectors: a mask token (mask pooling of
 multi-layer patch features, per-tap linear projections, addition, MLP) and a
 spatial token (fixed-resolution mask resample, flatten, linear projection).
+It pools the image encoder's own tap layers, so its width and its taps are
+the encoder's: ``ReportModel`` passes ``VitConfig.dim`` and
+``VitConfig.tap_layers``.
 """
 
 from __future__ import annotations
@@ -21,15 +24,11 @@ from segprompt.nn.layers import LinearLayer
 
 @dataclass
 class ExtractorConfig:
-    dim: int = 64
-    tap_layers: tuple[int, ...] = (2, 4, 6, 8)
     spatial_side: int = 32
     mlp_depth: int = 2
 
     def __post_init__(self):
-        if not self.tap_layers:
-            raise ContractError("key 'tap_layers' must be nonempty")
-        check_at_least(self, 1, "dim", "spatial_side", "mlp_depth")
+        check_at_least(self, 1, "spatial_side", "mlp_depth")
 
 
 @dataclass
@@ -40,15 +39,18 @@ class SegTokenPair:
 
 
 class SegTokenExtractor:
-    """Trainable weights: one linear per tap, a fusion MLP, a spatial linear."""
+    """Trainable weights: one linear per tap, a fusion MLP, a spatial linear,
+    all ``dim`` wide, the width of the encoder features it pools."""
 
-    def __init__(self, cfg: ExtractorConfig, seed: int | None = 0):
-        """``seed=None`` draws nothing: zero weights for a checkpoint to fill."""
+    def __init__(self, cfg: ExtractorConfig, dim: int, tap_layers: Sequence[int],
+                 seed: int | None = 0):
+        """One tap projection per encoder layer in ``tap_layers``. ``seed=None``
+        draws nothing: zero weights for a checkpoint to fill."""
         self.cfg = cfg
         rng = None if seed is None else np.random.default_rng(seed)
-        self.tap_linears = {k: LinearLayer(cfg.dim, cfg.dim, rng) for k in cfg.tap_layers}
-        self.fusion = MlpBlock([cfg.dim] * (cfg.mlp_depth + 1), rng=rng)
-        self.spatial = LinearLayer(cfg.spatial_side ** 2, cfg.dim, rng)
+        self.tap_linears = {k: LinearLayer(dim, dim, rng) for k in tap_layers}
+        self.fusion = MlpBlock([dim] * (cfg.mlp_depth + 1), rng=rng)
+        self.spatial = LinearLayer(cfg.spatial_side ** 2, dim, rng)
 
     def named_params(self, prefix: str = "seg") -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -79,10 +81,10 @@ def mask_token(features: dict[int, FeatureGrid], gm: Mask,
 
     A grid mask gives (dim,); a stack (S, rows, cols) gives (S, dim)."""
     fused: Tensor | None = None
-    for tap in extractor.cfg.tap_layers:
+    for tap, linear in extractor.tap_linears.items():
         if tap not in features:
             raise ContractError(f"missing tap layer {tap} in encoder features")
-        projected = extractor.tap_linears[tap](mask_pool(features[tap], gm))
+        projected = linear(mask_pool(features[tap], gm))
         fused = projected if fused is None else fused + projected
     return extractor.fusion(fused)
 

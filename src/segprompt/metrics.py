@@ -1,17 +1,18 @@
 """Evaluation metrics: Dice and clDice over binary masks, multi-label
-macro/micro F1, BLEU-n and ROUGE-L on token lists, and percentile bootstrap
+macro/micro F1, BLEU-4 and ROUGE-L on token lists, and percentile bootstrap
 confidence intervals.
 
 Dice and clDice return None when undefined (both masks empty / an empty
 skeleton); aggregation skips those, i.e. scores are pooled over positives
-only. Zero-denominator F1 terms score 0. BLEU is unsmoothed.
+only. Zero-denominator F1 terms score 0. BLEU is unsmoothed. The BLEU order,
+ROUGE-L's beta and the bootstrap (500 resamples, the median, a 95% interval)
+are fixed, and ``metric_conventions`` reports them.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,6 +23,12 @@ from segprompt.masks import Mask
 # The five mask-relevant findings, in report order.
 MR_FINDINGS = ("lung_opacity", "cardiomegaly", "pneumothorax",
                "support_devices", "pleural_effusion")
+
+BLEU_ORDER = 4
+ROUGE_BETA = 1.2  # ROUGE-L weighs recall 1.2 times precision
+BOOTSTRAP_SAMPLES = 500
+BOOTSTRAP_STATISTIC = np.median
+BOOTSTRAP_INTERVAL = 95.0  # percent
 
 
 def dice(pred: Mask, gt: Mask) -> float | None:
@@ -122,16 +129,14 @@ def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu(candidate: Sequence[str], reference: Sequence[str], n: int = 4) -> float:
-    """Unsmoothed BLEU-n on 0-100: geometric mean of modified n-gram
+def bleu(candidate: Sequence[str], reference: Sequence[str]) -> float:
+    """Unsmoothed BLEU-4 on 0-100: geometric mean of modified n-gram
     precisions times the brevity penalty; 0 if any precision is 0."""
-    return corpus_bleu([candidate], [reference], n=n)
+    return corpus_bleu([candidate], [reference])
 
 
 def corpus_bleu(candidates: Sequence[Sequence[str]],
-                references: Sequence[Sequence[str]], n: int = 4) -> float:
-    if n < 1:
-        raise ContractError("bleu order must be >= 1")
+                references: Sequence[Sequence[str]]) -> float:
     if len(candidates) != len(references):
         raise ContractError("candidate/reference count mismatch")
     cand_len = sum(len(c) for c in candidates)
@@ -139,7 +144,7 @@ def corpus_bleu(candidates: Sequence[Sequence[str]],
     if cand_len == 0:
         return 0.0
     log_sum = 0.0
-    for order in range(1, n + 1):
+    for order in range(1, BLEU_ORDER + 1):
         matched = total = 0
         for cand, ref in zip(candidates, references):
             counts = _ngram_counts(cand, order)
@@ -150,7 +155,7 @@ def corpus_bleu(candidates: Sequence[Sequence[str]],
             return 0.0
         log_sum += math.log(matched / total)
     bp = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
-    return 100.0 * bp * math.exp(log_sum / n)
+    return 100.0 * bp * math.exp(log_sum / BLEU_ORDER)
 
 
 def _lcs_len(a: Sequence[str], b: Sequence[str]) -> int:
@@ -168,9 +173,8 @@ def _lcs_len(a: Sequence[str], b: Sequence[str]) -> int:
     return len(a) - v.bit_count()
 
 
-def rouge_l(candidate: Sequence[str], reference: Sequence[str],
-            beta: float = 1.2) -> float:
-    """LCS-based F-measure on 0-100 (recall-weighted by beta)."""
+def rouge_l(candidate: Sequence[str], reference: Sequence[str]) -> float:
+    """LCS-based F-measure on 0-100, recall-weighted by ROUGE_BETA."""
     if not candidate or not reference:
         return 0.0
     lcs = _lcs_len(candidate, reference)
@@ -178,44 +182,28 @@ def rouge_l(candidate: Sequence[str], reference: Sequence[str],
         return 0.0
     prec = lcs / len(candidate)
     rec = lcs / len(reference)
-    b2 = beta * beta
+    b2 = ROUGE_BETA * ROUGE_BETA
     return 100.0 * (1 + b2) * prec * rec / (rec + b2 * prec)
 
 
 # -- bootstrap ----------------------------------------------------------------
 
 
-@dataclass
-class BootstrapSpec:
-    samples: int = 500
-    statistic: str = "median"  # median | mean
-    interval: float = 95.0
-
-    def __post_init__(self):
-        if self.samples < 1:
-            raise ContractError("bootstrap needs at least one sample")
-        if self.statistic not in ("median", "mean"):
-            raise ContractError(f"unknown statistic {self.statistic!r}")
-
-
-def bootstrap_ci(scores: Sequence[float], spec: BootstrapSpec = BootstrapSpec(),
-                 seed: int = 0) -> tuple[float, float, float]:
-    """(statistic on the full sample, low percentile, high percentile) from
+def bootstrap_ci(scores: Sequence[float], seed: int = 0) -> tuple[float, float, float]:
+    """(median of the full sample, low percentile, high percentile) from
     resampling with replacement; deterministic under the seed."""
     arr = np.asarray(scores, dtype=np.float64)
     if arr.size == 0:
         raise ContractError("bootstrap over an empty score list")
-    stat = {"median": np.median, "mean": np.mean}[spec.statistic]
-    return bootstrap_ci_fn(arr, lambda resamples: stat(resamples, axis=1), spec, seed)
+    return bootstrap_ci_fn(arr, lambda resamples: BOOTSTRAP_STATISTIC(resamples, axis=1), seed)
 
 
 def bootstrap_ci_fn(items: np.ndarray,
                     statistic_fn: Callable[[np.ndarray], np.ndarray],
-                    spec: BootstrapSpec = BootstrapSpec(), seed: int = 0
-                    ) -> tuple[float, float, float]:
+                    seed: int = 0) -> tuple[float, float, float]:
     """Generic percentile bootstrap: resample rows of ``items``.
 
-    All ``spec.samples`` resamples come from one (samples, n) index matrix,
+    All BOOTSTRAP_SAMPLES resamples come from one (samples, n) index matrix,
     which draws the same indexes as one ``size=n`` draw per resample.
     ``statistic_fn`` maps a (samples, n, ...) stack of resamples to the
     (samples,) statistics; the center is its value on ``items[None]``."""
@@ -223,23 +211,24 @@ def bootstrap_ci_fn(items: np.ndarray,
     if n == 0:
         raise ContractError("bootstrap over an empty item list")
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, n, size=(spec.samples, n))
+    idx = rng.integers(0, n, size=(BOOTSTRAP_SAMPLES, n))
     stats = np.asarray(statistic_fn(items[idx]), dtype=np.float64)
     center = np.asarray(statistic_fn(items[None]), dtype=np.float64)
-    if stats.shape != (spec.samples,) or center.shape != (1,):
+    if stats.shape != (BOOTSTRAP_SAMPLES,) or center.shape != (1,):
         raise ContractError(f"bootstrap statistic must return one value per resample, "
-                            f"got shape {stats.shape} for {spec.samples} resamples")
-    tail = (100.0 - spec.interval) / 2.0
+                            f"got shape {stats.shape} for {BOOTSTRAP_SAMPLES} resamples")
+    tail = (100.0 - BOOTSTRAP_INTERVAL) / 2.0
     low, high = np.percentile(stats, [tail, 100.0 - tail])
     return float(center[0]), float(low), float(high)
 
 
 def metric_conventions() -> dict:
     return {
-        "bleu": {"max_order": 4, "smoothing": "none"},
-        "rouge_l": {"beta": 1.2},
+        "bleu": {"max_order": BLEU_ORDER, "smoothing": "none"},
+        "rouge_l": {"beta": ROUGE_BETA},
         "f1": {"zero_division": 0},
         "dice": {"both_empty": "excluded"},
         "cl_dice": {"empty_skeleton": "excluded", "skeleton": "zhang-suen"},
-        "bootstrap": {"samples": 500, "statistic": "median", "interval": 95.0},
+        "bootstrap": {"samples": BOOTSTRAP_SAMPLES, "statistic": BOOTSTRAP_STATISTIC.__name__,
+                      "interval": BOOTSTRAP_INTERVAL},
     }

@@ -185,6 +185,9 @@ class DecoderLm:
                 raise ContractError(
                     f"a decode step takes (B, 1, {dim}) embeddings and B buffer rows; "
                     f"got shape {x.shape} and rows {list(rows)}")
+            if x.shape[0] == 0:
+                raise ContractError("a decode step needs at least one sequence; "
+                                    "the batch is empty")
             start = cache[0].lens[rows].tolist()
             self._check_length(max(start) + 1)
             n = len(rows)
@@ -260,8 +263,7 @@ def forward_loss(lm: DecoderLm, prompt_embeddings: Tensor, target_ids: Sequence[
 DECODE_ROWS = 16
 
 
-def generate(lm: DecoderLm, prompts: Sequence[Tensor], max_new: int,
-             eos_id: int = Tokenizer.EOS) -> list[list[int]]:
+def generate(lm: DecoderLm, prompts: Sequence[Tensor], max_new: int) -> list[list[int]]:
     """Greedy decoding of each (L, dim) prompt until EOS, max_new tokens or a
     full max_seq_len; deterministic. One id list per prompt, each
     bit-identical to decoding that prompt alone.
@@ -292,7 +294,7 @@ def generate(lm: DecoderLm, prompts: Sequence[Tensor], max_new: int,
         """Append each sequence's argmax of its row of ``logits`` (B, vocab)
         and keep it live until EOS or its cap."""
         for (row, i), next_id in zip(seqs, np.argmax(logits, axis=-1).tolist()):
-            if next_id != eos_id:
+            if next_id != Tokenizer.EOS:
                 out[i].append(next_id)
                 if len(out[i]) < cap[i]:
                     live.append((row, i))
@@ -333,11 +335,6 @@ class ModelConfig:
         if self.lm_dim % self.lm_heads:
             raise ContractError(f"key 'lm_heads' ({self.lm_heads}) must divide "
                                 f"key 'lm_dim' ({self.lm_dim})")
-        for key in ("tap_layers", "dim"):
-            ours, theirs = getattr(self.extractor, key), getattr(self.encoder, key)
-            if ours != theirs:
-                raise ContractError(f"extractor key {key!r} {ours} must equal "
-                                    f"encoder key {key!r} {theirs}")
 
 
 class ReportModel:
@@ -355,12 +352,13 @@ class ReportModel:
             return cfg.seed + offset if init else None
 
         self.encoder = VitEncoder(cfg.encoder, seed=seed(0))
-        self.extractor = SegTokenExtractor(cfg.extractor, seed=seed(1))
+        self.extractor = SegTokenExtractor(cfg.extractor, cfg.encoder.dim,
+                                           cfg.encoder.tap_layers, seed=seed(1))
         rng = np.random.default_rng(seed(2)) if init else None
         self.adapter = make_adapter(cfg.encoder.dim, cfg.lm_dim, rng)
         self.bridge: LinearLayer | None = None
-        if cfg.extractor.dim != cfg.lm_dim:
-            self.bridge = LinearLayer(cfg.extractor.dim, cfg.lm_dim, rng)
+        if cfg.encoder.dim != cfg.lm_dim:
+            self.bridge = LinearLayer(cfg.encoder.dim, cfg.lm_dim, rng)
         self.lm = DecoderLm(LmConfig(vocab_size=len(self.tokenizer), dim=cfg.lm_dim,
                                      depth=cfg.lm_depth, heads=cfg.lm_heads,
                                      max_seq_len=cfg.max_seq_len), seed=seed(3))
@@ -378,7 +376,7 @@ class ReportModel:
 
     def component_params(self) -> dict[str, dict[str, Tensor]]:
         """Named parameters per component, in checkpoint order; ``bridge``
-        only when the extractor and LM widths differ."""
+        only when the encoder and LM widths differ."""
         return {component: dict(params) for component, params in self._components.items()}
 
     def named_params(self) -> dict[str, Tensor]:

@@ -140,14 +140,15 @@ class AttentionBlock:
 
 
 class TransformerBlock:
-    """Pre-norm block: x + attn(ln(x)), then x + mlp(ln(x))."""
+    """Pre-norm block: x + attn(ln(x)), then x + mlp(ln(x)), the MLP's hidden
+    layer four times ``dim`` wide."""
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator | None,
-                 causal: bool = False, mlp_ratio: int = 4):
+                 causal: bool = False):
         self.ln1 = LayerNorm(dim)
         self.attn = AttentionBlock(dim, heads, rng, causal=causal)
         self.ln2 = LayerNorm(dim)
-        self.mlp = MlpBlock([dim, mlp_ratio * dim, dim], rng=rng)
+        self.mlp = MlpBlock([dim, 4 * dim, dim], rng=rng)
 
     def __call__(self, x: Tensor, cache: KvCache | None = None, row: int = 0) -> Tensor:
         x = x + self.attn(self.ln1(x), cache, row)

@@ -386,22 +386,25 @@ def gelu(x: Tensor) -> Tensor:
     return out
 
 
-def layer_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                       eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+LN_EPS = 1e-5
+
+
+def layer_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Layer norm of an array over its trailing axis: the output, and the
     normalized input and inverse deviation that backward reuses. The
     statistics are numpy's mean/var reductions written out: same bits, less
     overhead."""
     d = x.shape[-1]
     xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / d + eps)
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / d + LN_EPS)
     xhat = xc * inv
     return xhat * gamma + beta, xhat, inv
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the trailing axis to zero mean / unit variance, then affine."""
-    y, xhat, inv = layer_norm_forward(x.data, gamma.data, beta.data, eps)
+    y, xhat, inv = layer_norm_forward(x.data, gamma.data, beta.data)
     out = _make(y, (x, gamma, beta))
     if out.requires_grad:
         def bw(g):

@@ -20,7 +20,7 @@ from typing import TypedDict
 
 import numpy as np
 
-from segprompt.errors import ContractError, check_at_least, checked_fields
+from segprompt.errors import ContractError, check_at_least, checked_fields, read_json
 from segprompt.masks import (
     STRUCTURE_NAMES,
     STRUCTURE_ORDER,
@@ -456,12 +456,7 @@ def load_manifest(data_dir: str | Path) -> tuple[dict, list[StudyRecord]]:
     ``study_id`` raise a ContractError naming the file, the entry and the
     field."""
     path = Path(data_dir) / "manifest.json"
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ContractError(f"{path}: file not found") from None
-    except json.JSONDecodeError as exc:
-        raise ContractError(f"{path}: not valid JSON ({exc})") from exc
+    manifest = read_json(path)
     studies = manifest.get("studies") if isinstance(manifest, dict) else None
     if not isinstance(studies, list):
         raise ContractError(f"{path}: 'studies' must be a list of study entries")

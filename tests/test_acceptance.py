@@ -22,7 +22,6 @@ from segprompt.extractor import (
 )
 from segprompt.masks import StructureId
 from segprompt.metrics import (
-    BootstrapSpec,
     bleu,
     bootstrap_ci,
     cl_dice,
@@ -70,8 +69,7 @@ def tiny_model_config(seed: int = 0) -> ModelConfig:
     return ModelConfig(
         encoder=VitConfig(image_size=32, patch_size=16, depth=2, dim=12, heads=2,
                           tap_layers=(1, 2)),
-        extractor=ExtractorConfig(dim=12, tap_layers=(1, 2), spatial_side=8,
-                                  mlp_depth=2),
+        extractor=ExtractorConfig(spatial_side=8, mlp_depth=2),
         lm_dim=12, lm_depth=1, lm_heads=2, max_seq_len=192, seed=seed)
 
 
@@ -130,8 +128,7 @@ def test_criterion_1_gradient_suite():
             rng = np.random.default_rng(seed)
             # extractor: mask token and spatial token, all coordinates
             ext = SegTokenExtractor(
-                ExtractorConfig(dim=3, tap_layers=(1, 2), spatial_side=4, mlp_depth=2),
-                seed=seed)
+                ExtractorConfig(spatial_side=4, mlp_depth=2), 3, (1, 2), seed=seed)
             feats = {k: FeatureGrid(2, 2, Tensor(rng.standard_normal((4, 3))))
                      for k in (1, 2)}
             gm = np.array([[True, False], [True, True]])
@@ -397,4 +394,4 @@ def test_criterion_7_metrics_oracles():
         assert bleu("a b c d".split(), "w x y z".split()) == 0.0
         assert rouge_l(tokens, tokens) == pytest.approx(100.0)
         assert rouge_l("a b".split(), "c d".split()) == 0.0
-        assert bootstrap_ci([0.42] * 10, BootstrapSpec(), seed=0) == (0.42, 0.42, 0.42)
+        assert bootstrap_ci([0.42] * 10, seed=0) == (0.42, 0.42, 0.42)

@@ -25,8 +25,7 @@ TINY_CONFIG = {
               "strategy": "SS", "single_view": True, "precision": "float64"},
     "model": {"encoder": {"image_size": 32, "patch_size": 16, "depth": 2, "dim": 12,
                           "heads": 2, "tap_layers": [1, 2]},
-              "extractor": {"dim": 12, "tap_layers": [1, 2], "spatial_side": 8,
-                            "mlp_depth": 2},
+              "extractor": {"spatial_side": 8, "mlp_depth": 2},
               "lm_dim": 12, "lm_depth": 1, "lm_heads": 2, "max_seq_len": 160,
               "seed": 0},
 }
@@ -234,6 +233,33 @@ class TestConfigErrors:
         assert f"{path}: not valid JSON" in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,file", [
+        ("gen-data", "--spec"), ("train", "--config"), ("generate", "train_config.json"),
+        ("build-prompt", "manifest.json"), ("eval", "manifest.json")])
+    def test_not_utf8_names_file(self, dataset, checkpoint, tmp_path, capsys, command, file):
+        """A JSON file the pipeline reads that is not UTF-8 text exits 1
+        naming the file; the decode error used to name none."""
+        out = tmp_path / "out"
+        data, ckpt = tmp_path / "data", tmp_path / "ckpt"
+        shutil.copytree(dataset, data)
+        shutil.copytree(checkpoint, ckpt)
+        study = ["--study", "study_00000"]
+        path = {"--spec": tmp_path / "config.json", "--config": tmp_path / "config.json",
+                "train_config.json": ckpt / "train_config.json",
+                "manifest.json": data / "manifest.json"}[file]
+        argv = {"gen-data": ["gen-data", "--spec", str(path), "--out", str(out)],
+                "train": ["train", "--data", str(data), "--config", str(path),
+                          "--out", str(out)],
+                "generate": ["generate", "--data", str(data), "--ckpt", str(ckpt)] + study,
+                "build-prompt": ["build-prompt", "--data", str(data), "--out", str(out)] + study,
+                "eval": ["eval", "--data", str(data), "--ckpt", str(ckpt),
+                         "--report", str(out)]}[command]
+        path.write_bytes(b'{"studies": \xff}')
+        assert run_command(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: not UTF-8 text" in err and "0xff" in err, err
+        assert not out.exists()
+
     def test_unknown_top_level_keys(self, dataset, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"trian": {"epochs": 1}, "modle": {"lm_dim": 8}}))
@@ -293,6 +319,23 @@ class TestConfigErrors:
             assert str(path) in err and all(word in err for word in words), err
         assert not (tmp_path / "report.json").exists()
 
+    def test_checkpoint_with_extractor_width_and_taps_refused(self, dataset, checkpoint,
+                                                               tmp_path, capsys):
+        """The extractor's width and taps are the encoder's, not keys of its
+        own: a ``train_config.json`` that still carries them exits 1 naming
+        the file and the keys."""
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(checkpoint, ckpt)
+        path = ckpt / "train_config.json"
+        echo = json.loads(path.read_text())
+        echo["model"]["extractor"].update(dim=12, tap_layers=[1, 2])
+        path.write_text(json.dumps(echo))
+        assert run_command(["generate", "--data", str(dataset), "--ckpt", str(ckpt),
+                            "--study", "study_00000"]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err, err
+        assert "unknown ExtractorConfig key(s): 'dim', 'tap_layers'" in err, err
+
     def test_checkpoint_config_not_an_object(self, dataset, checkpoint, tmp_path, capsys):
         ckpt = tmp_path / "ckpt"
         shutil.copytree(checkpoint, ckpt)
@@ -306,8 +349,6 @@ class TestConfigErrors:
         ("train", {"model": {"lm_dim": 8.5}}, ["ModelConfig key 'lm_dim'", "integer", "8.5"]),
         ("train", {"model": {"encoder": {"tap_layers": 3}}},
          ["VitConfig key 'tap_layers'", "list", "got 3"]),
-        ("train", {"model": {"extractor": {"tap_layers": [1, "2"]}}},
-         ["ExtractorConfig key 'tap_layers'", "integer"]),
         ("train", {"model": {"encoder": {"image_size": "32"}}}, ["'image_size'", "integer"]),
         ("train", {"train": {"epochs": "2"}}, ["TrainConfig key 'epochs'", "integer", "'2'"]),
         ("train", {"train": {"batch_size": True}}, ["'batch_size'", "integer", "True"]),

@@ -41,6 +41,8 @@ class TestConfig:
             VitConfig(dim=65, heads=4)
         with pytest.raises(ContractError):
             VitConfig(depth=4, tap_layers=(2, 6))
+        with pytest.raises(ContractError, match="'tap_layers'"):
+            VitConfig(tap_layers=())
 
 
 class TestEncode:

@@ -33,15 +33,14 @@ def grid(features: np.ndarray, side: int) -> FeatureGrid:
 
 
 def tiny_extractor(dim=4, taps=(1, 2), side=4, seed=0):
-    cfg = ExtractorConfig(dim=dim, tap_layers=taps, spatial_side=side, mlp_depth=2)
-    return SegTokenExtractor(cfg, seed=seed)
+    return SegTokenExtractor(ExtractorConfig(spatial_side=side, mlp_depth=2), dim, taps,
+                             seed=seed)
 
 
 def identity_extractor(dim, taps):
     """Every tap projection and the fusion are identities: with ``mlp_depth=1``
     the fusion is one linear layer and no GELU."""
-    ext = SegTokenExtractor(ExtractorConfig(dim=dim, tap_layers=taps, spatial_side=4,
-                                            mlp_depth=1))
+    ext = SegTokenExtractor(ExtractorConfig(spatial_side=4, mlp_depth=1), dim, taps)
     for layer in [*ext.tap_linears.values(), *ext.fusion.layers]:
         layer.weight.data[:] = np.eye(dim)
         layer.bias.data[:] = 0.0
@@ -295,8 +294,8 @@ def per_structure_tokens(features, ms, patch, ext):
     for s in positive_structures(ms):
         idx = np.nonzero(to_grid(ms[s], patch).reshape(-1))[0]
         fused = None
-        for tap in ext.cfg.tap_layers:
-            projected = ext.tap_linears[tap](features[tap].features[idx].mean(axis=0))
+        for tap, linear in ext.tap_linears.items():
+            projected = linear(features[tap].features[idx].mean(axis=0))
             fused = projected if fused is None else fused + projected
         flat = resample_mask(ms[s], ext.cfg.spatial_side).reshape(-1).astype(np.float64)
         pairs.append(SegTokenPair(s, ext.fusion(fused), ext.spatial(Tensor(flat))))
@@ -381,11 +380,11 @@ class TestStackedOracle:
     @pytest.mark.parametrize("strategy", [Strategy.SS, Strategy.CS, Strategy.DC])
     def test_realize_with_bridge_matches_per_structure(self, strategy, monkeypatch):
         """The whole realized prompt and every trainable gradient, with a bridge
-        because the extractor (12) is narrower than the LM (16)."""
+        because the encoder (12) is narrower than the LM (16)."""
         cfg = ModelConfig(
             encoder=VitConfig(image_size=32, patch_size=8, depth=2, dim=12, heads=2,
                               tap_layers=(1, 2)),
-            extractor=ExtractorConfig(dim=12, tap_layers=(1, 2), spatial_side=8),
+            extractor=ExtractorConfig(spatial_side=8),
             lm_dim=16, lm_depth=1, lm_heads=2, max_seq_len=200)
         model = ReportModel(cfg, vocabulary())
         assert model.bridge is not None
@@ -471,7 +470,7 @@ class TestSerialization:
         assert "seg.spatial.linear.weight" in names
 
     def test_config_validation(self):
-        with pytest.raises(ContractError):
-            ExtractorConfig(tap_layers=())
-        with pytest.raises(ContractError):
-            ExtractorConfig(dim=0)
+        with pytest.raises(ContractError, match="'spatial_side'"):
+            ExtractorConfig(spatial_side=0)
+        with pytest.raises(ContractError, match="'mlp_depth'"):
+            ExtractorConfig(mlp_depth=0)

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from segprompt.errors import ContractError
 from segprompt.metrics import (
-    BootstrapSpec,
+    BOOTSTRAP_INTERVAL,
+    BOOTSTRAP_SAMPLES,
     _lcs_len,
     bleu,
     bootstrap_ci,
@@ -202,8 +203,8 @@ class TestBleu:
         assert bleu([], "a b".split()) == 0.0
 
     def test_zero_precision_without_smoothing(self):
-        # bigram precision is zero -> whole score is zero
-        assert bleu("a c b d".split(), "a b c d".split(), n=2) == 0.0
+        # bigram precision is zero -> the BLEU-4 score is zero
+        assert bleu("a c b d".split(), "a b c d".split()) == 0.0
 
     def test_removing_overlap_never_increases(self):
         ref = "a b c d e f".split()
@@ -267,48 +268,48 @@ class TestLcsLen:
 
 class TestBootstrap:
     def test_constant_scores_degenerate(self):
-        center, low, high = bootstrap_ci([0.7] * 20, BootstrapSpec(), seed=1)
+        center, low, high = bootstrap_ci([0.7] * 20, seed=1)
         assert center == low == high == 0.7
 
     def test_single_score(self):
-        assert bootstrap_ci([0.3], BootstrapSpec(), seed=2) == (0.3, 0.3, 0.3)
+        assert bootstrap_ci([0.3], seed=2) == (0.3, 0.3, 0.3)
 
     def test_frozen_reference_run(self):
         scores = [0.0] * 50 + [1.0] * 50
-        assert bootstrap_ci(scores, BootstrapSpec(), seed=0) == (0.5, 0.0, 1.0)
+        assert bootstrap_ci(scores, seed=0) == (0.5, 0.0, 1.0)
 
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(4)
         scores = rng.random(30).tolist()
-        a = bootstrap_ci(scores, BootstrapSpec(), seed=9)
-        b = bootstrap_ci(scores, BootstrapSpec(), seed=9)
+        a = bootstrap_ci(scores, seed=9)
+        b = bootstrap_ci(scores, seed=9)
         assert a == b
 
     def test_generic_statistic(self):
         items = np.arange(10, dtype=float).reshape(10, 1)
         center, low, high = bootstrap_ci_fn(
-            items, lambda rows: rows.mean(axis=(1, 2)), BootstrapSpec(samples=200), seed=0)
+            items, lambda rows: rows.mean(axis=(1, 2)), seed=0)
         assert center == pytest.approx(4.5)
         assert low <= center <= high
 
-    def test_spec_validation(self):
+    def test_empty_input_rejected(self):
         with pytest.raises(ContractError):
-            BootstrapSpec(samples=0)
+            bootstrap_ci([])
         with pytest.raises(ContractError):
-            bootstrap_ci([], BootstrapSpec())
+            bootstrap_ci_fn(np.zeros((0, 2)), lambda rows: rows.mean(axis=(1, 2)))
 
 
-def _bootstrap_loop(items, statistic_fn, spec, seed):
+def _bootstrap_loop(items, statistic_fn, seed):
     """The per-resample loop bootstrap_ci_fn replaced, with a statistic of one
     resample: the oracle for its (center, low, high)."""
     n = len(items)
     rng = np.random.default_rng(seed)
-    stats = np.empty(spec.samples)
-    for k in range(spec.samples):
+    stats = np.empty(BOOTSTRAP_SAMPLES)
+    for k in range(BOOTSTRAP_SAMPLES):
         idx = rng.integers(0, n, size=n)
         stats[k] = statistic_fn(items[idx])
     center = statistic_fn(items)
-    tail = (100.0 - spec.interval) / 2.0
+    tail = (100.0 - BOOTSTRAP_INTERVAL) / 2.0
     low, high = np.percentile(stats, [tail, 100.0 - tail])
     return float(center), float(low), float(high)
 
@@ -363,29 +364,23 @@ def label_tables(draw):
     return np.stack([pred, gt], axis=1)
 
 
-bootstrap_specs = st.builds(BootstrapSpec, samples=st.sampled_from([1, 2, 37, 500]),
-                            statistic=st.sampled_from(["median", "mean"]),
-                            interval=st.sampled_from([95.0, 50.0]))
-
-
 class TestBootstrapOracle:
     """The one-matrix bootstrap gives the per-resample loop's bits."""
 
     @settings(max_examples=200, deadline=None)
-    @given(score_lists(), bootstrap_specs, st.integers(0, 2 ** 32 - 1))
-    def test_scores_match_loop(self, scores, spec, seed):
-        stat = {"median": np.median, "mean": np.mean}[spec.statistic]
-        want = _bootstrap_loop(scores, lambda r: float(stat(r)), spec, seed)
-        assert _bits(bootstrap_ci(scores.tolist(), spec, seed=seed)) == _bits(want)
+    @given(score_lists(), st.integers(0, 2 ** 32 - 1))
+    def test_scores_match_loop(self, scores, seed):
+        want = _bootstrap_loop(scores, lambda r: float(np.median(r)), seed)
+        assert _bits(bootstrap_ci(scores.tolist(), seed=seed)) == _bits(want)
 
     @settings(max_examples=200, deadline=None)
-    @given(label_tables(), bootstrap_specs, st.integers(0, 2 ** 32 - 1), st.sampled_from([0, 1]))
-    def test_f1_tables_match_loop(self, pairs, spec, seed, which):
+    @given(label_tables(), st.integers(0, 2 ** 32 - 1), st.sampled_from([0, 1]))
+    def test_f1_tables_match_loop(self, pairs, seed, which):
         got = bootstrap_ci_fn(
             pairs, lambda rows: macro_micro_f1(rows[..., 0, :], rows[..., 1, :])[which],
-            spec, seed=seed)
+            seed=seed)
         want = _bootstrap_loop(
-            pairs, lambda rows: _macro_micro_f1_loop(rows[:, 0], rows[:, 1])[which], spec, seed)
+            pairs, lambda rows: _macro_micro_f1_loop(rows[:, 0], rows[:, 1])[which], seed)
         assert _bits(got) == _bits(want)
 
     @settings(max_examples=100, deadline=None)
@@ -410,12 +405,13 @@ class TestBootstrapOracle:
 
     def test_statistic_must_keep_resample_axis(self):
         with pytest.raises(ContractError, match="one value per resample"):
-            bootstrap_ci_fn(np.arange(4.0), lambda rows: float(rows.mean()),
-                            BootstrapSpec(samples=10))
+            bootstrap_ci_fn(np.arange(4.0), lambda rows: float(rows.mean()))
 
 
 def test_conventions_surface_choices():
     conv = metric_conventions()
     assert conv["bleu"]["smoothing"] == "none"
     assert conv["rouge_l"]["beta"] == 1.2
+    assert conv["bleu"]["max_order"] == 4
+    assert conv["bootstrap"] == {"samples": 500, "statistic": "median", "interval": 95.0}
     assert conv["f1"]["zero_division"] == 0

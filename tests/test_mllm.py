@@ -54,8 +54,7 @@ def tiny_model_config(lm_dim=12, seed=0) -> ModelConfig:
     return ModelConfig(
         encoder=VitConfig(image_size=32, patch_size=16, depth=2, dim=12, heads=2,
                           tap_layers=(1, 2)),
-        extractor=ExtractorConfig(dim=12, tap_layers=(1, 2), spatial_side=8,
-                                  mlp_depth=2),
+        extractor=ExtractorConfig(spatial_side=8, mlp_depth=2),
         lm_dim=lm_dim, lm_depth=1, lm_heads=2, max_seq_len=160, seed=seed)
 
 
@@ -732,7 +731,9 @@ class TestDecodeStep:
                          "got shape (2, 1, 8) and rows [0]"),
         # more rows than B
         ((1, 1, 8), [0, 1], "a decode step takes (B, 1, 8) embeddings and B buffer rows; "
-                            "got shape (1, 1, 8) and rows [0, 1]")])
+                            "got shape (1, 1, 8) and rows [0, 1]"),
+        # an empty batch
+        ((0, 1, 8), [], "a decode step needs at least one sequence; the batch is empty")])
     def test_bad_step_raises_and_writes_nothing(self, dtype, shape, rows, message):
         cfg = LmConfig(vocab_size=9, dim=8, depth=2, heads=2, max_seq_len=6)
         lm, cache, _ = prefilled(cfg, [3, 5, 6], seed=1, dtype=dtype)
@@ -951,13 +952,48 @@ class TestLoadOnceConstruction:
             load_into(tmp_path / "model.ckpt", blank.named_params())
 
 
+def widths_config(enc_dim, lm_dim, taps=(1, 2)) -> ModelConfig:
+    return ModelConfig(
+        encoder=VitConfig(image_size=32, patch_size=16, depth=3, dim=enc_dim, heads=2,
+                          tap_layers=taps),
+        extractor=ExtractorConfig(spatial_side=8, mlp_depth=2),
+        lm_dim=lm_dim, lm_depth=1, lm_heads=2, max_seq_len=160)
+
+
 class TestReportModel:
     def test_bridge_only_when_widths_differ(self):
+        """A ``bridge`` from the encoder's width to the LM's exists exactly
+        when the two differ."""
         same = ReportModel(tiny_model_config(lm_dim=12), vocabulary())
         assert same.bridge is None
         wide = ReportModel(tiny_model_config(lm_dim=16), vocabulary())
         assert wide.bridge is not None
         assert "bridge" in wide.component_params()
+        for enc_dim, lm_dim in [(8, 8), (8, 12), (12, 8)]:
+            model = ReportModel(widths_config(enc_dim, lm_dim), vocabulary())
+            assert ("bridge" in model.component_params()) == (enc_dim != lm_dim)
+            if model.bridge is not None:
+                assert model.bridge.weight.shape == (lm_dim, enc_dim)
+            else:
+                assert enc_dim == lm_dim
+
+    @pytest.mark.parametrize("taps", [(3,), (1, 3), (1, 2, 3)])
+    def test_extractor_taps_and_width_are_the_encoders(self, taps):
+        """One tap projection per ``encoder.tap_layers`` entry, in its order,
+        and every extractor layer at ``encoder.dim``, not the LM's width."""
+        model = ReportModel(widths_config(8, 12, taps), vocabulary())
+        ext = model.extractor
+        assert list(ext.tap_linears) == list(taps)
+        for layer in [*ext.tap_linears.values(), *ext.fusion.layers]:
+            assert layer.weight.shape == (8, 8)
+        assert ext.spatial.weight.shape == (8, 8 * 8)
+        study = tiny_studies(1)[0]
+        with no_grad():
+            [enc] = model.encode_views([study], single_view=True)
+            pairs = model.seg_pairs(study, enc, Strategy.SS, single_view=True)
+        tokens = [p for view_pairs in pairs.values() for p in view_pairs]
+        assert tokens and all(p.mask_token.shape == p.spatial_token.shape == (8,)
+                              for p in tokens)
 
     def test_ns_vs_ss_diff_confined_to_seg_blocks(self):
         model = ReportModel(tiny_model_config(), vocabulary())

@@ -593,8 +593,7 @@ class TestNoGrad:
         cfg = ModelConfig(
             encoder=VitConfig(image_size=32, patch_size=16, depth=2, dim=12, heads=2,
                               tap_layers=(1, 2)),
-            extractor=ExtractorConfig(dim=12, tap_layers=(1, 2), spatial_side=8,
-                                      mlp_depth=2),
+            extractor=ExtractorConfig(spatial_side=8, mlp_depth=2),
             lm_dim=12, lm_depth=1, lm_heads=2, max_seq_len=160)
         study = make_study(SynthSpec(seed=5, n_studies=1, image_size=32,
                                      heart_area_threshold=50), 0)
