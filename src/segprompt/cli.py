@@ -13,9 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from segprompt import metrics, synth
+from segprompt import metrics
 from segprompt.encoder import VitConfig
-from segprompt.errors import ContractError, checked_fields, read_json
+from segprompt.errors import ContractError, checked_fields, read_json, write_json
 from segprompt.masks import write_image, write_mask
 from segprompt.mllm import (
     ModelConfig,
@@ -38,7 +38,6 @@ from segprompt.synth import (
     load_study,
     read_view,
     vocabulary,
-    write_manifest,
 )
 
 
@@ -91,10 +90,12 @@ def _find_record(data_dir: str | Path, study_id: str):
 
 
 def _check_image_size(data_dir: str | Path, manifest: dict, pairs, size: int,
-                      single_view: bool, model_file: str | Path) -> None:
-    """Every image the model encodes must be ``size`` square, the key
-    ``model.encoder.image_size`` of ``model_file``; a ContractError names the
-    first that is not, and the size the manifest's ``spec`` records."""
+                      single_view: bool, model_file: str | Path | None) -> None:
+    """Every image the model encodes must be ``size`` square: the key
+    ``model.encoder.image_size`` of ``model_file``, or without a model file
+    the manifest's ``spec.image_size`` (the default without a ``spec``). A
+    ContractError names the first image that is not, where ``size`` came
+    from, and the size the manifest's ``spec`` records."""
     for record, study in pairs:
         for view, image, _ in study.views(single_view):
             if image.shape != (size, size):
@@ -102,10 +103,12 @@ def _check_image_size(data_dir: str | Path, manifest: dict, pairs, size: int,
                 recorded = ("the manifest has no key 'spec'" if spec is None else
                             f"the manifest's key 'spec.image_size' is "
                             f"{spec.get('image_size', SynthSpec.image_size)}")
+                wanted = (f"key 'model.encoder.image_size' ({size}) of {model_file}"
+                          if model_file else f"the image size ({size}) of the manifest's "
+                          f"'spec', or the default without one")
                 raise ContractError(
                     f"{Path(data_dir) / record.views[view]['image']}: image extent "
-                    f"{image.shape} != key 'model.encoder.image_size' ({size}) of "
-                    f"{model_file}; {recorded}")
+                    f"{image.shape} != {wanted}; {recorded}")
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -140,8 +143,8 @@ def cmd_render_som(args) -> int:
             for structure, rel in entry["masks"].items():
                 write_mask(dst / rel, masks[structure])
             entry["legend"] = tuple(overlay.legend)
-    write_manifest(dst, dict(manifest, studies=[asdict(r) for r in records],
-                             som_style=asdict(style)))
+    write_json(dst / "manifest.json", dict(manifest, studies=[asdict(r) for r in records],
+                                           som_style=asdict(style)))
     log(f"rendered {len(records)} studies to {dst}")
     return 0
 
@@ -163,12 +166,13 @@ def cmd_extract_tokens(args) -> int:
     study = load_study(record, args.data)
     if args.ckpt:
         model, _ = _load_model(args.ckpt)
-        _check_image_size(args.data, manifest, [(record, study)], model.cfg.encoder.image_size,
-                          args.single_view, Path(args.ckpt) / "train_config.json")
+        model_file = Path(args.ckpt) / "train_config.json"
     else:
         size = manifest.get("spec", {}).get("image_size", SynthSpec.image_size)
         cfg = ModelConfig(encoder=VitConfig(image_size=size), seed=args.seed)
-        model = ReportModel(cfg, vocabulary())
+        model, model_file = ReportModel(cfg, vocabulary()), None
+    _check_image_size(args.data, manifest, [(record, study)], model.cfg.encoder.image_size,
+                      args.single_view, model_file)
     with no_grad():
         [enc] = model.encode_views([study], single_view=args.single_view)
         pairs = model.seg_pairs(study, enc, Strategy.SS, single_view=args.single_view)
@@ -276,8 +280,7 @@ def cmd_eval(args) -> int:
         center, low, high = metrics.bootstrap_ci_fn(label_pairs, f1_stat(which),
                                                     seed=args.seed)
         report["metrics"][name] = {"median": center, "ci_low": low, "ci_high": high}
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    Path(args.report).write_text(text, encoding="utf-8")
+    write_json(args.report, report)
     log(f"wrote metrics report to {args.report}")
     return 0
 

@@ -36,6 +36,8 @@ class VitConfig:
         if not self.tap_layers or any(t < 1 or t > self.depth for t in self.tap_layers):
             raise ContractError(f"key 'tap_layers' {list(self.tap_layers)} must be nonempty "
                                 f"and lie in [1, depth {self.depth}]")
+        if len(set(self.tap_layers)) < len(self.tap_layers):
+            raise ContractError(f"key 'tap_layers' {list(self.tap_layers)} repeats a layer")
 
     @property
     def grid_side(self) -> int:

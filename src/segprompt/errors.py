@@ -1,5 +1,5 @@
-"""Shared exception types, the one reader of JSON files, and the checks on
-JSON objects read into dataclasses and ``TypedDict``s."""
+"""Shared exception types, the one reader and the one writer of JSON files,
+and the checks on JSON objects read into dataclasses and ``TypedDict``s."""
 
 import dataclasses
 import functools
@@ -16,10 +16,6 @@ class ContractError(ValueError):
     """A caller violated an operation's precondition or shape contract."""
 
 
-class OracleError(RuntimeError):
-    """A test oracle (e.g. finite differences) hit a non-finite evaluation."""
-
-
 def read_json(path):
     """The JSON value in the UTF-8 file ``path``. A missing file, or one that
     is not UTF-8 text or not valid JSON, raises a ContractError naming
@@ -33,6 +29,13 @@ def read_json(path):
         raise ContractError(f"{path}: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ContractError(f"{path}: not valid JSON ({exc})") from exc
+
+
+def write_json(path, value) -> None:
+    """Write ``value`` to the UTF-8 file ``path`` as JSON: sorted keys, a
+    two-space indent and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(value, indent=2, sort_keys=True) + "\n")
 
 
 def check_at_least(cfg, low: int, *keys: str) -> None:

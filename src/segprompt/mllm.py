@@ -13,7 +13,6 @@ no ``Tensor``.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, field, asdict, replace
@@ -22,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from segprompt.errors import ContractError, check_at_least
+from segprompt.errors import ContractError, check_at_least, write_json
 from segprompt.encoder import EncoderOutput, FeatureGrid, VitConfig, VitEncoder
 from segprompt.extractor import ExtractorConfig, SegTokenExtractor, SegTokenPair, extract_tokens
 from segprompt.nn import (
@@ -113,7 +112,7 @@ class DecoderLm:
                               requires_grad=True)
         self.blocks = [TransformerBlock(cfg.dim, cfg.heads, rng, causal=True)
                        for _ in range(cfg.depth)]
-        self.ln_f = LayerNorm(cfg.dim)
+        self.ln_f = LayerNorm(cfg.dim, rng)
         self.head = LinearLayer(cfg.dim, cfg.vocab_size, rng)
 
     def embed(self, ids: Sequence[int]) -> Tensor:
@@ -612,7 +611,5 @@ def train(model: ReportModel, dataset: list[StudyInput], tc: TrainConfig,
         # the dtype the model holds, which need not be tc.precision
         echo = TrainEcho(replace(tc, precision=model.lm.tok_emb.data.dtype.name),
                          model.cfg, tuple(model.tokenizer.vocab))
-        with open(out / "train_config.json", "w", encoding="utf-8") as fh:
-            json.dump(asdict(echo), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(out / "train_config.json", asdict(echo))
     return result

@@ -4,9 +4,7 @@ from segprompt.nn.tensor import (
     attention,
     concat,
     cross_entropy,
-    finite_diff_grad,
     gelu,
-    grad_rel_error,
     layer_norm,
     linear,
     no_grad,
@@ -28,6 +26,6 @@ __all__ = [
     "ACTIVATIONS", "AdamW", "AttentionBlock", "KvCache", "LayerNorm",
     "LinearLayer", "LrSchedule", "MAGIC", "MlpBlock", "Tensor",
     "TransformerBlock", "as_tensor", "attention", "concat", "cross_entropy",
-    "finite_diff_grad", "gelu", "grad_rel_error", "init_uniform", "layer_norm",
-    "linear", "load_checkpoint", "load_into", "lr_at", "no_grad", "save_checkpoint",
+    "gelu", "init_uniform", "layer_norm", "linear", "load_checkpoint",
+    "load_into", "lr_at", "no_grad", "save_checkpoint",
 ]

@@ -18,15 +18,21 @@ from segprompt.nn.tensor import Tensor
 ACTIVATIONS = {"gelu": T.gelu}
 
 
+def param_dtype(rng: np.random.Generator | None) -> type:
+    """The dtype of every parameter a layer builds: float64 when ``rng``
+    draws its init, and float32, the checkpoint's storage dtype, when there
+    is no ``rng`` and a checkpoint fills the weights."""
+    return np.float32 if rng is None else np.float64
+
+
 def init_uniform(rng: np.random.Generator | None, shape: tuple[int, ...],
                  fan_in: int) -> np.ndarray:
-    """Scaled uniform init, +-1/sqrt(fan_in), in float64. Without ``rng``
-    nothing is drawn: float32 zeros, the checkpoint's storage dtype, for a
-    model whose weights a checkpoint fills."""
+    """Scaled uniform init, +-1/sqrt(fan_in); without ``rng`` nothing is
+    drawn and the weights are zeros. Either way in ``param_dtype(rng)``."""
     if rng is None:
-        return np.zeros(shape, dtype=np.float32)
+        return np.zeros(shape, dtype=param_dtype(rng))
     bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+    return rng.uniform(-bound, bound, size=shape).astype(param_dtype(rng), copy=False)
 
 
 class LinearLayer:
@@ -72,9 +78,12 @@ class MlpBlock:
 
 
 class LayerNorm:
-    def __init__(self, dim: int):
-        self.gamma = Tensor(np.ones(dim), requires_grad=True)
-        self.beta = Tensor(np.zeros(dim), requires_grad=True)
+    """Gain one, shift zero, in ``param_dtype(rng)``; ``rng`` draws nothing."""
+
+    def __init__(self, dim: int, rng: np.random.Generator | None = None):
+        dtype = param_dtype(rng)
+        self.gamma = Tensor(np.ones(dim, dtype=dtype), requires_grad=True)
+        self.beta = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.layer_norm(x, self.gamma, self.beta)
@@ -145,9 +154,9 @@ class TransformerBlock:
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator | None,
                  causal: bool = False):
-        self.ln1 = LayerNorm(dim)
+        self.ln1 = LayerNorm(dim, rng)
         self.attn = AttentionBlock(dim, heads, rng, causal=causal)
-        self.ln2 = LayerNorm(dim)
+        self.ln2 = LayerNorm(dim, rng)
         self.mlp = MlpBlock([dim, 4 * dim, dim], rng=rng)
 
     def __call__(self, x: Tensor, cache: KvCache | None = None, row: int = 0) -> Tensor:

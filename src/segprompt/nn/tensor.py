@@ -27,7 +27,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from segprompt.errors import ContractError, OracleError
+from segprompt.errors import ContractError
 
 _GRAD_ENABLED = True
 
@@ -75,9 +75,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
@@ -442,38 +439,3 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         out._backward = bw
     return out
 
-
-# -- gradient oracle ----------------------------------------------------------
-
-
-def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor, eps: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of scalar f at x, one coordinate at a time."""
-    if eps <= 0:
-        raise ContractError("eps must be positive")
-    base = x.data.astype(np.float64, copy=True)
-    grad = np.zeros_like(base)
-    flat = base.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = float(f(Tensor(base)))
-        flat[i] = orig - eps
-        lo = float(f(Tensor(base)))
-        flat[i] = orig
-        if not (math.isfinite(hi) and math.isfinite(lo)):
-            raise OracleError(f"non-finite evaluation at coordinate {i}")
-        gflat[i] = (hi - lo) / (2.0 * eps)
-    return grad
-
-
-def grad_rel_error(analytic: np.ndarray, numeric: np.ndarray,
-                   floor: float = 1e-6) -> float:
-    """max|a-n| / max(max|a|, max|n|, floor).
-
-    The floor absorbs central-difference truncation noise (~1e-10 at
-    eps=1e-6 in float64) on coordinates whose true gradient is zero.
-    """
-    diff = float(np.max(np.abs(analytic - numeric)))
-    scale = max(float(np.max(np.abs(analytic))), float(np.max(np.abs(numeric))), floor)
-    return diff / scale

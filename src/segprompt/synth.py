@@ -10,7 +10,6 @@ its finding sentence depend on the mask alone.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field, asdict
@@ -20,7 +19,7 @@ from typing import TypedDict
 
 import numpy as np
 
-from segprompt.errors import ContractError, check_at_least, checked_fields, read_json
+from segprompt.errors import ContractError, check_at_least, checked_fields, read_json, write_json
 from segprompt.masks import (
     STRUCTURE_NAMES,
     STRUCTURE_ORDER,
@@ -439,14 +438,9 @@ def generate_dataset(spec: SynthSpec, out_dir: str | Path) -> list[StudyRecord]:
                                  study.prior_report),
             target_findings=study.target_findings))
 
-    write_manifest(root, {"spec": asdict(spec), "studies": [asdict(r) for r in records]})
+    write_json(root / "manifest.json",
+               {"spec": asdict(spec), "studies": [asdict(r) for r in records]})
     return records
-
-
-def write_manifest(root: Path, manifest: dict) -> None:
-    """``root/manifest.json``: sorted keys, two-space indent, final newline."""
-    with open(root / "manifest.json", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def load_manifest(data_dir: str | Path) -> tuple[dict, list[StudyRecord]]:

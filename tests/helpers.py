@@ -1,6 +1,50 @@
-"""Test helpers shared across modules."""
+"""Test helpers shared across modules: the central finite-difference gradient
+oracle and a parameter cast for bare components."""
 
+import math
+from typing import Callable
+
+import numpy as np
+
+from segprompt.errors import ContractError
 from segprompt.nn import Tensor
+
+
+class OracleError(RuntimeError):
+    """The finite-difference oracle hit a non-finite evaluation."""
+
+
+def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor, eps: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient of scalar f at x, one coordinate at a time."""
+    if eps <= 0:
+        raise ContractError("eps must be positive")
+    base = x.data.astype(np.float64, copy=True)
+    grad = np.zeros_like(base)
+    flat = base.reshape(-1)
+    gflat = grad.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        hi = float(f(Tensor(base)))
+        flat[i] = orig - eps
+        lo = float(f(Tensor(base)))
+        flat[i] = orig
+        if not (math.isfinite(hi) and math.isfinite(lo)):
+            raise OracleError(f"non-finite evaluation at coordinate {i}")
+        gflat[i] = (hi - lo) / (2.0 * eps)
+    return grad
+
+
+def grad_rel_error(analytic: np.ndarray, numeric: np.ndarray,
+                   floor: float = 1e-6) -> float:
+    """max|a-n| / max(max|a|, max|n|, floor).
+
+    The floor absorbs central-difference truncation noise (~1e-10 at
+    eps=1e-6 in float64) on coordinates whose true gradient is zero.
+    """
+    diff = float(np.max(np.abs(analytic - numeric)))
+    scale = max(float(np.max(np.abs(analytic))), float(np.max(np.abs(numeric))), floor)
+    return diff / scale
 
 
 def cast_params(params: dict[str, Tensor], dtype) -> None:

@@ -37,7 +37,7 @@ from segprompt.mllm import (
     make_adapter,
     train,
 )
-from segprompt.nn import Tensor, finite_diff_grad, grad_rel_error, no_grad
+from segprompt.nn import Tensor, no_grad
 from segprompt.prompting import Strategy, StudyInput, build_prompt, prompt_dumps
 from segprompt.som import MarkStyle, overlay_footprint, render_overlay
 from segprompt.synth import (
@@ -47,6 +47,8 @@ from segprompt.synth import (
     split_of,
     vocabulary,
 )
+
+from helpers import finite_diff_grad, grad_rel_error
 
 GOLDEN_PROMPT = Path(__file__).parent / "data" / "golden_prompt.json"
 

@@ -191,6 +191,9 @@ class TestConfigErrors:
         ("train", {"model": {"lm_dim": 10, "lm_heads": 4}}, "'lm_heads'"),
         ("train", {"model": {"extractor": {"dim": 32}}}, "'dim'"),
         ("train", {"model": {"extractor": {"tap_layers": [2, 4]}}}, "'tap_layers'"),
+        # a repeated tap layer, which trained an extractor with one projection for it
+        ("train", {**TINY_CONFIG, "model": {**TINY_CONFIG["model"], "encoder": {
+            **TINY_CONFIG["model"]["encoder"], "tap_layers": [1, 1]}}}, "'tap_layers'"),
         # each top-level key set to each JSON kind but an object
         *(pytest.param("train", {key: value}, repr(key), id=f"{kind}-{key}")
           for key in ("train", "model") for kind, value in JSON_KINDS.items()
@@ -694,6 +697,31 @@ class TestImageSizeMismatch:
             assert str(checkpoint / "train_config.json") in err, err
             assert "'model.encoder.image_size' (32)" in err and recorded in err, err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("spec", ["deleted", "disagrees"])
+    def test_extract_tokens_without_checkpoint(self, dataset, tmp_path, capsys, spec):
+        """Without ``--ckpt`` the size comes from the manifest's ``spec``, or
+        the default without one; 32-pixel images against either name the
+        image file and where the size came from. It used to say "image 0:
+        shape (32, 32) != configured (64, 64)"."""
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        if spec == "deleted":
+            del manifest["spec"]
+        else:
+            manifest["spec"]["image_size"] = 64
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "tokens.json"
+        assert run_command(["extract-tokens", "--data", str(data), "--study", "study_00000",
+                            "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(self.first_image(data, "train")) in err, err
+        assert "image extent (32, 32) != the image size (64) of the manifest's 'spec', " \
+               "or the default without one" in err, err
+        assert ("the manifest has no key 'spec'" if spec == "deleted"
+                else "the manifest's key 'spec.image_size' is 64") in err, err
+        assert not out.exists()
 
 
 class TestManifestSpec:

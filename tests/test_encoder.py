@@ -43,6 +43,8 @@ class TestConfig:
             VitConfig(depth=4, tap_layers=(2, 6))
         with pytest.raises(ContractError, match="'tap_layers'"):
             VitConfig(tap_layers=())
+        with pytest.raises(ContractError, match=r"'tap_layers' \[2, 4, 2\] repeats a layer"):
+            VitConfig(tap_layers=(2, 4, 2))
 
 
 class TestEncode:

@@ -23,9 +23,11 @@ from segprompt.extractor import (
 from segprompt.masks import StructureId, positive_structures, to_grid
 from segprompt import mllm
 from segprompt.mllm import ModelConfig, ReportModel
-from segprompt.nn import Tensor, finite_diff_grad, grad_rel_error
+from segprompt.nn import Tensor
 from segprompt.prompting import Strategy
 from segprompt.synth import SynthSpec, make_study, vocabulary
+
+from helpers import finite_diff_grad, grad_rel_error
 
 
 def grid(features: np.ndarray, side: int) -> FeatureGrid:
@@ -334,7 +336,7 @@ class TestStackedOracle:
         tensors = {**ext.named_params(), **{f"features{k}": fg.features
                                              for k, fg in feats.items()}}
         for t in tensors.values():
-            t.zero_grad()
+            t.grad = None
         pairs = fn(feats, ms, 4, ext)
         loss = None
         for p, (wm, ws) in zip(pairs, weights):
@@ -398,7 +400,7 @@ class TestStackedOracle:
             out = []
             for study in studies:
                 for p in params.values():
-                    p.zero_grad()
+                    p.grad = None
                 emb = model.realize(study, strategy)
                 weight = np.random.default_rng(emb.shape[0]).standard_normal(emb.shape)
                 (emb * weight).sum().backward()

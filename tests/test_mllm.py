@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from segprompt.errors import ContractError, checked_fields
-from segprompt.encoder import FeatureGrid, VitConfig
-from segprompt.extractor import ExtractorConfig
+from segprompt.encoder import FeatureGrid, VitConfig, VitEncoder
+from segprompt.extractor import ExtractorConfig, SegTokenExtractor
 from segprompt.masks import positive_structures
 from segprompt import mllm
 from segprompt.mllm import (
@@ -35,8 +35,6 @@ from segprompt.nn import (
     LrSchedule,
     Tensor,
     concat,
-    finite_diff_grad,
-    grad_rel_error,
     load_into,
     lr_at,
     no_grad,
@@ -47,7 +45,7 @@ from segprompt.prompting import ANNOTATION_ROLES
 from segprompt.nn import tensor as T
 from segprompt.synth import SynthSpec, make_study, vocabulary
 
-from helpers import cast_params
+from helpers import cast_params, finite_diff_grad, grad_rel_error
 
 
 def tiny_model_config(lm_dim=12, seed=0) -> ModelConfig:
@@ -926,6 +924,21 @@ class TestLoadOnceConstruction:
             assert p.data.shape == seeded[name].shape and p.data.dtype == np.float32
             want = 1.0 if name.endswith(".gamma") else 0.0
             assert np.all(p.data == want), name
+
+    @pytest.mark.parametrize("seed,dtype", [(None, np.float32), (5, np.float64)])
+    def test_bare_components_hold_one_dtype(self, seed, dtype):
+        """Built outside ``ReportModel``, each component holds every
+        parameter, layer-norm gains and shifts included, in one dtype:
+        float32 undrawn, float64 drawn."""
+        components = {
+            "lm": DecoderLm(LmConfig(vocab_size=9, dim=8, depth=1, heads=2, max_seq_len=12),
+                            seed=seed),
+            "encoder": VitEncoder(VitConfig(), seed=seed),
+            "extractor": SegTokenExtractor(ExtractorConfig(), 8, (1, 2), seed=seed),
+        }
+        for component, model in components.items():
+            dtypes = {name: p.data.dtype for name, p in model.named_params().items()}
+            assert set(dtypes.values()) == {np.dtype(dtype)}, (component, dtypes)
 
     def test_checkpoint_fills_a_no_init_model(self, tmp_path):
         """Loading into a no-init model gives what loading into a seeded

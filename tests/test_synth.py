@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from segprompt.errors import ContractError
+from segprompt.errors import ContractError, write_json
 from segprompt.masks import StructureId, read_image, write_mask
 from segprompt.metrics import MR_FINDINGS
 from segprompt.mllm import Tokenizer
@@ -27,7 +27,6 @@ from segprompt.synth import (
     read_view,
     split_of,
     vocabulary,
-    write_manifest,
 )
 
 
@@ -337,7 +336,7 @@ class TestManifest:
         two-space indent and a final newline."""
         manifest = {"studies": [{"split": "test", "context": {"b": None, "a": "\u00e9"}}],
                     "spec": {"seed": 3, "structure_probs": {"heart": 1.0}}}
-        write_manifest(tmp_path, manifest)
+        write_json(tmp_path / "manifest.json", manifest)
         assert (tmp_path / "manifest.json").read_bytes() == (
             json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
 

@@ -4,7 +4,7 @@ calculations and the central finite-difference oracle."""
 import numpy as np
 import pytest
 
-from segprompt.errors import ContractError, OracleError
+from segprompt.errors import ContractError
 from segprompt.nn import (
     AttentionBlock,
     LinearLayer,
@@ -12,15 +12,13 @@ from segprompt.nn import (
     Tensor,
     concat,
     cross_entropy,
-    finite_diff_grad,
     gelu,
-    grad_rel_error,
     layer_norm,
     no_grad,
 )
 from segprompt.nn import tensor as T
 
-from helpers import cast_params
+from helpers import OracleError, cast_params, finite_diff_grad, grad_rel_error
 
 
 # -- reference ops that only the oracles below build graphs from --------------
@@ -530,7 +528,7 @@ class TestFusedPrimitives:
         grads = {}
         for fn in (block, composed_block):
             for p in params.values():
-                p.zero_grad()
+                p.grad = None
             out = fn(Tensor(x))
             (out * weight).sum().backward()
             grads[fn] = (out.data, {name: p.grad for name, p in params.items()})
