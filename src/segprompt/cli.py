@@ -15,7 +15,7 @@ import numpy as np
 
 from segprompt import metrics
 from segprompt.encoder import VitConfig
-from segprompt.errors import ContractError, checked_fields, read_json, write_json
+from segprompt.errors import ContractError, checked_fields, read_json, write_file, write_json
 from segprompt.masks import write_image, write_mask
 from segprompt.mllm import (
     ModelConfig,
@@ -135,6 +135,8 @@ def cmd_render_som(args) -> int:
     dst = Path(args.out)
     (dst / "images").mkdir(parents=True, exist_ok=True)
     (dst / "masks").mkdir(parents=True, exist_ok=True)
+    # written last, so an interrupted rerun leaves no manifest
+    (dst / "manifest.json").unlink(missing_ok=True)
     for record in records:
         for entry in record.views.values():
             image, masks, _ = read_view(src, entry)
@@ -155,7 +157,7 @@ def cmd_build_prompt(args) -> int:
     prompt = build_prompt(study, Strategy(args.strategy), single_view=args.single_view)
     dump = prompt_dumps(prompt)
     if args.out:
-        Path(args.out).write_text(dump, encoding="utf-8")
+        write_file(args.out, dump.encode("utf-8"))
     else:
         sys.stdout.write(dump)
     return 0
@@ -187,7 +189,7 @@ def cmd_extract_tokens(args) -> int:
     }
     text = json.dumps(payload, indent=2) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        write_file(args.out, text.encode("utf-8"))
     else:
         sys.stdout.write(text)
     return 0

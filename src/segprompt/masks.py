@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from segprompt.errors import ContractError
+from segprompt.errors import ContractError, write_file
 
 Mask = np.ndarray  # bool, shape (height, width)
 
@@ -173,8 +173,7 @@ def write_pgm(path: str | Path, pixels: np.ndarray) -> None:
     if arr.dtype != np.uint8:
         raise ContractError(f"PGM writer expects uint8 or bool, got {arr.dtype}")
     h, w = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(b"P5\n%d %d\n255\n" % (w, h) + arr.tobytes())
+    write_file(path, b"P5\n%d %d\n255\n" % (w, h), arr.tobytes())
 
 
 def read_pgm(path: str | Path) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from segprompt.errors import ContractError, check_at_least, write_json
+from segprompt.errors import ContractError, check_at_least, write_file, write_json
 from segprompt.encoder import EncoderOutput, FeatureGrid, VitConfig, VitEncoder
 from segprompt.extractor import ExtractorConfig, SegTokenExtractor, SegTokenPair, extract_tokens
 from segprompt.nn import (
@@ -536,7 +536,8 @@ def train(model: ReportModel, dataset: list[StudyInput], tc: TrainConfig,
     that graph's reverse topological order adds the per-study contributions
     to each parameter in batch order too, and gives each study loss the same
     seed. Writes checkpoint, loss curve CSV and config JSON when out_dir is
-    given; the config's ``precision`` is the dtype the model holds. A
+    given, removing the config first and writing it last; the config's
+    ``precision`` is the dtype the model holds. A
     ``tc.frozen`` that leaves no parameter to train, or a study whose prompt
     and target exceed ``max_seq_len``, raises TrainConfigError before the
     first step.
@@ -603,11 +604,12 @@ def train(model: ReportModel, dataset: list[StudyInput], tc: TrainConfig,
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
+        # Readers load train_config.json first; without it, a rerun killed
+        # while overwriting the others in place leaves no valid checkpoint.
+        (out / "train_config.json").unlink(missing_ok=True)
         save_checkpoint(out / "model.ckpt", model.named_params())
-        with open(out / "loss_curve.csv", "w", encoding="utf-8") as fh:
-            fh.write("step,lr,loss\n")
-            for step, lr, loss_value in curve:
-                fh.write(f"{step},{lr:.10g},{loss_value:.10g}\n")
+        rows = "".join(f"{step},{lr:.10g},{loss_value:.10g}\n" for step, lr, loss_value in curve)
+        write_file(out / "loss_curve.csv", ("step,lr,loss\n" + rows).encode("utf-8"))
         # the dtype the model holds, which need not be tc.precision
         echo = TrainEcho(replace(tc, precision=model.lm.tok_emb.data.dtype.name),
                          model.cfg, tuple(model.tokenizer.vocab))

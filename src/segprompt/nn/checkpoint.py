@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from segprompt.errors import ContractError
+from segprompt.errors import ContractError, write_file
 from segprompt.nn.tensor import Tensor
 
 MAGIC = b"SPKTCKP1"
@@ -34,12 +34,7 @@ def save_checkpoint(path: str | Path, params: dict[str, Tensor | np.ndarray]) ->
         blobs.append(blob)
         offset += len(blob)
     header = json.dumps(entries).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+    write_file(path, MAGIC, struct.pack("<I", len(header)), header, *blobs)
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:

@@ -137,15 +137,29 @@ def _ellipse(size: int, cr: float, cc: float, ry: float, rx: float) -> Mask:
 
 
 def _polyline(size: int, points: list[tuple[float, float]], radius: int) -> Mask:
-    m = np.zeros((size, size), dtype=bool)
-    rows = np.arange(size)[:, None]
-    cols = np.arange(size)[None, :]
+    """The pixels within ``radius`` of a sample point of the segments joining
+    ``points``, two samples per pixel of each segment's longer extent.
+
+    Each point is tested on the ``(2 * radius + 2)``-square window from
+    ``floor(r) - radius``, which holds every pixel within ``radius`` of it,
+    clipped to the image; the points and the test are the same float
+    operations as a test over the whole image, so the mask is bit-identical
+    to that."""
+    rs, cs = [], []
     for (r0, c0), (r1, c1) in zip(points[:-1], points[1:]):
         steps = max(int(2 * max(abs(r1 - r0), abs(c1 - c0))), 1)
-        for t in np.linspace(0.0, 1.0, steps + 1):
-            r = r0 + t * (r1 - r0)
-            c = c0 + t * (c1 - c0)
-            m |= (rows - r) ** 2 + (cols - c) ** 2 <= radius ** 2
+        t = np.linspace(0.0, 1.0, steps + 1)
+        rs.append(r0 + t * (r1 - r0))
+        cs.append(c0 + t * (c1 - c0))
+    r = np.concatenate(rs)[:, None, None]
+    c = np.concatenate(cs)[:, None, None]
+    window = np.arange(2 * radius + 2)
+    # a clipped index is an edge pixel, tested at its own distance
+    rows = np.clip(np.floor(r).astype(np.intp) - radius + window[:, None], 0, size - 1)
+    cols = np.clip(np.floor(c).astype(np.intp) - radius + window, 0, size - 1)
+    hit = (rows - r) ** 2 + (cols - c) ** 2 <= radius ** 2  # (points, window, window)
+    m = np.zeros((size, size), dtype=bool)
+    m[np.broadcast_to(rows, hit.shape)[hit], np.broadcast_to(cols, hit.shape)[hit]] = True
     return m
 
 
@@ -413,10 +427,13 @@ class StudyRecord:
 
 
 def generate_dataset(spec: SynthSpec, out_dir: str | Path) -> list[StudyRecord]:
-    """Write images/masks as PGM plus manifest.json; byte-identical reruns."""
+    """Write images/masks as PGM plus manifest.json; byte-identical reruns.
+    An existing manifest.json is removed before the first file is written,
+    and the new one is written last, so an interrupted rerun leaves none."""
     root = Path(out_dir)
     (root / "images").mkdir(parents=True, exist_ok=True)
     (root / "masks").mkdir(parents=True, exist_ok=True)
+    (root / "manifest.json").unlink(missing_ok=True)
 
     records = []
     for index in range(spec.n_studies):

@@ -1,5 +1,6 @@
 """Test helpers shared across modules: the central finite-difference gradient
-oracle and a parameter cast for bare components."""
+oracle, a parameter cast for bare components, and the whole-image tube
+rasterizer that ``synth._polyline`` must match."""
 
 import math
 from typing import Callable
@@ -52,3 +53,18 @@ def cast_params(params: dict[str, Tensor], dtype) -> None:
     does: for a bare component, such as a ``DecoderLm``, built in float64."""
     for p in params.values():
         p.data = p.data.astype(dtype, copy=False)
+
+
+def polyline_reference(size: int, points: list[tuple[float, float]], radius: int) -> np.ndarray:
+    """``synth._polyline`` as one test over the whole image per sample point:
+    the oracle its windowed version must match bit for bit."""
+    m = np.zeros((size, size), dtype=bool)
+    rows = np.arange(size)[:, None]
+    cols = np.arange(size)[None, :]
+    for (r0, c0), (r1, c1) in zip(points[:-1], points[1:]):
+        steps = max(int(2 * max(abs(r1 - r0), abs(c1 - c0))), 1)
+        for t in np.linspace(0.0, 1.0, steps + 1):
+            r = r0 + t * (r1 - r0)
+            c = c0 + t * (c1 - c0)
+            m |= (rows - r) ** 2 + (cols - c) ** 2 <= radius ** 2
+    return m

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import os
 import re
 import shutil
 from typing import get_args, get_origin, get_type_hints
@@ -1036,6 +1037,12 @@ class TestTrainGenerateEval:
             entry = report["metrics"][key]
             assert set(entry) == {"median", "ci_low", "ci_high"}
         assert report["conventions"]["bleu"]["smoothing"] == "none"
+
+    def test_eval_report_to_dev_null(self, dataset, checkpoint):
+        """A report path that is no regular file is written and not cut."""
+        assert run_command(["eval", "--data", str(dataset), "--ckpt", str(checkpoint),
+                            "--report", os.devnull, "--split", "test",
+                            "--max-new", "4"]) == 0
 
 
     def test_eval_report_lists_each_study_as_generate_decodes_it(

@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import polyline_reference
+from segprompt import synth
 from segprompt.errors import ContractError, write_json
 from segprompt.masks import StructureId, read_image, write_mask
 from segprompt.metrics import MR_FINDINGS
@@ -97,6 +99,39 @@ def labels_for_state(state: StudyState) -> np.ndarray:
         "pleural_effusion": state.effusion,
     }
     return np.array([values[f] for f in MR_FINDINGS], dtype=bool)
+
+
+class TestPolyline:
+    """``_polyline`` tests each sample point on its window only; the masks
+    must be those of the whole-image test, bit for bit."""
+
+    @pytest.mark.parametrize("size", [64, 128])  # radius 1 and 2
+    def test_generator_calls_match_the_whole_image_test(self, monkeypatch, size):
+        calls, polyline = [], synth._polyline
+
+        def recording(*args):
+            calls.append(args)
+            return polyline(*args)
+        with monkeypatch.context() as m:
+            m.setattr(synth, "_polyline", recording)
+            for seed in (3, 7, 11, 1201):
+                spec = SynthSpec(seed=seed, image_size=size)
+                for index in range(20):
+                    make_study(spec, index)
+        assert len(calls) > 150
+        assert {radius for _, _, radius in calls} == {size // 64}
+        for args in calls:
+            assert np.array_equal(synth._polyline(*args), polyline_reference(*args))
+
+    @pytest.mark.parametrize("points,radius", [
+        ([(-3.0, -2.5), (5.2, 40.7)], 2),  # starts off the image
+        ([(10.5, 60.9), (30.0, 70.0), (62.99, 63.0)], 3),  # crosses an edge
+        ([(20.0, 20.0), (20.0, 20.0)], 1),  # one point
+        ([(0.5, 0.5), (63.5, 63.5), (0.0, 63.0)], 1),
+    ])
+    def test_edges_match_the_whole_image_test(self, points, radius):
+        assert np.array_equal(synth._polyline(64, points, radius),
+                              polyline_reference(64, points, radius))
 
 
 class TestGeneratorBasics:
