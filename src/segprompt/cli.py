@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -128,9 +129,25 @@ def _style_from_args(args) -> MarkStyle:
                      policy=args.intensity_policy, uniform_value=args.uniform_value)
 
 
+def _check_under_out(data_dir: str | Path, records) -> None:
+    """render-som writes each file the manifest names at the same path under
+    ``--out``; an absolute path, or one with a ``..`` part, would land outside
+    it (an absolute one on the source file itself). A ContractError names the
+    manifest, the study and the path."""
+    for record in records:
+        for entry in record.views.values():
+            for rel in (entry["image"], *entry["masks"].values()):
+                if os.path.isabs(rel) or ".." in rel.split("/"):
+                    raise ContractError(
+                        f"{Path(data_dir) / 'manifest.json'}: study {record.study_id!r}: "
+                        f"path {rel!r} is absolute or has a '..' part, so render-som "
+                        f"cannot write it under --out")
+
+
 def cmd_render_som(args) -> int:
     style = _style_from_args(args)
     manifest, records = load_manifest(args.data)
+    _check_under_out(args.data, records)
     src = Path(args.data)
     dst = Path(args.out)
     (dst / "images").mkdir(parents=True, exist_ok=True)

@@ -1,6 +1,11 @@
-"""Shared exception types, the one writer of output files, the one reader and
-the one writer of JSON files, and the checks on JSON objects read into
-dataclasses and ``TypedDict``s."""
+"""Shared exception types, the one reader of PGM files and the one writer of
+output files, the one reader and the one writer of JSON files, and the checks
+on JSON objects read into dataclasses and ``TypedDict``s.
+
+PGMs are read, and output files written, on the raw file descriptor
+(``os.open``, ``os.read``/``os.write``, ``os.close``): a dataset is hundreds
+of 4 KB files, and for a file that small a Python file object costs about as
+much again as the I/O it wraps."""
 
 import dataclasses
 import functools
@@ -34,28 +39,58 @@ def read_json(path):
         raise ContractError(f"{path}: not valid JSON ({exc})") from exc
 
 
+# os.read's request size: a 4 KB PGM takes one read and the read at its end
+_READ_SIZE = 1 << 16
+
+
+def read_file(path) -> bytes:
+    """The bytes of the file ``path``, read on its descriptor; every PGM the
+    package reads comes through here. An ``OSError`` names ``path``, as
+    ``open(path, "rb")``'s does: ``os.open``'s already does, and one from
+    ``os.read``, such as ``EISDIR`` on a directory, is raised again with
+    ``path``."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        data = os.read(fd, _READ_SIZE)
+        chunk = data and os.read(fd, _READ_SIZE)
+        if chunk:  # more than one read: gather the rest and join once
+            chunks = [data, chunk]
+            while chunk := os.read(fd, _READ_SIZE):
+                chunks.append(chunk)
+            data = b"".join(chunks)
+        return data
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        os.close(fd)
+
+
 def write_file(path, *chunks: bytes) -> None:
-    """Make the file ``path`` hold ``chunks``, one after another; every file
-    the package writes goes through here. A new file gets the mode
-    ``open(path, "wb")`` gives it. An existing regular file is overwritten in
-    place and then, if it was longer, cut to length; it is not truncated
-    first: on ext4, truncating a file to zero forces its writeback at close,
-    which costs several times the write of a small file. Anything else, such
-    as ``/dev/null`` or a pipe, is written and not cut. If writing a chunk
-    raises, the file still ends after the bytes written before it, as with
-    ``open(path, "wb")``."""
-    with open(path, "wb", opener=_no_truncate) as fh:
-        old = os.fstat(fh.fileno())
+    """Make the file ``path`` hold ``chunks``, one after another, written on
+    its descriptor; every file the package writes goes through here. A new
+    file gets the mode ``open(path, "wb")`` gives it. An existing regular file
+    is overwritten in place and then, if it was longer, cut to length; it is
+    not truncated first: on ext4, truncating a file to zero forces its
+    writeback at close, which costs several times the write of a small file.
+    Anything else, such as ``/dev/null`` or a pipe, is written and not cut. A
+    short write is continued. If writing a chunk raises, the file still ends
+    after the bytes written before it, as with ``open(path, "wb")``."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        old = os.fstat(fd)
+        end = 0
         try:
             for chunk in chunks:
-                fh.write(chunk)
+                rest = memoryview(chunk)
+                while rest:
+                    written = os.write(fd, rest)
+                    end += written
+                    rest = rest[written:]
         finally:
-            if stat.S_ISREG(old.st_mode) and old.st_size > fh.tell():
-                fh.truncate()
-
-
-def _no_truncate(path, flags: int) -> int:
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+            if stat.S_ISREG(old.st_mode) and old.st_size > end:
+                os.ftruncate(fd, end)
+    finally:
+        os.close(fd)
 
 
 def write_json(path, value) -> None:

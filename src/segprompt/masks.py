@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from segprompt.errors import ContractError, write_file
+from segprompt.errors import ContractError, read_file, write_file
 
 Mask = np.ndarray  # bool, shape (height, width)
 
@@ -183,9 +183,10 @@ def read_pgm(path: str | Path) -> np.ndarray:
     preceded by any whitespace and ``#`` comments (to the end of the line),
     and one whitespace byte before the pixels. maxval must be 255 and both
     extents positive. A malformed header or too few pixel bytes raises a
-    ContractError naming the file."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    ContractError naming the file. The file is read by ``errors.read_file``,
+    on its descriptor: a mask is a few KB, and a file object would cost about
+    as much again as the read."""
+    raw = read_file(path)
     header = _PGM_HEADER.match(raw)
     if header is None:
         if not raw.startswith(b"P5"):

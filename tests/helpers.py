@@ -1,8 +1,10 @@
 """Test helpers shared across modules: the central finite-difference gradient
-oracle, a parameter cast for bare components, and the whole-image tube
-rasterizer that ``synth._polyline`` must match."""
+oracle, a parameter cast for bare components, the whole-image tube
+rasterizer that ``synth._polyline`` must match, and the count of this
+process's open file descriptors."""
 
 import math
+import os
 from typing import Callable
 
 import numpy as np
@@ -68,3 +70,9 @@ def polyline_reference(size: int, points: list[tuple[float, float]], radius: int
             c = c0 + t * (c1 - c0)
             m |= (rows - r) ** 2 + (cols - c) ** 2 <= radius ** 2
     return m
+
+
+def open_fds() -> int:
+    """The number of file descriptors this process has open, so that a test
+    can check that an error path closes the one it opened."""
+    return len(os.listdir("/proc/self/fd"))

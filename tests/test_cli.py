@@ -613,6 +613,23 @@ class TestBadStudyFiles:
             assert str(data / rel) in err, (argv, err)
             assert "Errno" not in err and "input arrays" not in err, (argv, err)
 
+    def test_mask_path_is_a_directory(self, dataset, tmp_path, capsys):
+        """A directory where the manifest names a mask: build-prompt exits 1
+        with the OS error, which names the path, and no traceback. This held
+        when PGMs were read through ``open``; it guards the descriptor
+        reader, whose ``os.read`` error names no path of its own."""
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        _, records = load_manifest(data)
+        rel = next(iter(records[0].views["current_frontal"]["masks"].values()))
+        (data / rel).unlink()
+        (data / rel).mkdir()
+        assert run_command(["build-prompt", "--data", str(data),
+                            "--study", records[0].study_id]) == 1
+        err = capsys.readouterr().err
+        assert f"[Errno 21] Is a directory: {str(data / rel)!r}" in err, err
+        assert "Traceback" not in err, err
+
 
 class TestMissingCheckpointFile:
     """A checkpoint directory without one of its files is a ContractError
@@ -955,6 +972,36 @@ class TestRenderSom:
             legend_spans = [seg for seg in dumps[som] if seg.get("role") == "som_legend"]
             assert [seg["text"] for seg in legend_spans] == expected
             assert [seg for seg in dumps[som] if seg not in legend_spans] == dumps[dataset]
+
+    @pytest.mark.parametrize("form,kind", [("absolute", "image"), ("absolute", "mask"),
+                                           ("dotdot", "image"), ("dotdot", "mask")])
+    def test_path_outside_out_rejected_before_any_write(self, dataset, tmp_path, capsys,
+                                                        form, kind):
+        """render-som writes each file at its manifest path under --out. An
+        absolute path, or one with a '..' part, reads the source file but
+        would write outside --out, an absolute one over the source file
+        itself; render-som exits 1 naming the manifest, the study and the
+        path, and writes nothing."""
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        study = manifest["studies"][-1]  # the last, so a late check shows
+        entry = study["views"]["current_frontal"]
+        rel = entry["image"] if kind == "image" else next(iter(entry["masks"].values()))
+        bad = str(data / rel) if form == "absolute" else f"../{data.name}/{rel}"
+        if kind == "image":
+            entry["image"] = bad
+        else:
+            entry["masks"] = {s: bad if r == rel else r for s, r in entry["masks"].items()}
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        before = {p: p.read_bytes() for p in data.rglob("*") if p.is_file()}
+        som = tmp_path / "som"
+        assert run_command(["render-som", "--data", str(data), "--out", str(som)]) == 1
+        err = capsys.readouterr().err
+        for name in (str(data / "manifest.json"), repr(study["study_id"]), repr(bad)):
+            assert name in err, (name, err)
+        assert not som.exists()
+        assert {p: p.read_bytes() for p in data.rglob("*") if p.is_file()} == before
 
     def test_deterministic(self, dataset, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

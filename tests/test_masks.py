@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import open_fds
 from segprompt.errors import ContractError
 from segprompt import masks as M
 from segprompt.masks import StructureId
@@ -529,6 +530,34 @@ class TestPgm:
         path.write_bytes(header + bytes(16))
         with pytest.raises(ContractError, match="bad.pgm.*header"):
             M.read_pgm(path)
+
+    def test_more_than_one_read_roundtrips(self, tmp_path):
+        """A 300x300 PGM is over 64 KiB, so read_file reads it in more than
+        one ``os.read``; it comes back bit for bit."""
+        arr = np.random.default_rng(3).integers(0, 256, (300, 300), dtype=np.uint8)
+        path = tmp_path / "big.pgm"
+        M.write_pgm(path, arr)
+        raw = path.read_bytes()
+        assert len(raw) > 1 << 16 and raw == b"P5\n300 300\n255\n" + arr.tobytes()
+        got = M.read_pgm(path)
+        assert got.dtype == np.uint8 and np.array_equal(got, arr)
+        assert got.flags.writeable
+
+    @pytest.mark.parametrize("fault,error", [
+        ("missing", FileNotFoundError), ("directory", IsADirectoryError),
+        ("truncated", ContractError), ("header", ContractError)])
+    def test_error_paths_close_the_file(self, tmp_path, fault, error):
+        path = tmp_path / "m.pgm"
+        if fault == "directory":
+            path.mkdir()
+        elif fault == "truncated":
+            path.write_bytes(b"P5\n4 4\n255\n" + bytes(10))
+        elif fault == "header":
+            path.write_bytes(b"P5\n4 x\n255\n" + bytes(16))
+        fds = open_fds()
+        with pytest.raises(error, match=re.escape(str(path))):
+            M.read_pgm(path)
+        assert open_fds() == fds
 
     @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (64, 64)])
     def test_written_bytes(self, tmp_path, shape):

@@ -1,18 +1,22 @@
 """Output files: ``errors.write_file``, the one writer, which overwrites in
-place and cuts to length; reruns into an existing tree that equal fresh runs
-byte for byte; and interrupted reruns that readers reject, because the file
-they read first is removed before the first write and written last."""
+place and cuts to length, and ``errors.read_file``, the one reader of PGMs,
+both on the raw descriptor; reruns into an existing tree that equal fresh
+runs byte for byte; and interrupted reruns that readers reject, because the
+file they read first is removed before the first write and written last."""
 
+import errno
 import json
 import os
 import stat
 import threading
 
+import numpy as np
 import pytest
 
-from segprompt import masks, mllm
+from helpers import open_fds
+from segprompt import errors, masks, mllm
 from segprompt.cli import run_command
-from segprompt.errors import write_file
+from segprompt.errors import read_file, write_file
 
 TINY_CONFIG = {
     "train": {"epochs": 1, "base_lr": 1e-3, "batch_size": 2, "max_steps": 2,
@@ -112,9 +116,53 @@ class TestWriteFile:
         path = tmp_path / "f"
         if old is not None:
             path.write_bytes(old)
+        fds = open_fds()
         with pytest.raises(TypeError):
             write_file(path, b"kept ", b"prefix", None, b"never written")
+        assert open_fds() == fds
         assert path.read_bytes() == b"kept prefix"
+
+    @pytest.mark.parametrize("old", [None, b"x" * 1000, b"abc"], ids=["new", "longer", "shorter"])
+    def test_short_writes_are_continued(self, tmp_path, monkeypatch, old):
+        """An ``os.write`` that takes at most 7 bytes a call still leaves
+        exactly the chunks."""
+        path = tmp_path / "f"
+        if old is not None:
+            path.write_bytes(old)
+        real_write, sizes = os.write, []
+
+        def short_write(fd, data):
+            sizes.append(real_write(fd, memoryview(data)[:7]))
+            return sizes[-1]
+        chunks = [b"P5\n300 300\n255\n", b"", bytes(range(256)) * 3]
+        with monkeypatch.context() as m:
+            m.setattr(errors.os, "write", short_write)
+            write_file(path, *chunks)
+        assert path.read_bytes() == b"".join(chunks)
+        assert max(sizes) == 7 and sum(sizes) == len(b"".join(chunks))
+
+    @pytest.mark.parametrize("old", [None, b"x" * 1000], ids=["new", "longer"])
+    def test_enospc_part_way_leaves_the_bytes_written(self, tmp_path, monkeypatch, old):
+        """A full disk part-way through a chunk raises ENOSPC; the file ends
+        after the bytes written before it, and the descriptor is closed."""
+        path = tmp_path / "f"
+        if old is not None:
+            path.write_bytes(old)
+        real_write, calls = os.write, []
+
+        def filling_write(fd, data):
+            calls.append(len(data))
+            if len(calls) > 3:  # 7 + 3 bytes of the first chunk, 7 of the second
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_write(fd, memoryview(data)[:7])
+        fds = open_fds()
+        with monkeypatch.context() as m:
+            m.setattr(errors.os, "write", filling_write)
+            with pytest.raises(OSError) as info:
+                write_file(path, b"0123456789", b"abcdefghij")
+        assert info.value.errno == errno.ENOSPC
+        assert open_fds() == fds
+        assert path.read_bytes() == b"0123456789abcdefg"
 
     def test_symlink_writes_the_target(self, tmp_path):
         target = tmp_path / "target"
@@ -124,6 +172,39 @@ class TestWriteFile:
         write_file(link, b"new")
         assert link.is_symlink()
         assert target.read_bytes() == b"new"
+
+
+class TestReadFile:
+    @pytest.mark.parametrize("size", [0, 1, 4096, 65535, 65536, 65537, 200_000])
+    def test_every_byte(self, tmp_path, size):
+        """Files of one read, of exactly one read's size, and of several."""
+        data = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+        path = tmp_path / "f"
+        path.write_bytes(data)
+        assert read_file(path) == data
+        assert read_file(str(path)) == data
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("as_str", [False, True], ids=["Path", "str"])
+    def test_error_reads_as_open_s(self, tmp_path, kind, as_str):
+        """A missing file or a directory raises the exception ``open(path,
+        "rb").read()`` raises, with the same message naming the path, and
+        closes what it opened."""
+        path = tmp_path / kind
+        if kind == "directory":
+            path.mkdir()
+        if as_str:
+            path = str(path)
+        with pytest.raises(OSError) as by_open:
+            with open(path, "rb") as fh:
+                fh.read()
+        fds = open_fds()
+        with pytest.raises(OSError) as by_read:
+            read_file(path)
+        assert open_fds() == fds
+        assert type(by_read.value) is type(by_open.value)
+        assert str(by_read.value) == str(by_open.value)
+        assert f": {str(path)!r}" in str(by_read.value)
 
 
 class TestRerunEqualsFresh:
